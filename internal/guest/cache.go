@@ -41,24 +41,32 @@ func (os *OS) raWindow(f *VFile, b int64) int {
 	return win
 }
 
-// readBufs is the per-read scratch checked out from OS.readBufs: the block
-// run and target frames of one readahead window.
-type readBufs struct {
+// ioBufs is the per-I/O scratch checked out from OS.ioBufs: the block run
+// and target frames of one readahead window, swap-in cluster or writeback
+// run, and the victims of one reclaim pass.
+type ioBufs struct {
 	run  []int64
 	gfns []int
+	wb   []wbItem
 }
 
-func (os *OS) getReadBufs() *readBufs {
-	if n := len(os.readBufs); n > 0 {
-		b := os.readBufs[n-1]
-		os.readBufs = os.readBufs[:n-1]
+func (os *OS) getIOBufs() *ioBufs {
+	if n := len(os.ioBufs); n > 0 {
+		b := os.ioBufs[n-1]
+		os.ioBufs = os.ioBufs[:n-1]
 		return b
 	}
-	return &readBufs{}
+	return &ioBufs{}
 }
 
-func (os *OS) putReadBufs(b *readBufs) {
-	os.readBufs = append(os.readBufs, b)
+// putIOBufs returns b to the freelist, dropping its process references so
+// the freelist does not keep exited processes reachable.
+func (os *OS) putIOBufs(b *ioBufs) {
+	for i := range b.wb {
+		b.wb[i].proc = nil
+	}
+	b.run, b.gfns, b.wb = b.run[:0], b.gfns[:0], b.wb[:0]
+	os.ioBufs = append(os.ioBufs, b)
 }
 
 // ReadFile reads [off, off+n) of f through the page cache, with
@@ -82,8 +90,8 @@ func (t *Thread) ReadFile(f *VFile, off, n int64) {
 		}
 		// Miss: read a readahead window of uncached blocks.
 		win := os.raWindow(f, b)
-		bufs := os.getReadBufs()
-		run := bufs.run[:0]
+		bufs := os.getIOBufs()
+		run := bufs.run
 		for j := 0; j < win; j++ {
 			vj := f.Block(b) + int64(j)
 			if b+int64(j) >= f.Blocks {
@@ -94,12 +102,12 @@ func (t *Thread) ReadFile(f *VFile, off, n int64) {
 			}
 			run = append(run, vj)
 		}
-		gfns := bufs.gfns[:0]
+		gfns := bufs.gfns
 		for range run {
 			gfn := os.allocPage(t)
 			if gfn < 0 {
 				bufs.run, bufs.gfns = run, gfns
-				os.putReadBufs(bufs)
+				os.putIOBufs(bufs)
 				return
 			}
 			gfns = append(gfns, int(gfn))
@@ -110,7 +118,7 @@ func (t *Thread) ReadFile(f *VFile, off, n int64) {
 			os.insertCache(gfn, vb2, j == 0)
 		}
 		bufs.run, bufs.gfns = run, gfns
-		os.putReadBufs(bufs)
+		os.putIOBufs(bufs)
 		if len(run) > 1 {
 			os.Met.Add(metrics.GuestReadaheadPgs, int64(len(run)-1))
 		}

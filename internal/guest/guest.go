@@ -227,10 +227,10 @@ type OS struct {
 
 	ra map[*VFile]*raState
 
-	// readBufs is a freelist of readahead scratch buffers. A buffer stays
-	// checked out across the blocking DiskRead, and threads interleave at
-	// blocking points, so concurrent reads need distinct buffers.
-	readBufs []*readBufs
+	// ioBufs is a freelist of I/O scratch buffers. A buffer stays checked
+	// out across the blocking DiskRead or DiskWrite, and threads interleave
+	// at blocking points, so concurrent I/O needs distinct buffers.
+	ioBufs []*ioBufs
 
 	procs        []*Process
 	oomKills     int

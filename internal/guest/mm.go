@@ -145,7 +145,8 @@ func (os *OS) shrinkLists(t *Thread, target int) (freedN, cheapN, ioN int) {
 		}
 	}
 
-	var writeback []wbItem
+	bufs := os.getIOBufs()
+	writeback := bufs.wb
 	batch := 64
 	for i := 0; i < batch && freed+len(writeback) < target && list.size > 0; i++ {
 		gfn := list.back()
@@ -184,14 +185,17 @@ func (os *OS) shrinkLists(t *Thread, target int) (freedN, cheapN, ioN int) {
 		}
 	}
 
-	wrote := os.writebackAndFree(t, writeback)
+	bufs.wb = writeback
+	wrote := os.writebackAndFree(t, bufs)
+	os.putIOBufs(bufs)
 	freed += wrote
 	return freed, cheap, wrote
 }
 
-// writebackAndFree writes the queued victims to their vdisk blocks in
-// contiguous runs, then releases their frames.
-func (os *OS) writebackAndFree(t *Thread, items []wbItem) int {
+// writebackAndFree writes the victims queued in bufs.wb to their vdisk
+// blocks in contiguous runs, then releases their frames.
+func (os *OS) writebackAndFree(t *Thread, bufs *ioBufs) int {
+	items := bufs.wb
 	if len(items) == 0 {
 		return 0
 	}
@@ -201,10 +205,11 @@ func (os *OS) writebackAndFree(t *Thread, items []wbItem) int {
 			continue
 		}
 		run := items[start:i]
-		gfns := make([]int, len(run))
-		for j, w := range run {
-			gfns[j] = int(w.gfn)
+		gfns := bufs.gfns[:0]
+		for _, w := range run {
+			gfns = append(gfns, int(w.gfn))
 		}
+		bufs.gfns = gfns
 		os.Plat.DiskWrite(t.P, gfns, run[0].block)
 		start = i
 	}

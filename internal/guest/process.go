@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"slices"
 
 	"vswapsim/internal/metrics"
 )
@@ -42,6 +43,7 @@ func (os *OS) NewProcess(name string) *Process {
 // brk/mmap: no frames are allocated until first touch).
 func (pr *Process) Reserve(n int) (firstIdx int) {
 	firstIdx = len(pr.slots)
+	pr.slots = slices.Grow(pr.slots, n)
 	for i := 0; i < n; i++ {
 		pr.slots = append(pr.slots, anonSlot{state: anonNone, gfn: nilGFN, slot: -1})
 	}
@@ -131,14 +133,9 @@ func (os *OS) guestSwapIn(t *Thread, pr *Process, idx int) {
 
 	// Extend the read over contiguous allocated slots whose pages are
 	// still swapped; allocate their frames without forcing reclaim.
-	gfns := []int{int(gfn)}
-	type extra struct {
-		pr   *Process
-		idx  int
-		gfn  int32
-		slot int64
-	}
-	var extras []extra
+	// gfns[k] receives slot+k.
+	bufs := os.getIOBufs()
+	gfns := append(bufs.gfns, int(gfn))
 	for next := slot + 1; next < slot+swapReadahead; next++ {
 		ow := os.swap.ownerAt(next)
 		if ow.pr == nil || ow.pr.Killed || ow.pr.slots[ow.idx].state != anonSwapped ||
@@ -152,17 +149,18 @@ func (os *OS) guestSwapIn(t *Thread, pr *Process, idx int) {
 		os.bindAnon(ow.pr, ow.idx, g2)
 		os.pages[g2].referenced = false // prefetched, not yet used
 		gfns = append(gfns, int(g2))
-		extras = append(extras, extra{pr: ow.pr, idx: ow.idx, gfn: g2, slot: next})
 	}
 
 	// One virtio read for the whole cluster; the DMA overwrites frames.
 	os.Plat.DiskRead(t.P, gfns, os.swap.block(slot))
 	os.swap.release(slot)
-	for _, e := range extras {
-		os.swap.release(e.slot)
+	for next := slot + 1; next < slot+int64(len(gfns)); next++ {
+		os.swap.release(next)
 		os.Met.Inc(metrics.GuestSwapIns)
 		os.noteThrashIn() // prefetched working-set pages count as thrash
 	}
+	bufs.gfns = gfns
+	os.putIOBufs(bufs)
 	os.Met.Inc(metrics.GuestSwapIns)
 	os.Met.Inc(metrics.GuestMajorFaults)
 	os.noteThrashIn()

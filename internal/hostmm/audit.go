@@ -12,8 +12,9 @@ import "fmt"
 //  3. The frame pool usage equals the sum of cgroup resident counts.
 //  4. Every allocated swap slot is owned by a page that records it, the
 //     owner's state can legally hold a slot (SwappedOut, ResidentAnon in
-//     the swap cache, or Emulated), and the owner-map size matches the
-//     allocator's in-use count.
+//     the swap cache, or Emulated), each slot-table chunk's used count
+//     equals its owned slots, and the used counts sum to the allocator's
+//     in-use count.
 //  5. No page is charged twice (appears on two lists).
 //  6. Every clean resident-anon page has a valid swap-cache backing: a
 //     page without one holds the only copy of its content, so it must be
@@ -71,28 +72,35 @@ func (m *Manager) Audit() error {
 	if totalResident != m.Pool.Used() {
 		return fmt.Errorf("pool uses %d frames but cgroups charge %d", m.Pool.Used(), totalResident)
 	}
-	owned := 0
-	for i, pg := range m.Swap.owner {
-		if pg == nil {
+	inUse := 0
+	for ci, c := range m.Swap.chunks {
+		if c == nil {
 			continue
 		}
-		owned++
-		slot := int64(i)
-		if m.Swap.free[slot] {
-			return fmt.Errorf("slot %d owned by page %d but marked free", slot, pg.ID)
+		owned := 0
+		for j, pg := range c.owner {
+			if pg == nil {
+				continue
+			}
+			owned++
+			slot := int64(ci)<<clusterBits | int64(j)
+			if pg.SwapSlot != slot {
+				return fmt.Errorf("slot %d owner page %d records slot %d", slot, pg.ID, pg.SwapSlot)
+			}
+			switch pg.State {
+			case SwappedOut, ResidentAnon, Emulated:
+			default:
+				return fmt.Errorf("slot %d owned by page %d in state %s", slot, pg.ID, pg.State)
+			}
 		}
-		if pg.SwapSlot != slot {
-			return fmt.Errorf("slot %d owner page %d records slot %d", slot, pg.ID, pg.SwapSlot)
+		if owned != c.used {
+			return fmt.Errorf("swap chunk %d counts %d used slots but holds %d owners", ci, c.used, owned)
 		}
-		switch pg.State {
-		case SwappedOut, ResidentAnon, Emulated:
-		default:
-			return fmt.Errorf("slot %d owned by page %d in state %s", slot, pg.ID, pg.State)
-		}
+		inUse += c.used
 	}
-	if owned != m.Swap.inUse {
-		return fmt.Errorf("swap allocator counts %d slots in use but owner table has %d",
-			m.Swap.inUse, owned)
+	if inUse != m.Swap.inUse {
+		return fmt.Errorf("swap allocator counts %d slots in use but its chunks hold %d",
+			m.Swap.inUse, inUse)
 	}
 	return nil
 }

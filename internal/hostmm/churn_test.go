@@ -1,6 +1,7 @@
 package hostmm
 
 import (
+	"strings"
 	"testing"
 
 	"vswapsim/internal/disk"
@@ -117,8 +118,8 @@ func TestSwapChurnThroughReclaim(t *testing.T) {
 	}
 	// Every slot still allocated is owned by a page that really references
 	// it (no stale resurrection of released descriptors).
-	for slot, pg := range r.swap.owner {
-		if pg != nil && pg.SwapSlot != int64(slot) {
+	for slot := int64(0); slot < r.swap.Slots(); slot++ {
+		if pg := r.swap.Owner(slot); pg != nil && pg.SwapSlot != slot {
 			t.Fatalf("slot %d owned by page gfn=%d whose SwapSlot=%d", slot, pg.ID, pg.SwapSlot)
 		}
 	}
@@ -128,5 +129,40 @@ func TestSwapChurnThroughReclaim(t *testing.T) {
 	}
 	if r.swap.InUse() != 0 || r.swap.ownedSlots() != 0 {
 		t.Fatalf("teardown leaked swap slots: inUse=%d owner=%d", r.swap.InUse(), r.swap.ownedSlots())
+	}
+}
+
+// TestAuditCatchesSlotCountDrift corrupts the slot table's bookkeeping after
+// a real swap churn and requires the auditor to notice: a chunk whose used
+// count disagrees with its owned slots, and chunk counts that no longer sum
+// to the allocator's in-use total.
+func TestAuditCatchesSlotCountDrift(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(s *SwapArea, c *slotChunk)
+		want    string
+	}{
+		{"chunk count", func(s *SwapArea, c *slotChunk) { c.used++ }, "swap chunk"},
+		{"in-use total", func(s *SwapArea, c *slotChunk) { s.inUse++ }, "slots in use"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 1000, 8)
+			r.run(t, func(p *sim.Proc) {
+				for i := 0; i < 24; i++ {
+					r.mgr.FirstTouch(p, r.mgr.NewPage(r.cg, i), GuestCtx)
+				}
+			})
+			if r.swap.InUse() == 0 {
+				t.Fatal("setup: nothing was swapped out")
+			}
+			if err := r.mgr.Audit(); err != nil {
+				t.Fatalf("audit before corruption: %v", err)
+			}
+			tc.corrupt(r.swap, r.swap.chunks[0])
+			err := r.mgr.Audit()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("audit after corrupting the %s = %v, want an error mentioning %q", tc.name, err, tc.want)
+			}
+		})
 	}
 }

@@ -13,7 +13,6 @@ import (
 // consecutive slots.
 type SwapArea struct {
 	region disk.Region
-	free   []bool // free[i] == true when slot i is unallocated
 	inUse  int
 	hint   int64 // lowest slot that might be free
 
@@ -27,11 +26,14 @@ type SwapArea struct {
 	scanFailed  bool  // no free cluster exists until enough slots free up
 	freesSince  int   // slots freed since the last failed cluster scan
 
-	// owner records, per slot, the page whose content the slot holds (nil
-	// when free). A dense slice: slots are a small, fixed keyspace and the
-	// fault path reads ownership for every slot of a readahead cluster, so
-	// this must be an indexed load, not a hashed map probe.
-	owner []*Page
+	// chunks records, per slot, the page whose content the slot holds; a
+	// nil owner marks a free slot. The table is split into one-cluster
+	// chunks, each allocated when one of its slots is first taken: a run
+	// touches a few percent of a multi-GiB partition, so a dense table
+	// would be mostly zeroing and GC scanning, while the fault path, which
+	// reads ownership for every slot of a readahead cluster, still gets
+	// indexed loads.
+	chunks []*slotChunk
 
 	// onFree, when non-nil, observes every slot release (the swap backend
 	// hooks it to drop fast-tier copies when their slot dies).
@@ -39,20 +41,28 @@ type SwapArea struct {
 }
 
 // SlotsPerCluster mirrors Linux's SWAPFILE_CLUSTER.
-const SlotsPerCluster = 256
+const SlotsPerCluster = 1 << clusterBits
+
+const (
+	clusterBits = 8
+	clusterMask = SlotsPerCluster - 1
+)
+
+// slotChunk holds the owners of one cluster-aligned run of slots. used
+// counts its non-nil owners, so scans cross empty and full chunks in one
+// step.
+type slotChunk struct {
+	used  int
+	owner [SlotsPerCluster]*Page
+}
 
 // NewSwapArea returns a swap area over the given region.
 func NewSwapArea(region disk.Region) *SwapArea {
-	s := &SwapArea{
+	return &SwapArea{
 		region: region,
-		free:   make([]bool, region.Blocks),
-		owner:  make([]*Page, region.Blocks),
+		chunks: make([]*slotChunk, (region.Blocks+clusterMask)>>clusterBits),
 		next:   -1,
 	}
-	for i := range s.free {
-		s.free[i] = true
-	}
-	return s
 }
 
 // Slots reports the total slot count.
@@ -64,14 +74,14 @@ func (s *SwapArea) InUse() int { return s.inUse }
 // Alloc assigns a slot to page pg and returns it, preferring to continue
 // the current free cluster. It returns -1 if the area is full.
 func (s *SwapArea) Alloc(pg *Page) int64 {
+	if pg == nil {
+		panic("hostmm: swap slot allocated to a nil page")
+	}
 	// Continue the current cluster while it has free slots.
 	if s.next >= 0 {
-		for s.next < s.clusterEnd {
-			i := s.next
-			s.next++
-			if s.free[i] {
-				return s.take(i, pg)
-			}
+		if i := s.nextFree(s.next, s.clusterEnd); i >= 0 {
+			s.next = i + 1
+			return s.take(i, pg)
 		}
 		s.next = -1
 	}
@@ -88,10 +98,28 @@ func (s *SwapArea) Alloc(pg *Page) int64 {
 		s.freesSince = 0
 	}
 	// Fragmented: degrade to lowest-free (placement decay).
-	for i := s.hint; i < s.region.Blocks; i++ {
-		if s.free[i] {
-			return s.take(i, pg)
+	if i := s.nextFree(s.hint, s.region.Blocks); i >= 0 {
+		return s.take(i, pg)
+	}
+	return -1
+}
+
+// nextFree returns the lowest free slot in [from, to), or -1.
+func (s *SwapArea) nextFree(from, to int64) int64 {
+	for i := from; i < to; {
+		c := s.chunks[i>>clusterBits]
+		if c == nil || c.used == 0 {
+			return i
 		}
+		end := min(to, (i|clusterMask)+1)
+		if c.used < SlotsPerCluster {
+			for ; i < end; i++ {
+				if c.owner[i&clusterMask] == nil {
+					return i
+				}
+			}
+		}
+		i = end
 	}
 	return -1
 }
@@ -99,53 +127,77 @@ func (s *SwapArea) Alloc(pg *Page) int64 {
 // findCluster locates a run of SlotsPerCluster free slots, scanning from
 // clusterHint with wrap-around; -1 if none exists.
 func (s *SwapArea) findCluster() int64 {
-	scan := func(from, to int64) int64 {
-		run := int64(0)
-		for i := from; i < to; i++ {
-			if s.free[i] {
-				run++
-				if run == SlotsPerCluster {
-					start := i - run + 1
-					s.clusterHint = i + 1
-					return start
+	last := s.freeRunEnd(s.clusterHint, s.region.Blocks)
+	if last < 0 {
+		last = s.freeRunEnd(0, min(s.clusterHint+SlotsPerCluster, s.region.Blocks))
+		if last < 0 {
+			return -1
+		}
+	}
+	s.clusterHint = last + 1
+	return last - SlotsPerCluster + 1
+}
+
+// freeRunEnd returns the slot that completes the first run of
+// SlotsPerCluster free slots counted from `from`, scanning up to `to`;
+// -1 if none does. Unallocated and empty chunks (all free) and full chunks
+// (none free) are crossed in one step; only partly used chunks are
+// scanned slot by slot.
+func (s *SwapArea) freeRunEnd(from, to int64) int64 {
+	run := int64(0)
+	for i := from; i < to; {
+		c := s.chunks[i>>clusterBits]
+		end := min(to, (i|clusterMask)+1)
+		switch {
+		case c == nil || c.used == 0:
+			if run+end-i >= SlotsPerCluster {
+				return i + SlotsPerCluster - run - 1
+			}
+			run += end - i
+			i = end
+		case c.used == SlotsPerCluster:
+			run = 0
+			i = end
+		default:
+			for ; i < end; i++ {
+				if c.owner[i&clusterMask] != nil {
+					run = 0
+				} else if run++; run == SlotsPerCluster {
+					return i
 				}
-			} else {
-				run = 0
 			}
 		}
-		return -1
 	}
-	if start := scan(s.clusterHint, s.region.Blocks); start >= 0 {
-		return start
-	}
-	end := s.clusterHint + SlotsPerCluster
-	if end > s.region.Blocks {
-		end = s.region.Blocks
-	}
-	return scan(0, end)
+	return -1
 }
 
 func (s *SwapArea) take(i int64, pg *Page) int64 {
-	s.free[i] = false
+	c := s.chunks[i>>clusterBits]
+	if c == nil {
+		c = new(slotChunk)
+		s.chunks[i>>clusterBits] = c
+	}
+	c.owner[i&clusterMask] = pg
+	c.used++
 	if i == s.hint {
 		s.hint = i + 1
 	}
 	s.inUse++
-	s.owner[i] = pg
 	return i
 }
 
 // Free releases a slot.
 func (s *SwapArea) Free(slot int64) {
-	if slot < 0 || slot >= s.region.Blocks || s.free[slot] {
+	if s.Owner(slot) == nil {
 		panic(fmt.Sprintf("hostmm: freeing bad swap slot %d", slot))
 	}
-	s.free[slot] = true
+	c := s.chunks[slot>>clusterBits]
+	c.owner[slot&clusterMask] = nil
+	c.used--
 	if slot < s.hint {
 		s.hint = slot
 	}
 	s.inUse--
-	s.owner[slot] = nil
 	if s.scanFailed {
 		s.freesSince++
 		if s.freesSince >= SlotsPerCluster {
@@ -157,13 +209,21 @@ func (s *SwapArea) Free(slot int64) {
 	}
 }
 
-// ownedSlots counts the slots with a recorded owner (used by tests and the
-// audit to cross-check the allocator's in-use count).
+// ownedSlots counts the slots with a recorded owner (used by tests to
+// cross-check the allocator's in-use count).
 func (s *SwapArea) ownedSlots() int {
 	n := 0
-	for _, pg := range s.owner {
-		if pg != nil {
-			n++
+	for _, c := range s.chunks {
+		switch {
+		case c == nil || c.used == 0:
+		case c.used == SlotsPerCluster:
+			n += SlotsPerCluster
+		default:
+			for _, pg := range c.owner {
+				if pg != nil {
+					n++
+				}
+			}
 		}
 	}
 	return n
@@ -172,27 +232,20 @@ func (s *SwapArea) ownedSlots() int {
 // fragmented reports whether no whole free cluster remains (used by tests
 // asserting placement decay).
 func (s *SwapArea) fragmented() bool {
-	run := int64(0)
-	for i := int64(0); i < s.region.Blocks; i++ {
-		if s.free[i] {
-			run++
-			if run >= SlotsPerCluster {
-				return false
-			}
-		} else {
-			run = 0
-		}
-	}
-	return true
+	return s.freeRunEnd(0, s.region.Blocks) < 0
 }
 
 // Owner returns the page stored at slot, or nil if the slot is free or out
 // of range.
 func (s *SwapArea) Owner(slot int64) *Page {
-	if slot < 0 || slot >= int64(len(s.owner)) {
+	if slot < 0 || slot >= s.region.Blocks {
 		return nil
 	}
-	return s.owner[slot]
+	c := s.chunks[slot>>clusterBits]
+	if c == nil {
+		return nil
+	}
+	return c.owner[slot&clusterMask]
 }
 
 // Phys translates a slot to a physical disk block.
@@ -219,7 +272,7 @@ func (s *SwapArea) AppendClusterRun(dst []int64, slot int64, cluster int) []int6
 		end = s.region.Blocks
 	}
 	for i := base; i < end; i++ {
-		if !s.free[i] {
+		if s.Owner(i) != nil {
 			dst = append(dst, i)
 		}
 	}

@@ -117,8 +117,8 @@ const (
 	ClusterKills          = "cluster.kills"           // soomkiller victim kills
 	ClusterReballoons     = "cluster.reballoon.ticks" // MOM re-balloon interventions
 	ClusterPressureEvents = "cluster.pressure.events" // monitor samples over threshold
-	HistClusterUnit       = "cluster.unit.latency"  // fleet-wide per-unit workload latency
-	HistClusterGuest      = "cluster.guest.latency" // admission-to-completion per-guest latency
+	HistClusterUnit       = "cluster.unit.latency"    // fleet-wide per-unit workload latency
+	HistClusterGuest      = "cluster.guest.latency"   // admission-to-completion per-guest latency
 
 	// Per-phase simulated-time accounting (all virtual nanoseconds). These
 	// answer "where does simulated time go": guest CPU execution, host

@@ -390,7 +390,7 @@ func splitFlow(body string, at pos) ([]string, []int, error) {
 }
 
 // parseScalarToken parses one scalar: double-quoted (with \" \\ \n \t
-// escapes), single-quoted (with '' escape), or plain.
+// escapes), single-quoted (a doubled single quote escapes one), or plain.
 func parseScalarToken(s string, at pos) (*node, error) {
 	nd := &node{kind: scalarNode, pos: at}
 	switch {
