@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -127,5 +129,82 @@ func TestRunSigintEmitsPartialReport(t *testing.T) {
 	}
 	if canceled == 0 {
 		t.Fatal("no canceled cells recorded in the partial report")
+	}
+}
+
+// TestReportUsageErrors: the report form rejects every malformed knob
+// with the usage code and a one-line hint on stderr.
+func TestReportUsageErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"bad faults spec", []string{"-faults", "bogus:0.5"}},
+		{"negative auditevery", []string{"-auditevery", "-1"}},
+		{"negative celltimeout", []string{"-celltimeout", "-1s"}},
+		{"malformed maxevents", []string{"-maxevents", "-5"}},
+		{"negative tracering", []string{"-tracering", "-1"}},
+		{"bad scale", []string{"-scale", "17"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"report"}, c.args...)
+			if code := run(args, &stdout, &stderr); code != exitUsage {
+				t.Fatalf("run(%v) = %d, want %d", args, code, exitUsage)
+			}
+			if msg := stderr.String(); !strings.Contains(msg, "usage") && !strings.Contains(msg, "Usage") {
+				t.Fatalf("stderr has no usage hint:\n%s", msg)
+			}
+		})
+	}
+}
+
+// TestRunHardenedReportWritesDiagBundles: a tiny event budget kills every
+// cell of a single-figure report; the process exits non-zero, the JSON
+// document carries the failure records, -diagdir receives one replayable
+// bundle per failed cell, and -o still gets the text report with the
+// failed cells called out.
+func TestRunHardenedReportWritesDiagBundles(t *testing.T) {
+	dir := t.TempDir()
+	textPath := filepath.Join(dir, "report.txt")
+	diagDir := filepath.Join(dir, "diag")
+	var stdout, stderr bytes.Buffer
+	args := []string{"report", "-only", "fig3", "-quick", "-scale", "0.125", "-seed", "7",
+		"-maxevents", "1000", "-json", "-o", textPath, "-diagdir", diagDir}
+	if code := run(args, &stdout, &stderr); code != exitFailures {
+		t.Fatalf("exit = %d, want %d; stderr:\n%s", code, exitFailures, stderr.String())
+	}
+	var doc experiment.JSONDocument
+	if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
+		t.Fatalf("stdout is not one JSON document: %v", err)
+	}
+	if len(doc.Experiments) != 1 || len(doc.Experiments[0].Failures) == 0 {
+		t.Fatal("no failure records in the JSON document")
+	}
+	bundles, err := filepath.Glob(filepath.Join(diagDir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bundles) != len(doc.Experiments[0].Failures) {
+		t.Fatalf("%d bundles for %d failures", len(bundles), len(doc.Experiments[0].Failures))
+	}
+	var b experiment.DiagBundle
+	raw, err := os.ReadFile(bundles[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &b); err != nil {
+		t.Fatalf("bundle invalid: %v", err)
+	}
+	if !strings.Contains(b.Replay, "go run ./cmd/vswapsim -run fig3") || !strings.Contains(b.Replay, "-maxevents 1000") {
+		t.Fatalf("bundle replay command incomplete: %q", b.Replay)
+	}
+	text, err := os.ReadFile(textPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(text), "FAILED") {
+		t.Fatalf("text report does not flag failures:\n%s", text)
 	}
 }

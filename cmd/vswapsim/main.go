@@ -1,22 +1,26 @@
-// Command vswapsim runs one of the paper's experiments — hand-coded
-// registry entries or declarative YAML scenarios — and prints its tables.
+// Command vswapsim runs the paper's experiments — hand-coded registry
+// entries or declarative YAML scenarios — and prints their tables.
 //
 // Usage:
 //
 //	vswapsim -list
 //	vswapsim -run <id> [flags]
 //	vswapsim run <scenario.yaml> [flags]
+//	vswapsim report [-only <ids>] [-o <file>] [-csv <dir>] [flags]
 //	vswapsim validate <scenario.yaml>...
 //
-// Flags (shared by -run and the run subcommand): -scale, -seed, -quick,
-// -parallel, -json, -tracering, -faults, -swapback, -swappolicy,
-// -auditevery, -maxevents, -celltimeout, -diagdir, -cpuprofile,
-// -memprofile, -server. Run `vswapsim -h` for the full descriptions.
+// The run knobs (-seed, -scale, -quick, -parallel, -tracering, -faults,
+// -swapback, -swappolicy, -auditevery, -maxevents, -celltimeout) are
+// defined once, by experiment.Options.BindFlags, and every form takes
+// them, along with -json, -diagdir, -cpuprofile, -memprofile and
+// -server. Run `vswapsim -h` (or `vswapsim report -h`) for the full
+// descriptions.
 //
-// With -server URL the run is submitted to a vswapsimd daemon instead of
-// executing locally: repeated runs are served from the daemon's
-// content-addressed result cache (byte-identical to a cold run), and the
-// exit code mirrors the local semantics via the job's exit hint.
+// `vswapsim report` regenerates every table and figure of the paper's
+// evaluation in one run (or the -only subset), printing each report as
+// it completes in registry order; -o also writes the text to a file and
+// -csv writes each table as CSV. It is the source of EXPERIMENTS.md's
+// measured numbers.
 //
 // `vswapsim run scenarios/fig3.yaml` executes a declarative scenario
 // (see internal/scenario and EXPERIMENTS.md for the schema) through the
@@ -25,11 +29,17 @@
 // parses and validates scenario files without running them, printing
 // file:line:col positioned errors.
 //
-// With -json the experiment's machine-readable report is printed instead
-// of the text tables: tables and notes plus one run record per simulated
-// machine (counters, latency histograms, per-phase time accounting, and —
-// with -tracering — the trace tail). The JSON bytes are bit-identical
-// between serial (-parallel 1) and parallel runs.
+// With -json the machine-readable report is printed instead of the text
+// tables: tables and notes plus one run record per simulated machine
+// (counters, latency histograms, per-phase time accounting, and — with
+// -tracering — the trace tail). The JSON bytes are bit-identical between
+// serial (-parallel 1) and parallel runs.
+//
+// With -server URL the experiments are submitted to a vswapsimd daemon
+// instead of executing locally: repeated runs are served from the
+// daemon's content-addressed result cache (byte-identical to a cold run),
+// the text renders exactly as a local run's would, and the exit code
+// mirrors the local semantics via each job's exit hint.
 //
 // Run hardening: -maxevents and -celltimeout arm a per-cell watchdog that
 // kills runaway or livelocked cells; each kill (or panic) degrades to a
@@ -46,11 +56,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -58,7 +70,6 @@ import (
 	"time"
 
 	"vswapsim/internal/experiment"
-	"vswapsim/internal/fault"
 	"vswapsim/internal/scenario"
 	"vswapsim/internal/serve"
 	"vswapsim/internal/swapback"
@@ -78,67 +89,53 @@ const usageHeader = `Usage:
   vswapsim -list
   vswapsim -run <id> [flags]
   vswapsim run <scenario.yaml> [flags]
+  vswapsim report [-only <ids>] [-o <file>] [-csv <dir>] [flags]
   vswapsim validate <scenario.yaml>...
 
 Flags:
 `
 
-// cliConfig holds the parsed command line.
-type cliConfig struct {
-	list        bool
-	run         string
-	scale       float64
-	seed        uint64
-	quick       bool
-	parallel    int
-	jsonOut     bool
-	traceRing   int
-	faults      fault.Plan
-	swapback    swapback.Kind
-	swapPolicy  swapback.Policy
-	auditEvery  int
-	maxEvents   uint64
-	cellTimeout time.Duration
-	diagDir     string
-	cpuProfile  string
-	memProfile  string
-	server      string
+// Command forms that take flags; the -list/-run form is "".
+const (
+	formRun    = "run"
+	formReport = "report"
+)
 
-	// raw flag values parsed into faults/swapback/swapPolicy by parseArgs;
-	// kept verbatim so -server client mode can forward them unchanged.
-	faultSpec      string
-	swapbackName   string
-	swapPolicyName string
+// cliConfig holds one parsed command line: the run knobs plus the output
+// options of its form.
+type cliConfig struct {
+	opts experiment.Options
+
+	list bool   // -list form
+	run  string // -run form
+	// report form
+	report bool
+	only   string
+	out    string
+	csvDir string
+
+	jsonOut    bool
+	diagDir    string
+	cpuProfile string
+	memProfile string
+	server     string
 }
 
-// newFlagSet registers every vswapsim flag on a fresh FlagSet. faultSpec
-// is returned separately because fault plans parse after flag.Parse.
-func newFlagSet(c *cliConfig) (fs *flag.FlagSet, faultSpec *string) {
-	fs = flag.NewFlagSet("vswapsim", flag.ContinueOnError)
-	fs.BoolVar(&c.list, "list", false, "list available experiments")
-	fs.StringVar(&c.run, "run", "", "experiment id to run (e.g. fig3)")
-	fs.Float64Var(&c.scale, "scale", 1.0, "size scale factor (1.0 = paper-sized)")
-	fs.Uint64Var(&c.seed, "seed", 42, "random seed")
-	fs.BoolVar(&c.quick, "quick", false, "trim sweeps for a fast smoke run")
-	fs.IntVar(&c.parallel, "parallel", runtime.GOMAXPROCS(0),
-		"max concurrent simulator runs (1 = serial; results are identical either way)")
+// newFlagSet registers the flags of one command form on a fresh FlagSet.
+func newFlagSet(form string, c *cliConfig) *flag.FlagSet {
+	fs := flag.NewFlagSet(strings.TrimSpace("vswapsim "+form), flag.ContinueOnError)
+	switch form {
+	case "":
+		fs.BoolVar(&c.list, "list", false, "list available experiments")
+		fs.StringVar(&c.run, "run", "", "experiment id to run (e.g. fig3)")
+	case formReport:
+		fs.StringVar(&c.only, "only", "", "comma-separated experiment id filter (e.g. fig5,fig11; default: the whole registry)")
+		fs.StringVar(&c.out, "o", "", "also write the text report to this file")
+		fs.StringVar(&c.csvDir, "csv", "", "also write each table as CSV into this directory")
+	}
+	c.opts.BindFlags(fs)
 	fs.BoolVar(&c.jsonOut, "json", false,
 		"emit the machine-readable report (tables + per-run counters/histograms/phases) as JSON")
-	fs.IntVar(&c.traceRing, "tracering", 0,
-		"attach a trace ring of this capacity to every machine; run reports embed its tail")
-	fs.StringVar(&c.faultSpec, "faults", "",
-		"fault-injection spec, e.g. 'disk-read-err:0.01;disk-lat:0.05:2ms;swapin-fail:0.02'")
-	faultSpec = &c.faultSpec
-	fs.StringVar(&c.swapbackName, "swapback", "",
-		"swap-backend tier: "+strings.Join(swapback.KindNames(), ", ")+" (empty = hdd, the raw swap device)")
-	fs.StringVar(&c.swapPolicyName, "swappolicy", "",
-		"tiering policy for backends with a fast tier: "+strings.Join(swapback.PolicyNames(), ", ")+" (empty = writeback)")
-	fs.IntVar(&c.auditEvery, "auditevery", 0,
-		"run the invariant auditor every N simulated events (0 = off; a violation aborts the run)")
-	fs.Uint64Var(&c.maxEvents, "maxevents", 0,
-		"per-cell simulated-event budget; a breach kills only that cell, deterministically (0 = unlimited)")
-	fs.DurationVar(&c.cellTimeout, "celltimeout", 0,
-		"per-cell wall-clock budget (e.g. 30s); a breach is fatal and cancels the rest of the run (0 = unlimited)")
 	fs.StringVar(&c.diagDir, "diagdir", "",
 		"write one replayable crash-diagnostics bundle (JSON) per failed cell into this directory")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -149,77 +146,72 @@ func newFlagSet(c *cliConfig) (fs *flag.FlagSet, faultSpec *string) {
 		fmt.Fprint(fs.Output(), usageHeader)
 		fs.PrintDefaults()
 	}
-	return fs, faultSpec
+	return fs
 }
 
-// parseArgs parses args (without the program name). Parse errors are
-// reported on stderr by the FlagSet itself.
-func parseArgs(args []string) (cliConfig, error) {
-	var c cliConfig
-	fs, faultSpec := newFlagSet(&c)
+// parseArgs parses the flags of one command form (args without the
+// program and form names). Flag syntax errors are reported on stderr by
+// the FlagSet itself.
+func parseArgs(form string, args []string) (cliConfig, error) {
+	c := cliConfig{report: form == formReport}
+	fs := newFlagSet(form, &c)
 	if err := fs.Parse(args); err != nil {
 		return c, err
 	}
-	if c.scale <= 0 || c.scale > 16 {
-		return c, fmt.Errorf("invalid -scale %v: must be in (0, 16]", c.scale)
+	if fs.NArg() > 0 {
+		return c, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	if c.parallel < 1 {
-		return c, fmt.Errorf("invalid -parallel %d: must be >= 1", c.parallel)
+	if err := c.opts.Validate(); err != nil {
+		return c, err
 	}
-	if c.traceRing < 0 {
-		return c, fmt.Errorf("invalid -tracering %d: must be >= 0", c.traceRing)
-	}
-	if c.auditEvery < 0 {
-		return c, fmt.Errorf("invalid -auditevery %d: must be >= 0", c.auditEvery)
-	}
-	if c.cellTimeout < 0 {
-		return c, fmt.Errorf("invalid -celltimeout %v: must be >= 0", c.cellTimeout)
-	}
-	var err error
-	if c.faults, err = fault.ParsePlan(*faultSpec); err != nil {
-		return c, fmt.Errorf("invalid -faults: %v", err)
-	}
-	if c.swapback, err = swapback.ParseKind(c.swapbackName); err != nil {
-		return c, fmt.Errorf("invalid -swapback: %v", err)
-	}
-	if c.swapPolicy, err = swapback.ParsePolicy(c.swapPolicyName); err != nil {
-		return c, fmt.Errorf("invalid -swappolicy: %v", err)
+	if c.server != "" && (c.diagDir != "" || c.csvDir != "" || (c.report && c.jsonOut)) {
+		return c, errors.New("-diagdir, -csv and report -json are local-only with -server; the daemon keeps diagnostics (see its -diagdir) and serves one document per job")
 	}
 	return c, nil
 }
 
-// printFailures renders the failure records of a run as text, including
-// the trace-ring tail each record captured at the kill site.
-func printFailures(w io.Writer, fails []experiment.FailureRecord) {
-	fmt.Fprintf(w, "\n%d cell(s) FAILED:\n", len(fails))
-	for _, f := range fails {
-		fmt.Fprintf(w, "  [%s] %s\n    %s\n", f.Kind, f.Label, f.Message)
-		if n := len(f.Trace); n > 0 {
-			for _, ev := range f.Trace[max(0, n-4):] {
-				fmt.Fprintf(w, "    trace %8dns %-9s %s\n", ev.AtNS, ev.Kind, ev.Msg)
-			}
-		}
-	}
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
+	form := ""
 	if len(args) > 0 {
 		switch args[0] {
-		case "run":
-			return runScenarioCmd(args[1:], stdout, stderr)
 		case "validate":
 			return validateCmd(args[1:], stdout, stderr)
+		case formRun, formReport:
+			form, args = args[0], args[1:]
 		}
 	}
-	c, err := parseArgs(args)
+	prog := strings.TrimSpace("vswapsim " + form)
+	var path string
+	if form == formRun {
+		if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+			fmt.Fprintln(stderr, "vswapsim run: missing scenario path (usage: vswapsim run <scenario.yaml> [flags])")
+			return exitUsage
+		}
+		path, args = args[0], args[1:]
+	}
+	c, err := parseArgs(form, args)
 	if err != nil {
 		if err != flag.ErrHelp {
-			fmt.Fprintf(stderr, "vswapsim: %v (run 'vswapsim -h' for usage)\n", err)
+			fmt.Fprintf(stderr, "%s: %v (run '%s -h' for usage)\n", prog, err, prog)
 		}
 		return exitUsage
 	}
 
-	if c.list || c.run == "" {
+	switch {
+	case form == formRun:
+		return runScenarioCmd(c, path, stdout, stderr)
+	case form == formReport:
+		exps, err := selectExperiments(c.only)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return exitFailures
+		}
+		jobs := make([]job, len(exps))
+		for i, e := range exps {
+			jobs[i] = job{exp: e}
+		}
+		return execute(c, jobs, stdout, stderr)
+	case c.list || c.run == "":
 		fmt.Fprintln(stdout, "available experiments:")
 		for _, e := range experiment.Registry {
 			fmt.Fprintf(stdout, "  %-9s %-45s (%s)\n", e.ID, e.Title, e.PaperNote)
@@ -230,142 +222,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return exitOK
 	}
-
 	e, err := experiment.ByID(c.run)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return exitFailures
 	}
-	if c.server != "" {
-		return runViaServer(c, serve.JobRequest{ID: e.ID}, stdout, stderr)
-	}
-	return executeExperiment(e, "", c, stdout, stderr)
+	return execute(c, []job{{exp: e}}, stdout, stderr)
 }
 
-// jobRequest forwards the CLI knobs into a daemon job, verbatim.
-func (c cliConfig) jobRequest(base serve.JobRequest) serve.JobRequest {
-	base.Seed = c.seed
-	base.Scale = c.scale
-	base.Quick = c.quick
-	base.Parallel = c.parallel
-	base.TraceRing = c.traceRing
-	base.Faults = c.faultSpec
-	base.Swapback = c.swapbackName
-	base.SwapPolicy = c.swapPolicyName
-	base.AuditEvery = c.auditEvery
-	base.MaxEvents = c.maxEvents
-	base.CellTimeoutMS = c.cellTimeout.Milliseconds()
-	return base
-}
-
-// runViaServer is the thin -server client mode: submit the job to a
-// vswapsimd daemon, wait for its terminal status, and print the result.
-// With -json the daemon's document is printed verbatim (cache hits are
-// byte-identical to cold runs by the daemon's contract); otherwise the
-// same tables a local run would print are rendered from it. The exit code
-// is the daemon's hint, matching local exit semantics.
-func runViaServer(c cliConfig, base serve.JobRequest, stdout, stderr io.Writer) int {
-	if c.diagDir != "" {
-		fmt.Fprintln(stderr, "vswapsim: -diagdir is local-only; use the daemon's -diagdir instead (run 'vswapsim -h' for usage)")
-		return exitUsage
+// selectExperiments applies the -only filter (a comma-separated id list)
+// to the registry, preserving the caller's order.
+func selectExperiments(only string) ([]experiment.Experiment, error) {
+	if only == "" {
+		return experiment.Registry, nil
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	st, err := serve.NewClient(c.server).Run(ctx, c.jobRequest(base))
-	if err != nil {
-		fmt.Fprintf(stderr, "vswapsim: %v\n", err)
-		return exitFailures
-	}
-	if st.Error != "" {
-		fmt.Fprintf(stderr, "vswapsim: job %s failed: %s\n", st.JobID, st.Error)
-	}
-	if c.jsonOut {
-		if len(st.Document) > 0 {
-			stdout.Write(st.Document)
-			io.WriteString(stdout, "\n")
-		}
-		return st.ExitHint
-	}
-	if len(st.Document) > 0 {
-		var doc experiment.JSONDocument
-		if err := json.Unmarshal(st.Document, &doc); err != nil {
-			fmt.Fprintf(stderr, "vswapsim: bad document from server: %v\n", err)
-			return exitFailures
-		}
-		for _, rep := range doc.Experiments {
-			fmt.Fprint(stdout, rep.Render())
-			if len(rep.Failures) > 0 {
-				printFailures(stdout, rep.Failures)
-			}
-		}
-		if doc.Incomplete {
-			fmt.Fprintln(stdout, "\nRUN INCOMPLETE: canceled before every cell finished")
-		}
-	}
-	hit := "miss"
-	if st.Cached {
-		hit = "hit"
-	}
-	fmt.Fprintf(stdout, "(served by %s: job %s, cache %s)\n", c.server, st.JobID, hit)
-	return st.ExitHint
-}
-
-// runScenarioCmd implements `vswapsim run <scenario.yaml> [flags]`.
-func runScenarioCmd(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
-		fmt.Fprintln(stderr, "vswapsim run: missing scenario path (usage: vswapsim run <scenario.yaml> [flags])")
-		return exitUsage
-	}
-	path := args[0]
-	c, err := parseArgs(args[1:])
-	if err != nil {
-		if err != flag.ErrHelp {
-			fmt.Fprintf(stderr, "vswapsim run: %v (run 'vswapsim -h' for usage)\n", err)
-		}
-		return exitUsage
-	}
-	if c.list || c.run != "" {
-		fmt.Fprintln(stderr, "vswapsim run: -list/-run cannot be combined with a scenario file")
-		return exitUsage
-	}
-	if c.server != "" {
-		// Server mode ships the scenario bytes inline; the daemon parses,
-		// validates, and runs them with its own executor.
-		data, err := os.ReadFile(path)
+	var out []experiment.Experiment
+	for _, id := range strings.Split(only, ",") {
+		e, err := experiment.ByID(strings.TrimSpace(id))
 		if err != nil {
-			fmt.Fprintf(stderr, "vswapsim run: %v\n", err)
-			return exitUsage
+			return nil, err
 		}
-		return runViaServer(c, serve.JobRequest{Scenario: string(data)}, stdout, stderr)
+		out = append(out, e)
 	}
+	return out, nil
+}
+
+// runScenarioCmd implements `vswapsim run <scenario.yaml> [flags]`. The
+// scenario is checked against the knobs here, on the local and the
+// -server path alike, so a conflict is a usage error either way.
+func runScenarioCmd(c cliConfig, path string, stdout, stderr io.Writer) int {
 	sc, err := scenario.Load(path)
 	if err != nil {
 		fmt.Fprintf(stderr, "vswapsim run: %v\n", err)
 		return exitUsage
 	}
-	// A scenario that declares its own backend tiers owns that axis: a
-	// non-default CLI tier would silently lose to (or fight with) the
-	// declaration, so the combination is a usage error rather than a
-	// precedence rule.
-	if c.swapback != swapback.HDD && len(sc.Backends) > 0 {
-		fmt.Fprintln(stderr, "vswapsim run: -swapback conflicts with the scenario's backend declaration")
+	opts, err := c.opts.ForScenario(sc)
+	if err != nil {
+		fmt.Fprintf(stderr, "vswapsim run: %v (run 'vswapsim run -h' for usage)\n", err)
 		return exitUsage
 	}
-	if c.swapPolicy != swapback.PolicyWriteback && sc.Policy != "" {
-		fmt.Fprintln(stderr, "vswapsim run: -swappolicy conflicts with the scenario's policy declaration")
-		return exitUsage
+	// A daemon job ships the scenario text and the knobs as given; the
+	// daemon applies the same declarations itself.
+	if c.server == "" {
+		c.opts = opts
 	}
-	// Surface the scenario's own fault/audit configuration in the emitted
-	// document and diag bundles; an explicit CLI -faults keeps priority
-	// (and overrides the scenario's fault config entirely, including
-	// inject_faults timeline events).
-	if c.faults.Empty() {
-		c.faults = sc.Faults
-	}
-	if c.auditEvery == 0 {
-		c.auditEvery = sc.AuditEvery
-	}
-	return executeExperiment(experiment.FromScenario(sc), path, c, stdout, stderr)
+	return execute(c, []job{{exp: experiment.FromScenario(sc), scenario: path}}, stdout, stderr)
 }
 
 // validateCmd implements `vswapsim validate <scenario.yaml>...`.
@@ -391,11 +292,87 @@ func validateCmd(args []string, stdout, stderr io.Writer) int {
 	return exitOK
 }
 
-// executeExperiment runs one experiment (registry entry or compiled
-// scenario) under the shared hardening/reporting path. scenarioPath is
-// non-empty for scenario runs and switches the diag-bundle replay hint
-// to the `vswapsim run <path>` form.
-func executeExperiment(e experiment.Experiment, scenarioPath string, c cliConfig, stdout, stderr io.Writer) int {
+// job is one experiment an invocation runs. scenario is the scenario
+// file it was compiled from ("" for registry experiments); it names the
+// replay command and, with -server, the text the daemon job carries.
+type job struct {
+	exp      experiment.Experiment
+	scenario string
+}
+
+// execute runs the jobs — locally, or as vswapsimd jobs with -server —
+// and reports them through one path: each experiment's text report
+// (rendered from its JSON form, so a served run prints what a local run
+// prints) with a trailer line and its failed cells, as each completes.
+// With -json the text goes to -o or nowhere, and stdout carries the
+// document. The exit code is the worst over all experiments.
+func execute(c cliConfig, jobs []job, stdout, stderr io.Writer) int {
+	// SIGINT/SIGTERM cancel in-flight cells via the watchdog poll; the
+	// partial report is still emitted, marked incomplete. stop doubles as
+	// the fatal-breach cancel hook.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	w := stdout
+	if c.jsonOut {
+		w = io.Discard
+	}
+	if c.out != "" {
+		f, err := os.Create(c.out)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return exitFailures
+		}
+		defer f.Close()
+		if c.jsonOut {
+			w = f
+		} else {
+			w = io.MultiWriter(stdout, f)
+		}
+	}
+	o := c.opts
+	if c.report {
+		fmt.Fprintf(w, "VSwapper reproduction report (seed=%d scale=%.2f quick=%v parallel=%d)\n\n",
+			o.Seed, o.Scale, o.Quick, o.Parallel)
+		if !o.Faults.Empty() {
+			fmt.Fprintf(w, "fault injection active: %s (auditevery=%d)\n\n", o.Faults, o.AuditEvery)
+		}
+		if o.Swapback != swapback.HDD || o.SwapPolicy != swapback.PolicyWriteback {
+			fmt.Fprintf(w, "swap backend: %s (policy %s)\n\n", o.Swapback, o.SwapPolicy)
+		}
+	}
+	show := func(rep *experiment.JSONReport, trailer string) {
+		fmt.Fprint(w, rep.Render())
+		fmt.Fprintln(w, trailer)
+		if len(rep.Failures) > 0 {
+			printFailures(w, rep.Failures)
+		}
+		if c.report {
+			fmt.Fprintln(w)
+		}
+	}
+
+	start := time.Now()
+	var code int
+	if c.server != "" {
+		code = runRemote(ctx, c, jobs, show, stdout, stderr)
+	} else {
+		o.Ctx, o.CancelRun = ctx, stop
+		code = runLocal(o, c, jobs, show, stdout, stderr)
+	}
+	if c.report {
+		fmt.Fprintf(w, "total wall time %v\n", time.Since(start).Round(time.Millisecond))
+	}
+	if code == exitIncomplete {
+		fmt.Fprintln(w, "\nRUN INCOMPLETE: canceled before every cell finished")
+	}
+	return code
+}
+
+// runLocal executes the jobs on the in-process executor, streaming each
+// result to show in input order, writing -csv tables and -diagdir
+// bundles as results arrive, and the JSON document at the end.
+func runLocal(o experiment.Options, c cliConfig, jobs []job, show func(*experiment.JSONReport, string), stdout, stderr io.Writer) int {
 	if c.cpuProfile != "" {
 		f, err := os.Create(c.cpuProfile)
 		if err != nil {
@@ -409,60 +386,60 @@ func executeExperiment(e experiment.Experiment, scenarioPath string, c cliConfig
 		}
 		defer pprof.StopCPUProfile()
 	}
-
-	// SIGINT/SIGTERM cancel in-flight cells via the watchdog poll; the
-	// partial report is still emitted, marked incomplete. stop doubles as
-	// the fatal-breach cancel hook.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	opts := experiment.Options{
-		Seed: c.seed, Scale: c.scale, Quick: c.quick,
-		Parallel: c.parallel, TraceRing: c.traceRing,
-		Faults: c.faults, Swapback: c.swapback, SwapPolicy: c.swapPolicy,
-		AuditEvery: c.auditEvery,
-		MaxEvents:  c.maxEvents, CellTimeout: c.cellTimeout,
-		Ctx: ctx, CancelRun: stop,
+	if c.csvDir != "" {
+		if err := os.MkdirAll(c.csvDir, 0o755); err != nil {
+			fmt.Fprintln(stderr, err)
+			return exitFailures
+		}
 	}
-	start := time.Now()
-	r := experiment.RunAll([]experiment.Experiment{e}, opts, nil)[0]
-	elapsed := time.Since(start)
-	incomplete := ctx.Err() != nil
+
+	exps := make([]experiment.Experiment, len(jobs))
+	for i, j := range jobs {
+		exps[i] = j.exp
+	}
+	code := exitOK
+	var reps []*experiment.JSONReport
+	experiment.RunAll(exps, o, func(r experiment.RunResult) {
+		j := jobs[len(reps)]
+		rep := experiment.BuildJSON(r.Report, r.Runs, r.Failures)
+		reps = append(reps, rep)
+		show(rep, fmt.Sprintf("(%s generated in %v, -parallel %d)",
+			rep.ID, r.Elapsed.Round(time.Millisecond), o.Parallel))
+		if len(r.Failures) > 0 || r.Report.AssertionFailures > 0 {
+			code = exitFailures
+		}
+		if c.csvDir != "" {
+			for i, tab := range r.Report.Tables {
+				name := filepath.Join(c.csvDir, fmt.Sprintf("%s_%d.csv", rep.ID, i))
+				if err := os.WriteFile(name, []byte(tab.CSV()), 0o644); err != nil {
+					fmt.Fprintln(stderr, err)
+				}
+			}
+		}
+		if c.diagDir != "" && len(r.Failures) > 0 {
+			replay := experiment.ReplayCommand(rep.ID, j.scenario, o)
+			paths, err := experiment.WriteDiagBundles(c.diagDir, "vswapsim", rep.ID, replay, o, r.Failures)
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+			} else {
+				fmt.Fprintf(stderr, "wrote %d crash-diagnostics bundle(s) to %s\n", len(paths), c.diagDir)
+			}
+		}
+	})
+	if o.Ctx.Err() != nil {
+		code = exitIncomplete
+	}
 
 	if c.jsonOut {
-		doc := experiment.BuildJSONDocument(opts,
-			[]*experiment.JSONReport{experiment.BuildJSON(r.Report, r.Runs, r.Failures)})
-		doc.Incomplete = incomplete
+		doc := experiment.BuildJSONDocument(o, reps)
+		doc.Incomplete = code == exitIncomplete
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
 			fmt.Fprintln(stderr, err)
 			return exitFailures
 		}
-	} else {
-		fmt.Fprint(stdout, r.Report.String())
-		fmt.Fprintf(stdout, "(generated in %v wall time, -parallel %d)\n", elapsed.Round(time.Millisecond), c.parallel)
-		if len(r.Failures) > 0 {
-			printFailures(stdout, r.Failures)
-		}
-		if incomplete {
-			fmt.Fprintln(stdout, "\nRUN INCOMPLETE: canceled before every cell finished")
-		}
 	}
-
-	if c.diagDir != "" && len(r.Failures) > 0 {
-		replay := experiment.ReplayCommand("vswapsim", e.ID, opts)
-		if scenarioPath != "" {
-			replay = experiment.ScenarioReplayCommand(scenarioPath, opts)
-		}
-		paths, err := experiment.WriteDiagBundlesReplay(c.diagDir, "vswapsim", e.ID, replay, opts, r.Failures)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return exitFailures
-		}
-		fmt.Fprintf(stderr, "wrote %d crash-diagnostics bundle(s) to %s\n", len(paths), c.diagDir)
-	}
-
 	if c.memProfile != "" {
 		f, err := os.Create(c.memProfile)
 		if err != nil {
@@ -476,14 +453,71 @@ func executeExperiment(e experiment.Experiment, scenarioPath string, c cliConfig
 			return exitFailures
 		}
 	}
+	return code
+}
 
-	switch {
-	case incomplete:
-		return exitIncomplete
-	case len(r.Failures) > 0 || r.Report.AssertionFailures > 0:
-		return exitFailures
+// runRemote is the thin -server client: one daemon job per experiment,
+// in order, each rendered through show from the returned document. With
+// -json the daemon's document is printed verbatim (cache hits are
+// byte-identical to cold runs by the daemon's contract). The exit code is
+// the worst job exit hint.
+func runRemote(ctx context.Context, c cliConfig, jobs []job, show func(*experiment.JSONReport, string), stdout, stderr io.Writer) int {
+	client := serve.NewClient(c.server)
+	code := exitOK
+	for _, j := range jobs {
+		req := serve.RequestFor(j.exp.ID, "", c.opts)
+		if j.scenario != "" {
+			data, err := os.ReadFile(j.scenario)
+			if err != nil {
+				fmt.Fprintf(stderr, "vswapsim: %v\n", err)
+				return exitUsage
+			}
+			req = serve.RequestFor("", string(data), c.opts)
+		}
+		st, err := client.Run(ctx, req)
+		if err != nil {
+			fmt.Fprintf(stderr, "vswapsim: %s: %v\n", j.exp.ID, err)
+			return exitFailures
+		}
+		if st.Error != "" {
+			fmt.Fprintf(stderr, "vswapsim: job %s failed: %s\n", st.JobID, st.Error)
+		}
+		code = max(code, st.ExitHint)
+		if len(st.Document) == 0 {
+			continue
+		}
+		if c.jsonOut {
+			stdout.Write(st.Document)
+			io.WriteString(stdout, "\n")
+		}
+		var doc experiment.JSONDocument
+		if err := json.Unmarshal(st.Document, &doc); err != nil {
+			fmt.Fprintf(stderr, "vswapsim: bad document from server: %v\n", err)
+			return exitFailures
+		}
+		cache := "miss"
+		if st.Cached {
+			cache = "hit"
+		}
+		for _, rep := range doc.Experiments {
+			show(rep, fmt.Sprintf("(%s served by %s: job %s, cache %s)", rep.ID, c.server, st.JobID, cache))
+		}
 	}
-	return exitOK
+	return code
+}
+
+// printFailures renders the failure records of a run as text, including
+// the trace-ring tail each record captured at the kill site.
+func printFailures(w io.Writer, fails []experiment.FailureRecord) {
+	fmt.Fprintf(w, "\n%d cell(s) FAILED:\n", len(fails))
+	for _, f := range fails {
+		fmt.Fprintf(w, "  [%s] %s\n    %s\n", f.Kind, f.Label, f.Message)
+		if n := len(f.Trace); n > 0 {
+			for _, ev := range f.Trace[max(0, n-4):] {
+				fmt.Fprintf(w, "    trace %8dns %-9s %s\n", ev.AtNS, ev.Kind, ev.Msg)
+			}
+		}
+	}
 }
 
 func main() {

@@ -10,11 +10,15 @@ import (
 	"testing"
 )
 
-// registeredFlags returns the name of every flag vswapsim registers.
-func registeredFlags(t *testing.T) []string {
+// forms lists every command form that takes flags ("" is -list/-run).
+var forms = []string{"", formRun, formReport}
+
+// registeredFlags returns the name of every flag one command form
+// registers.
+func registeredFlags(t *testing.T, form string) []string {
 	t.Helper()
 	var c cliConfig
-	fs, _ := newFlagSet(&c)
+	fs := newFlagSet(form, &c)
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
 	sort.Strings(names)
@@ -25,47 +29,56 @@ func registeredFlags(t *testing.T) []string {
 }
 
 // TestUsageMentionsEveryFlag pins -h output against flag-registration
-// drift: every registered flag must appear in the rendered usage, and the
-// header must list all four command forms.
+// drift: every flag a form registers must appear in that form's rendered
+// usage, and the header must list all five command forms.
 func TestUsageMentionsEveryFlag(t *testing.T) {
-	var c cliConfig
-	fs, _ := newFlagSet(&c)
-	var buf bytes.Buffer
-	fs.SetOutput(&buf)
-	fs.Usage()
-	usage := buf.String()
-	for _, name := range registeredFlags(t) {
-		if !strings.Contains(usage, "-"+name) {
-			t.Errorf("usage output does not mention registered flag -%s", name)
+	for _, form := range forms {
+		var c cliConfig
+		fs := newFlagSet(form, &c)
+		var buf bytes.Buffer
+		fs.SetOutput(&buf)
+		fs.Usage()
+		usage := buf.String()
+		for _, name := range registeredFlags(t, form) {
+			if !strings.Contains(usage, "-"+name) {
+				t.Errorf("vswapsim %s usage output does not mention registered flag -%s", form, name)
+			}
 		}
-	}
-	for _, form := range []string{
-		"vswapsim -list",
-		"vswapsim -run <id>",
-		"vswapsim run <scenario.yaml>",
-		"vswapsim validate <scenario.yaml>",
-	} {
-		if !strings.Contains(usage, form) {
-			t.Errorf("usage header does not list command form %q", form)
+		for _, line := range []string{
+			"vswapsim -list",
+			"vswapsim -run <id>",
+			"vswapsim run <scenario.yaml>",
+			"vswapsim report [-only <ids>] [-o <file>] [-csv <dir>]",
+			"vswapsim validate <scenario.yaml>",
+		} {
+			if !strings.Contains(usage, line) {
+				t.Errorf("usage header does not list command form %q", line)
+			}
 		}
 	}
 }
 
 // TestREADMEDocumentsEveryFlag keeps the README's flag table honest: a
-// flag added to the binary without a README row fails here.
+// flag added to any form without a README row fails here, and the report
+// form must be documented too.
 func TestREADMEDocumentsEveryFlag(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	readme := string(data)
-	for _, name := range registeredFlags(t) {
-		if !strings.Contains(readme, "`-"+name) {
-			t.Errorf("README.md does not document flag -%s", name)
+	for _, form := range forms {
+		for _, name := range registeredFlags(t, form) {
+			if !strings.Contains(readme, "`-"+name) {
+				t.Errorf("README.md does not document flag -%s", name)
+			}
 		}
 	}
 	if !strings.Contains(readme, "vswapsim run scenarios/") {
 		t.Error("README.md quickstart does not lead with a scenario run")
+	}
+	if !strings.Contains(readme, "vswapsim report") {
+		t.Error("README.md does not document the report form")
 	}
 }
 

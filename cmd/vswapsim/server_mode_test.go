@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,9 +15,10 @@ import (
 	"vswapsim/internal/serve"
 )
 
-// TestCLIValidationConsistency pins satellite-level flag hygiene: every
-// entry point (-run form and the run subcommand) rejects -parallel <= 0
-// and -auditevery < 0 the same way — exit 2 plus the one-line usage hint.
+// TestCLIValidationConsistency pins flag hygiene: every entry point
+// (-run form, the run subcommand and the report subcommand) rejects
+// -parallel <= 0 and -auditevery < 0 the same way — exit 2 plus the
+// one-line usage hint.
 func TestCLIValidationConsistency(t *testing.T) {
 	scenarioPath := filepath.Join("..", "..", "scenarios", "fig3.yaml")
 	bad := [][]string{
@@ -27,6 +30,7 @@ func TestCLIValidationConsistency(t *testing.T) {
 		for _, entry := range [][]string{
 			append([]string{"-run", "fig3"}, flags...),
 			append([]string{"run", scenarioPath}, flags...),
+			append([]string{"report", "-only", "fig3"}, flags...),
 		} {
 			var stdout, stderr bytes.Buffer
 			if code := run(entry, &stdout, &stderr); code != exitUsage {
@@ -73,7 +77,7 @@ func TestServerModeRegistry(t *testing.T) {
 		t.Fatalf("server-mode run = %d, stderr %s", code, stderr.String())
 	}
 	out := text.String()
-	if !strings.Contains(out, "(served by "+url) || !strings.Contains(out, "cache miss") {
+	if !strings.Contains(out, "(tab1 served by "+url) || !strings.Contains(out, "cache miss") {
 		t.Fatalf("cold run output lacks the serve trailer:\n%s", out)
 	}
 	if !strings.Contains(out, "Lines of code of VSwapper") {
@@ -148,5 +152,150 @@ func TestServerModeRejectsDiagdir(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "-diagdir") {
 		t.Fatalf("stderr does not explain the conflict: %s", stderr.String())
+	}
+}
+
+// TestReportUsageErrorsConsistent: the report form rejects budget and
+// concurrency misuse like the other forms, and the outputs that stay
+// local (-csv, -diagdir, a combined -json document) are usage errors with
+// -server.
+func TestReportUsageErrorsConsistent(t *testing.T) {
+	cases := [][]string{
+		{"-parallel", "0"},
+		{"-parallel", "-4"},
+		{"-auditevery", "-1"},
+		{"-server", "http://x", "-json", "-"},
+		{"-server", "http://x", "-json"},
+		{"-server", "http://x", "-csv", "dir"},
+		{"-server", "http://x", "-diagdir", "dir"},
+	}
+	for _, args := range cases {
+		args = append([]string{"report"}, args...)
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != exitUsage {
+			t.Errorf("run(%v) = %d, want %d", args, code, exitUsage)
+		}
+		if msg := strings.ToLower(stderr.String()); !strings.Contains(msg, "usage") {
+			t.Errorf("run(%v) stderr lacks the usage hint: %q", args, stderr.String())
+		}
+	}
+}
+
+// TestServerModeSweep: a -server report renders each selected experiment
+// from daemon documents, and a repeat sweep is served from the cache.
+func TestServerModeSweep(t *testing.T) {
+	url := startServeBackend(t)
+	args := []string{"report", "-only", "tab1", "-quick", "-server", url}
+	var cold, stderr bytes.Buffer
+	if code := run(args, &cold, &stderr); code != exitOK {
+		t.Fatalf("cold sweep = %d, stderr %s", code, stderr.String())
+	}
+	out := cold.String()
+	for _, want := range []string{
+		"VSwapper reproduction report",
+		"Lines of code of VSwapper",
+		"(tab1 served by " + url + ": job j-1, cache miss)",
+		"total wall time",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("cold sweep output lacks %q:\n%s", want, out)
+		}
+	}
+
+	var warm bytes.Buffer
+	if code := run(args, &warm, &stderr); code != exitOK {
+		t.Fatalf("warm sweep = %d", code)
+	}
+	if !strings.Contains(warm.String(), "cache hit") {
+		t.Fatalf("warm sweep not served from cache:\n%s", warm.String())
+	}
+}
+
+// TestServerModeScenarioConflict: a -swapback/-swappolicy that fights the
+// scenario's own declaration is the same usage error (exit 2) with
+// -server as locally — rejected before anything is submitted, so the
+// unreachable server below is never contacted.
+func TestServerModeScenarioConflict(t *testing.T) {
+	path := filepath.Join("..", "..", "scenarios", "backends.yaml")
+	policy := filepath.Join(t.TempDir(), "policy.yaml")
+	doc := `scenario: policyconflict
+title: "declares its tiering policy"
+mode: single
+policy: hotfirst
+fleet:
+  memory_mb: 128
+  actual_mb: 64
+schemes: [baseline]
+workload:
+  kind: seqread
+  file_mb: 8
+table:
+  title: "runtime [sec]"
+`
+	if err := os.WriteFile(policy, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"run", path, "-quick", "-swapback", "ssd"},
+		{"run", path, "-quick", "-swapback", "ssd", "-server", "http://127.0.0.1:1"},
+		{"run", policy, "-quick", "-swappolicy", "flat"},
+		{"run", policy, "-quick", "-swappolicy", "flat", "-server", "http://127.0.0.1:1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != exitUsage {
+			t.Errorf("run(%v) = %d, want %d; stderr %s", args, code, exitUsage, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "conflicts with the scenario") {
+			t.Errorf("run(%v) stderr does not explain the conflict: %s", args, stderr.String())
+		}
+	}
+}
+
+// TestServerModeScenarioFaultsMatchLocal: a scenario's top-level faults:
+// and audit_every: reach the daemon's document exactly as they reach a
+// local run's, so the two documents are equal once the execution-hint
+// parallel field is dropped.
+func TestServerModeScenarioFaultsMatchLocal(t *testing.T) {
+	url := startServeBackend(t)
+	path := filepath.Join(t.TempDir(), "faulty.yaml")
+	yaml := `scenario: faultysrv
+title: "scenario-level fault plan"
+mode: single
+faults: "disk-lat:0.05:2ms"
+audit_every: 4096
+fleet:
+  memory_mb: 128
+  actual_mb: 64
+schemes:
+  - name: baseline
+workload:
+  kind: seqread
+  file_mb: 8
+table:
+  title: "runtime [sec]"
+`
+	if err := os.WriteFile(path, []byte(yaml), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	docOf := func(extra ...string) map[string]any {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"run", path, "-json", "-parallel", "1"}, extra...)
+		if code := run(args, &stdout, &stderr); code != exitOK {
+			t.Fatalf("run(%v) = %d, stderr %s", args, code, stderr.String())
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
+			t.Fatalf("run(%v): bad JSON: %v", args, err)
+		}
+		delete(doc, "parallel")
+		return doc
+	}
+	local, served := docOf(), docOf("-server", url)
+	if local["faults"] != "disk-lat:0.05:2ms" {
+		t.Fatalf("local document header lacks the scenario's fault plan: %v", local["faults"])
+	}
+	if !reflect.DeepEqual(local, served) {
+		t.Fatalf("daemon document differs from the local one:\nlocal  faults=%v\nserved faults=%v", local["faults"], served["faults"])
 	}
 }

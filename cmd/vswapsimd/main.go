@@ -16,10 +16,9 @@
 //	GET  /metrics           Prometheus text format (serve_* counters + gauges)
 //
 // Admission control: when the bounded queue is full, POST /jobs answers
-// 429 with a Retry-After hint; -rate/-burst arm a global token-bucket
-// limiter; -maxbody bounds the request body. -maxevents and -celltimeout
-// are server-side ceilings on the per-job watchdog budgets: a job may
-// tighten them but never exceed them.
+// 429 with a Retry-After hint; -maxbody bounds the request body.
+// -maxevents and -celltimeout are server-side ceilings on the per-job
+// watchdog budgets: a job may tighten them but never exceed them.
 //
 // Results are memoized in a content-addressed cache under -cachedir,
 // keyed by every output-influencing knob plus the binary's own hash —
@@ -78,8 +77,6 @@ type cliConfig struct {
 	queueDepth   int
 	parallel     int
 	maxBody      int64
-	rate         float64
-	burst        int
 	retryAfter   time.Duration
 	maxEvents    uint64
 	cellTimeout  time.Duration
@@ -103,8 +100,6 @@ func newFlagSet(c *cliConfig) *flag.FlagSet {
 	fs.IntVar(&c.parallel, "parallel", 0,
 		"per-job executor parallelism when the job does not set its own (0 = GOMAXPROCS)")
 	fs.Int64Var(&c.maxBody, "maxbody", 1<<20, "maximum request body size in bytes")
-	fs.Float64Var(&c.rate, "rate", 0, "global job-submission rate limit per second (0 = unlimited)")
-	fs.IntVar(&c.burst, "burst", 0, "rate-limiter burst size (0 = derived from -rate)")
 	fs.DurationVar(&c.retryAfter, "retryafter", time.Second, "Retry-After hint returned with 429 responses")
 	fs.Uint64Var(&c.maxEvents, "maxevents", 0,
 		"server-side ceiling on the per-job simulated-event budget (0 = no ceiling)")
@@ -150,12 +145,6 @@ func parseArgs(args []string) (cliConfig, error) {
 	if c.maxBody < 1 {
 		return c, fmt.Errorf("invalid -maxbody %d: must be >= 1", c.maxBody)
 	}
-	if c.rate < 0 {
-		return c, fmt.Errorf("invalid -rate %v: must be >= 0", c.rate)
-	}
-	if c.burst < 0 {
-		return c, fmt.Errorf("invalid -burst %d: must be >= 0", c.burst)
-	}
 	if c.retryAfter < 0 || c.cellTimeout < 0 || c.heartbeat < 0 || c.writeTimeout < 0 || c.drainTimeout < 0 {
 		return c, errors.New("durations must be >= 0")
 	}
@@ -171,8 +160,6 @@ func (c cliConfig) serverConfig() serve.Config {
 		QueueDepth:     c.queueDepth,
 		Parallel:       c.parallel,
 		MaxBodyBytes:   c.maxBody,
-		RatePerSec:     c.rate,
-		RateBurst:      c.burst,
 		RetryAfter:     c.retryAfter,
 		MaxEventsCap:   c.maxEvents,
 		CellTimeoutCap: c.cellTimeout,

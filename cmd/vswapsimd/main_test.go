@@ -44,7 +44,7 @@ func TestParseArgsTable(t *testing.T) {
 		{"all knobs", []string{
 			"-addr", ":0", "-cachedir", "/tmp/c", "-statefile", "/tmp/s",
 			"-workers", "4", "-queue", "32", "-parallel", "2",
-			"-maxbody", "4096", "-rate", "10", "-burst", "20",
+			"-maxbody", "4096",
 			"-retryafter", "2s", "-maxevents", "1000000", "-celltimeout", "30s",
 			"-heartbeat", "1s", "-writetimeout", "5s", "-draintimeout", "3s",
 			"-diagdir", "/tmp/d"}, ""},
@@ -55,8 +55,6 @@ func TestParseArgsTable(t *testing.T) {
 		{"zero queue", []string{"-queue", "0"}, "-queue"},
 		{"negative parallel", []string{"-parallel", "-1"}, "-parallel"},
 		{"zero maxbody", []string{"-maxbody", "0"}, "-maxbody"},
-		{"negative rate", []string{"-rate", "-1"}, "-rate"},
-		{"negative burst", []string{"-burst", "-1"}, "-burst"},
 		{"negative celltimeout", []string{"-celltimeout", "-1s"}, "durations"},
 	}
 	for _, tc := range cases {
@@ -136,8 +134,8 @@ func TestREADMEDocumentsEveryFlag(t *testing.T) {
 func TestServerConfigMapping(t *testing.T) {
 	c, err := parseArgs([]string{
 		"-cachedir", "/tmp/c", "-statefile", "/tmp/s", "-workers", "3",
-		"-queue", "9", "-parallel", "2", "-maxbody", "2048", "-rate", "5",
-		"-burst", "7", "-retryafter", "2s", "-maxevents", "12345",
+		"-queue", "9", "-parallel", "2", "-maxbody", "2048",
+		"-retryafter", "2s", "-maxevents", "12345",
 		"-celltimeout", "4s", "-diagdir", "/tmp/d"})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +143,7 @@ func TestServerConfigMapping(t *testing.T) {
 	got := c.serverConfig()
 	want := serve.Config{
 		CacheDir: "/tmp/c", StatePath: "/tmp/s", Workers: 3, QueueDepth: 9,
-		Parallel: 2, MaxBodyBytes: 2048, RatePerSec: 5, RateBurst: 7,
+		Parallel: 2, MaxBodyBytes: 2048,
 		RetryAfter: 2 * time.Second, MaxEventsCap: 12345,
 		CellTimeoutCap: 4 * time.Second,
 		Heartbeat:      5 * time.Second, WriteTimeout: 10 * time.Second,

@@ -8,13 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-
-	"vswapsim/internal/swapback"
 )
 
 // This file writes crash-diagnostics bundles: one self-contained JSON
 // file per failed cell, pairing the FailureRecord with every invocation
-// parameter needed to replay it. The CLIs wire it to -diagdir.
+// parameter needed to replay it. vswapsim and vswapsimd wire it to
+// -diagdir.
 
 // DiagBundle is one crash-diagnostics file. Replaying the Replay command
 // re-runs the failing experiment with the exact seed, scale and fault
@@ -39,59 +38,44 @@ type DiagBundle struct {
 	Failure     FailureRecord `json:"failure"`
 }
 
-// ReplayCommand renders the CLI invocation that reproduces the failing
-// experiment deterministically. -celltimeout is intentionally omitted:
-// wall-clock kills are not reproducible, and replays should run to the
+// ReplayCommand renders the vswapsim invocation that reproduces a failing
+// run deterministically: `-run <id>` for a registry experiment, or
+// `run <path>` when scenarioPath is set. Optional flags appear only away
+// from their defaults. -celltimeout is intentionally omitted: wall-clock
+// kills are not reproducible, and replays should run to the
 // deterministic failure (or to completion) instead.
-func ReplayCommand(cmd, expID string, o Options) string {
+func ReplayCommand(expID, scenarioPath string, o Options) string {
+	o = o.WithDefaults()
 	var b strings.Builder
-	fmt.Fprintf(&b, "go run ./cmd/%s", cmd)
-	if cmd == "vswapper-report" {
-		fmt.Fprintf(&b, " -only %s", expID)
+	if scenarioPath != "" {
+		fmt.Fprintf(&b, "go run ./cmd/vswapsim run %s", scenarioPath)
 	} else {
-		fmt.Fprintf(&b, " -run %s", expID)
+		fmt.Fprintf(&b, "go run ./cmd/vswapsim -run %s", expID)
 	}
 	fmt.Fprintf(&b, " -seed %d -scale %g", o.Seed, o.Scale)
-	replayFlags(&b, o)
-	return b.String()
-}
-
-// ScenarioReplayCommand renders the CLI invocation that replays a
-// scenario run deterministically (the `vswapsim run <path>` form).
-// -celltimeout is omitted for the same reason as in ReplayCommand.
-func ScenarioReplayCommand(path string, o Options) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "go run ./cmd/vswapsim run %s", path)
-	fmt.Fprintf(&b, " -seed %d -scale %g", o.Seed, o.Scale)
-	replayFlags(&b, o)
-	return b.String()
-}
-
-// replayFlags appends the optional flags both replay forms share, each
-// omitted at its default so replay commands for pre-existing invocations
-// render unchanged.
-func replayFlags(b *strings.Builder, o Options) {
 	if o.Quick {
 		b.WriteString(" -quick")
 	}
 	if !o.Faults.Empty() {
-		fmt.Fprintf(b, " -faults '%s'", o.Faults.String())
+		fmt.Fprintf(&b, " -faults '%s'", o.Faults.String())
 	}
-	if o.Swapback != swapback.HDD {
-		fmt.Fprintf(b, " -swapback %s", o.Swapback)
+	backend, policy := o.tierNames()
+	if backend != "" {
+		fmt.Fprintf(&b, " -swapback %s", backend)
 	}
-	if o.SwapPolicy != swapback.PolicyWriteback {
-		fmt.Fprintf(b, " -swappolicy %s", o.SwapPolicy)
+	if policy != "" {
+		fmt.Fprintf(&b, " -swappolicy %s", policy)
 	}
 	if o.AuditEvery > 0 {
-		fmt.Fprintf(b, " -auditevery %d", o.AuditEvery)
+		fmt.Fprintf(&b, " -auditevery %d", o.AuditEvery)
 	}
 	if o.MaxEvents > 0 {
-		fmt.Fprintf(b, " -maxevents %d", o.MaxEvents)
+		fmt.Fprintf(&b, " -maxevents %d", o.MaxEvents)
 	}
 	if o.TraceRing > 0 {
-		fmt.Fprintf(b, " -tracering %d", o.TraceRing)
+		fmt.Fprintf(&b, " -tracering %d", o.TraceRing)
 	}
+	return b.String()
 }
 
 // bundleFileName derives a stable, filesystem-safe name for a failure's
@@ -102,23 +86,17 @@ func bundleFileName(expID string, f FailureRecord) string {
 }
 
 // WriteDiagBundles writes one bundle per failure into dir (created if
-// missing) and returns the paths written. cmd names the CLI for the
-// replay hint; expID is the experiment the failures belong to.
-func WriteDiagBundles(dir, cmd, expID string, o Options, fails []FailureRecord) ([]string, error) {
-	return WriteDiagBundlesReplay(dir, cmd, expID, ReplayCommand(cmd, expID, o.normalized()), o, fails)
-}
-
-// WriteDiagBundlesReplay is WriteDiagBundles with an explicit replay
-// command (scenario runs replay via `vswapsim run <path>` rather than
-// `-run <id>`).
-func WriteDiagBundlesReplay(dir, cmd, expID, replay string, o Options, fails []FailureRecord) ([]string, error) {
+// missing) and returns the paths written. cmd names the program that
+// wrote them, expID the experiment the failures belong to, and replay the
+// command that reproduces them (see ReplayCommand).
+func WriteDiagBundles(dir, cmd, expID, replay string, o Options, fails []FailureRecord) ([]string, error) {
 	if len(fails) == 0 {
 		return nil, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	o = o.normalized()
+	o = o.WithDefaults()
 	var paths []string
 	for _, f := range fails {
 		b := DiagBundle{
@@ -135,12 +113,7 @@ func WriteDiagBundlesReplay(dir, cmd, expID, replay string, o Options, fails []F
 			Replay:     replay,
 			Failure:    f,
 		}
-		if o.Swapback != swapback.HDD {
-			b.Swapback = o.Swapback.String()
-		}
-		if o.SwapPolicy != swapback.PolicyWriteback {
-			b.SwapPolicy = o.SwapPolicy.String()
-		}
+		b.Swapback, b.SwapPolicy = o.tierNames()
 		if o.CellTimeout > 0 {
 			b.CellTimeout = o.CellTimeout.String()
 		}

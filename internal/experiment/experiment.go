@@ -6,20 +6,15 @@
 package experiment
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
-	"vswapsim/internal/fault"
 	"vswapsim/internal/fault/audit"
 	"vswapsim/internal/guest"
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/sim"
-	"vswapsim/internal/swapback"
 	"vswapsim/internal/workload"
 )
 
@@ -60,88 +55,6 @@ func (s Scheme) String() string {
 func (s Scheme) mapper() bool    { return s == MapperOnly || s == VSwapper || s == BalloonVSwapper }
 func (s Scheme) preventer() bool { return s == VSwapper || s == BalloonVSwapper }
 func (s Scheme) balloon() bool   { return s == BalloonBase || s == BalloonVSwapper }
-
-// Options controls experiment execution.
-type Options struct {
-	// Seed drives all randomness (default 42).
-	Seed uint64
-	// Scale multiplies all memory/file sizes; 1.0 is paper-sized. Tests
-	// use smaller scales for speed.
-	Scale float64
-	// Quick trims sweep points / guest counts for smoke runs.
-	Quick bool
-	// Parallel bounds how many simulator runs execute concurrently
-	// (0 = GOMAXPROCS, 1 = strictly serial). Results are bit-identical
-	// regardless of the value: every fan-out job seeds its own sim.Env
-	// deterministically and owns its result slot (see executor.go).
-	Parallel int
-	// TraceRing, when positive, attaches a bounded trace ring of this
-	// capacity to every simulated machine; run reports then embed the tail
-	// of the ring. Tracing never changes virtual time.
-	TraceRing int
-	// Faults is the deterministic fault-injection plan threaded into every
-	// simulated machine (see internal/fault). The zero Plan injects
-	// nothing and leaves all output byte-identical to a faultless build;
-	// a non-empty plan stays bit-identical across -parallel values because
-	// each machine's injector derives its stream from that machine's seed.
-	Faults fault.Plan
-	// Swapback selects the swap-destination tier for every simulated
-	// machine (see internal/swapback). The zero value (HDD) is the raw
-	// device, byte-identical to pre-backend output.
-	Swapback swapback.Kind
-	// SwapPolicy selects the tiering policy for backends with a fast tier.
-	SwapPolicy swapback.Policy
-	// AuditEvery, when positive, attaches the invariant auditor to every
-	// simulated machine, checking global invariants every AuditEvery
-	// simulated events (test mode; a full check is O(pages), so stride
-	// accordingly). A violation panics with the machine seed and the fault
-	// spec so the failure replays exactly.
-	AuditEvery int
-	// MaxEvents, when positive, bounds every cell's simulated event
-	// count. A breach kills only that cell — deterministically, at the
-	// same event in serial and parallel sweeps — and records a
-	// FailureRecord; sibling cells continue.
-	MaxEvents uint64
-	// CellTimeout, when positive, bounds every cell's wall-clock runtime.
-	// A breach is fatal: the cell is killed and the remainder of the run
-	// is canceled (real time is being lost), still emitting a partial
-	// report marked incomplete. Unlike MaxEvents it is not deterministic.
-	CellTimeout time.Duration
-	// Ctx, when non-nil, cancels the whole invocation: in-flight cells
-	// are aborted by their watchdogs at the next poll, queued cells are
-	// skipped, and every victim is recorded as a "canceled" failure.
-	Ctx context.Context
-	// CancelRun, when non-nil, is invoked on a fatal breach (wall-clock
-	// timeout) to cancel the remainder of the run; wire it to the cancel
-	// function of Ctx.
-	CancelRun context.CancelFunc
-
-	// lim is the run-slot pool shared by everything derived from this
-	// Options value; normalized creates it once per top-level invocation.
-	lim *limiter
-	// runlog, when armed via EnableRunLog, collects one RunRecord per
-	// simulated machine (see json.go).
-	runlog *runLog
-	// faillog, when armed via EnableFailureLog, collects one
-	// FailureRecord per failed cell (see failure.go).
-	faillog *failureLog
-}
-
-func (o Options) normalized() Options {
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.Scale == 0 {
-		o.Scale = 1.0
-	}
-	if o.Parallel <= 0 {
-		o.Parallel = runtime.GOMAXPROCS(0)
-	}
-	if o.lim == nil {
-		o.lim = newLimiter(o.Parallel)
-	}
-	return o
-}
 
 // canceled reports whether the invocation's context has been canceled.
 func (o Options) canceled() bool { return o.Ctx != nil && o.Ctx.Err() != nil }

@@ -36,7 +36,7 @@ func fleetDynCfg() dynCfg {
 // overcommitted host, swap-only versus VSwapper. The paper's experiments
 // stop at ten guests (Fig. 14); this entry extrapolates the same phased
 // scale-up to the guest counts of a dense cloud node and doubles as the
-// simulator's large-fleet performance benchmark (BENCH_sim.json).
+// simulator's large-fleet performance benchmark (BenchmarkRegistry/fleetN).
 func FleetN(o Options) *Report {
 	o = o.normalized()
 	counts := []int{100, 200}

@@ -83,9 +83,9 @@ func TestFleetScenarioMirrorsRegistry(t *testing.T) {
 }
 
 // BenchmarkRegistry times each experiment end to end at the golden
-// configuration (quick, 1/8 scale, serial) — the same cells benchsim and
-// BENCH_sim.json measure. BenchmarkRegistry/fleetN is the large-fleet
-// stress benchmark:
+// configuration (quick, 1/8 scale, serial), resetting the memoized
+// pbzip2 sweep each iteration so fig5 and fig11 pay full cost.
+// BenchmarkRegistry/fleetN is the large-fleet stress benchmark:
 //
 //	go test ./internal/experiment -run xxx -bench Registry/fleetN
 func BenchmarkRegistry(b *testing.B) {

@@ -40,22 +40,6 @@ func FromScenario(sc *scenario.Scenario) Experiment {
 	}
 }
 
-// scenarioOptions folds the scenario's fault/audit configuration into the
-// invocation options. A non-empty CLI -faults plan (anything already in
-// o.Faults that the scenario did not declare itself) overrides the
-// scenario's entire fault configuration, including inject_faults timeline
-// events; the second return says whether timeline injection remains live.
-func scenarioOptions(sc *scenario.Scenario, o Options) (Options, bool) {
-	if !o.Faults.Empty() && o.Faults != sc.Faults {
-		return o, false // CLI override: scenario fault config fully replaced
-	}
-	o.Faults = sc.Faults
-	if o.AuditEvery == 0 {
-		o.AuditEvery = sc.AuditEvery
-	}
-	return o, true
-}
-
 // scenarioJob launches the workload a scenario declares on vm. after,
 // when non-nil, is wired as the per-iteration hook (seqread only).
 func scenarioJob(o Options, w scenario.Workload, vm *hyper.VM, after func(int)) *workload.Job {
@@ -106,8 +90,10 @@ func scenarioKinds(sc *scenario.Scenario, o Options) []swapback.Kind {
 }
 
 func runScenario(sc *scenario.Scenario, o Options) *Report {
-	o = o.normalized()
-	o, timelineFaults := scenarioOptions(sc, o)
+	o = o.normalized().withScenario(sc)
+	// Timeline injection stays live unless an explicit fault plan replaced
+	// the scenario's own (see ForScenario).
+	timelineFaults := o.Faults == sc.Faults
 	if sc.Policy != "" {
 		p, err := swapback.ParsePolicy(sc.Policy)
 		if err != nil {

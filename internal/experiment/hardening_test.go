@@ -193,7 +193,7 @@ func TestHardeningDiagBundlesReplay(t *testing.T) {
 	r := runFixture(t, 4)
 	dir := t.TempDir()
 	o := fixtureOpts(4)
-	paths, err := WriteDiagBundles(dir, "vswapsim", "hardfix", o, r.Failures)
+	paths, err := WriteDiagBundles(dir, "vswapsim", "hardfix", ReplayCommand("hardfix", "", o), o, r.Failures)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"vswapsim/internal/hyper"
-	"vswapsim/internal/swapback"
 )
 
 // This file is the machine-readable report path. Text tables (Report) stay
@@ -173,7 +172,7 @@ type JSONDocument struct {
 // BuildJSONDocument wraps per-experiment JSON reports with the options
 // that produced them.
 func BuildJSONDocument(o Options, reps []*JSONReport) *JSONDocument {
-	o = o.normalized()
+	o = o.WithDefaults()
 	doc := &JSONDocument{
 		Seed:        o.Seed,
 		Scale:       o.Scale,
@@ -182,11 +181,6 @@ func BuildJSONDocument(o Options, reps []*JSONReport) *JSONDocument {
 		Faults:      o.Faults.String(),
 		Experiments: reps,
 	}
-	if o.Swapback != swapback.HDD {
-		doc.Swapback = o.Swapback.String()
-	}
-	if o.SwapPolicy != swapback.PolicyWriteback {
-		doc.SwapPolicy = o.SwapPolicy.String()
-	}
+	doc.Swapback, doc.SwapPolicy = o.tierNames()
 	return doc
 }

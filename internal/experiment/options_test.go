@@ -1,0 +1,201 @@
+package experiment
+
+import (
+	"flag"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"vswapsim/internal/fault"
+	"vswapsim/internal/scenario"
+	"vswapsim/internal/swapback"
+)
+
+// Options fields Key deliberately leaves out: output is byte-identical at
+// any parallelism, and the context only stops runs.
+var keyExclusions = map[string]bool{"Parallel": true, "Ctx": true, "CancelRun": true}
+
+// keyPerturbations changes each knob Key encodes, one at a time.
+var keyPerturbations = map[string]func(*Options){
+	"Seed":        func(o *Options) { o.Seed = 7 },
+	"Scale":       func(o *Options) { o.Scale = 0.5 },
+	"Quick":       func(o *Options) { o.Quick = true },
+	"TraceRing":   func(o *Options) { o.TraceRing = 64 },
+	"Faults":      func(o *Options) { o.Faults = fault.MustParse("disk-read-err:0.01") },
+	"Swapback":    func(o *Options) { o.Swapback = swapback.SSD },
+	"SwapPolicy":  func(o *Options) { o.SwapPolicy = swapback.PolicyFlat },
+	"AuditEvery":  func(o *Options) { o.AuditEvery = 100 },
+	"MaxEvents":   func(o *Options) { o.MaxEvents = 1 << 20 },
+	"CellTimeout": func(o *Options) { o.CellTimeout = time.Second },
+}
+
+// TestOptionsKeyFieldAccounting fails when Options gains an exported
+// field that neither Key's perturbation table nor the exclusion list
+// classifies — the same guard serve.TestKeyFieldAccounting keeps on
+// JobRequest.
+func TestOptionsKeyFieldAccounting(t *testing.T) {
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		if keyPerturbations[f.Name] == nil && !keyExclusions[f.Name] {
+			t.Errorf("Options.%s is not accounted for: add it to Key (and keyPerturbations) or document its exclusion in keyExclusions", f.Name)
+		}
+	}
+}
+
+// TestOptionsKeyCoversEveryKnob: each encoded knob, perturbed alone,
+// changes the key; the exclusions and equal-meaning spellings do not.
+func TestOptionsKeyCoversEveryKnob(t *testing.T) {
+	base := Options{}.Key()
+	seen := map[string]string{base: "base"}
+	for name, perturb := range keyPerturbations {
+		var o Options
+		perturb(&o)
+		k := o.Key()
+		if prev, ok := seen[k]; ok {
+			t.Errorf("perturbing %s gives the key of %s", name, prev)
+		}
+		seen[k] = name
+	}
+	for name, o := range map[string]Options{
+		"parallel":        {Parallel: 8},
+		"default seed":    {Seed: 42},
+		"default scale":   {Scale: 1},
+		"default backend": {Swapback: swapback.HDD, SwapPolicy: swapback.PolicyWriteback},
+	} {
+		if o.Key() != base {
+			t.Errorf("%s changed the key", name)
+		}
+	}
+}
+
+// TestBindFlagsRegistersEveryKnob: BindFlags registers exactly one flag
+// per exported knob (named after the field), and nothing else.
+func TestBindFlagsRegistersEveryKnob(t *testing.T) {
+	var o Options
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	o.BindFlags(fs)
+	want := map[string]bool{}
+	typ := reflect.TypeOf(o)
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() && f.Name != "Ctx" && f.Name != "CancelRun" {
+			want[strings.ToLower(f.Name)] = true
+		}
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if !want[f.Name] {
+			t.Errorf("BindFlags registers -%s, which names no Options knob", f.Name)
+		}
+		delete(want, f.Name)
+	})
+	for name := range want {
+		t.Errorf("BindFlags does not register -%s", name)
+	}
+	err := fs.Parse([]string{"-faults", "disk-lat:0.05", "-swapback", "zswap", "-swappolicy", "hotfirst"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Faults.String() != "disk-lat:0.05:2ms" || o.Swapback != swapback.Zswap || o.SwapPolicy != swapback.PolicyHot {
+		t.Fatalf("typed flags parsed to %q/%s/%s", o.Faults, o.Swapback, o.SwapPolicy)
+	}
+}
+
+// TestOptionsValidate: the range rules, at their edges.
+func TestOptionsValidate(t *testing.T) {
+	ok := Options{Scale: 16, Parallel: 1}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("edge-valid options rejected: %v", err)
+	}
+	for name, o := range map[string]Options{
+		"zero scale":           {Parallel: 1},
+		"scale above 16":       {Scale: 16.5, Parallel: 1},
+		"zero parallel":        {Scale: 1},
+		"negative tracering":   {Scale: 1, Parallel: 1, TraceRing: -1},
+		"negative auditevery":  {Scale: 1, Parallel: 1, AuditEvery: -1},
+		"negative celltimeout": {Scale: 1, Parallel: 1, CellTimeout: -time.Second},
+	} {
+		if err := o.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestForScenario: declared backends and policies conflict with explicit
+// tiers; declared faults and audit stride fill in only where unset.
+func TestForScenario(t *testing.T) {
+	declared := &scenario.Scenario{
+		Faults:     fault.MustParse("disk-lat:0.05"),
+		AuditEvery: 4096,
+		Backends:   []string{"hdd", "ssd"},
+		Policy:     "hotfirst",
+	}
+	o, err := Options{}.ForScenario(declared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Faults != declared.Faults || o.AuditEvery != 4096 {
+		t.Fatalf("scenario faults/audit not folded in: %q/%d", o.Faults, o.AuditEvery)
+	}
+	explicit := Options{Faults: fault.MustParse("swapin-fail:0.1"), AuditEvery: 7}
+	if o, _ := explicit.ForScenario(declared); o.Faults != explicit.Faults || o.AuditEvery != 7 {
+		t.Fatalf("explicit faults/audit overridden: %q/%d", o.Faults, o.AuditEvery)
+	}
+	if _, err := (Options{Swapback: swapback.SSD}).ForScenario(declared); err == nil {
+		t.Error("explicit -swapback accepted against a declared backend axis")
+	}
+	if _, err := (Options{SwapPolicy: swapback.PolicyFlat}).ForScenario(declared); err == nil {
+		t.Error("explicit -swappolicy accepted against a declared policy")
+	}
+	if _, err := (Options{Swapback: swapback.SSD, SwapPolicy: swapback.PolicyFlat}).ForScenario(&scenario.Scenario{}); err != nil {
+		t.Errorf("explicit tiers rejected against a scenario that declares none: %v", err)
+	}
+}
+
+// memoOpts is the small fig5 configuration the memo tests run.
+func memoOpts() Options { return Options{Seed: 42, Scale: 0.0625, Quick: true, Parallel: 1} }
+
+// TestPbzipMemoKeysOnBackend: in one process, fig5 at hdd and then at ssd
+// must give the fresh ssd answer, not the memoized hdd sweep.
+func TestPbzipMemoKeysOnBackend(t *testing.T) {
+	defer resetSweepCaches()
+	ssd := memoOpts()
+	ssd.Swapback = swapback.SSD
+	resetSweepCaches()
+	hdd := Fig5(memoOpts()).Fingerprint()
+	afterHDD := Fig5(ssd).Fingerprint()
+	resetSweepCaches()
+	fresh := Fig5(ssd).Fingerprint()
+	if fresh == hdd {
+		t.Fatal("the ssd and hdd sweeps coincide; the test cannot tell them apart")
+	}
+	if afterHDD != fresh {
+		t.Fatalf("fig5 at ssd after hdd = %s, fresh ssd = %s: the memo served the hdd sweep", afterHDD[:12], fresh[:12])
+	}
+}
+
+// TestPbzipMemoKeysOnTraceRing: a traced fig5 after an untraced one must
+// carry trace tails in every run record.
+func TestPbzipMemoKeysOnTraceRing(t *testing.T) {
+	defer resetSweepCaches()
+	e, err := ByID("fig5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resetSweepCaches()
+	RunAll([]Experiment{e}, memoOpts(), nil)
+	traced := memoOpts()
+	traced.TraceRing = 64
+	runs := RunAll([]Experiment{e}, traced, nil)[0].Runs
+	if len(runs) == 0 {
+		t.Fatal("no run records")
+	}
+	for _, r := range runs {
+		if len(r.Report.Trace) == 0 {
+			t.Fatalf("run %s has no trace tail: the memo served the untraced sweep", r.Label)
+		}
+	}
+}

@@ -89,8 +89,10 @@ func sweepTable(title string, schemes []Scheme, sizes []int,
 }
 
 // pbzipSweep runs the pbzip2 sweep shared by Figs. 5 and 11; results are
-// memoized single-flight, so the two figures cost one sweep even when the
-// parallel executor generates them concurrently.
+// memoized single-flight under Options.Key, so the two figures cost one
+// sweep even when the parallel executor generates them concurrently, and
+// a run under different knobs (a backend tier, a trace ring) never reuses
+// another's sweep.
 type pbzipEntry struct {
 	once  sync.Once
 	data  map[Scheme]map[int]sweepResult
@@ -103,19 +105,13 @@ var (
 	pbzipCache = map[string]*pbzipEntry{}
 )
 
-// resetSweepCaches clears the cross-experiment memoization; tests use it
-// to force the serial and parallel runs of an equivalence check to both
-// actually execute.
+// resetSweepCaches clears the cross-experiment memoization; tests and
+// BenchmarkRegistry use it to make every run actually simulate.
 func resetSweepCaches() {
 	pbzipMu.Lock()
 	defer pbzipMu.Unlock()
 	pbzipCache = map[string]*pbzipEntry{}
 }
-
-// ResetCaches clears the cross-experiment memoization. Benchmarks call it
-// between iterations so every iteration pays the full simulation cost
-// instead of replaying the memoized pbzip2 sweep.
-func ResetCaches() { resetSweepCaches() }
 
 func pbzipSweep(o Options) (map[Scheme]map[int]sweepResult, []Scheme, []int) {
 	o = o.normalized()
@@ -123,8 +119,7 @@ func pbzipSweep(o Options) (map[Scheme]map[int]sweepResult, []Scheme, []int) {
 	// Fig. 5's axis extends to 128 MB, where the paper's guest OOM-kills
 	// pbzip2 under the static balloon ("below 240MB" on their axis).
 	sizes := append(sweepSizes(o), 128)
-	key := fmt.Sprintf("%d/%f/%v/%s/%d/%d/%v",
-		o.Seed, o.Scale, o.Quick, o.Faults, o.AuditEvery, o.MaxEvents, o.CellTimeout)
+	key := o.Key()
 	pbzipMu.Lock()
 	e := pbzipCache[key]
 	if e == nil {

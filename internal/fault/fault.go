@@ -192,6 +192,16 @@ func ParsePlan(spec string) (Plan, error) {
 	return p, nil
 }
 
+// Set parses spec into p, making *Plan a flag.Value.
+func (p *Plan) Set(spec string) error {
+	q, err := ParsePlan(spec)
+	if err != nil {
+		return err
+	}
+	*p = q
+	return nil
+}
+
 // MustParse is ParsePlan for literals in tests; it panics on error.
 func MustParse(spec string) Plan {
 	p, err := ParsePlan(spec)

@@ -6,9 +6,9 @@ import (
 )
 
 // This file is the machine-level half of the observability layer: a typed,
-// machine-readable summary of one simulation run. cmd/vswapsim -json and
-// cmd/vswapper-report -json serialize it; the experiment layer collects one
-// per simulated machine.
+// machine-readable summary of one simulation run. Every cmd/vswapsim -json
+// form serializes it; the experiment layer collects one per simulated
+// machine.
 
 // traceTail bounds how many trailing trace events a report embeds when
 // tracing is enabled; the full ring stays available via Machine.EnableTrace.

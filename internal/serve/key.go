@@ -3,37 +3,44 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"sync"
 
-	"vswapsim/internal/fault"
-	"vswapsim/internal/swapback"
+	"vswapsim/internal/experiment"
 )
 
-// The cache key is a SHA-256 over every knob that can influence a job's
-// output bytes, plus the code fingerprint of the binary that produced
-// them. Knobs are canonicalized before hashing (fault plans through
-// ParsePlan→String, backend/policy through their parsers), so spellings
-// that mean the same run ("disk-lat:0.05" vs "disk-lat:0.05:2ms", "" vs
-// "hdd") share one entry.
+// The cache key is a SHA-256 over the job's target (registry id, or the
+// scenario text's digest), the canonical encoding of its knobs
+// (experiment.Options.Key, so spellings that mean the same run —
+// "disk-lat:0.05" vs "disk-lat:0.05:2ms", "" vs "hdd" — share one entry),
+// and the code fingerprint of the binary that produced the output.
 //
 // Two knobs are deliberately EXCLUDED, and the key tests pin both:
 //   - Parallel: results are byte-identical at any parallelism (the golden
 //     and equivalence suites enforce it), so keying on it would fragment
-//     the cache without ever changing a byte.
+//     the cache without ever changing a byte. Options.Key omits it.
 //   - CellTimeoutMS: wall-clock kills are nondeterministic, and a job
 //     that breached its wall budget (or failed any other way) is never
 //     cached — so the timeout cannot influence any bytes that reach the
-//     cache.
-const keyVersion = "vswapsimd-cache-v1"
+//     cache. key zeroes it before encoding.
+const keyVersion = "vswapsimd-cache-v2"
 
 // Key computes the content-addressed cache key for a request under the
-// given code fingerprint.
+// given code fingerprint. It never parses scenario text. A request whose
+// knobs do not parse has no cache entry, and Key returns "" for it.
 func Key(req JobRequest, fingerprint string) string {
-	req = req.normalize()
+	o, err := req.options()
+	if err != nil {
+		return ""
+	}
+	return key(req, o, fingerprint)
+}
+
+// key hashes req's target and o's knobs, minus the excluded CellTimeout.
+func key(req JobRequest, o experiment.Options, fingerprint string) string {
+	o.CellTimeout = 0
 	h := sha256.New()
 	field := func(s string) {
 		io.WriteString(h, s)
@@ -47,27 +54,7 @@ func Key(req JobRequest, fingerprint string) string {
 	} else {
 		field("registry=" + req.ID)
 	}
-	field(fmt.Sprintf("seed=%d", req.Seed))
-	field(fmt.Sprintf("scale=%g", req.Scale))
-	field(fmt.Sprintf("quick=%v", req.Quick))
-	field(fmt.Sprintf("tracering=%d", req.TraceRing))
-	if plan, err := fault.ParsePlan(req.Faults); err == nil {
-		field("faults=" + plan.String())
-	} else {
-		field("faults=!" + req.Faults) // unvalidated requests never reach the cache
-	}
-	if kind, err := swapback.ParseKind(req.Swapback); err == nil {
-		field("swapback=" + kind.String())
-	} else {
-		field("swapback=!" + req.Swapback)
-	}
-	if pol, err := swapback.ParsePolicy(req.SwapPolicy); err == nil {
-		field("swappolicy=" + pol.String())
-	} else {
-		field("swappolicy=!" + req.SwapPolicy)
-	}
-	field(fmt.Sprintf("auditevery=%d", req.AuditEvery))
-	field(fmt.Sprintf("maxevents=%d", req.MaxEvents))
+	field(o.Key())
 	return hex.EncodeToString(h.Sum(nil))
 }
 

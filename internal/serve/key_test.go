@@ -133,11 +133,21 @@ func TestKeyCanonicalization(t *testing.T) {
 }
 
 // TestKeyIsHex: keys must be lowercase sha256 hex — the cache uses them
-// as file names without escaping.
+// as file names without escaping — and a request whose knobs do not
+// parse has no key at all.
 func TestKeyIsHex(t *testing.T) {
 	k := Key(baseKeyRequest(), testFingerprint)
 	if !regexp.MustCompile(`^[0-9a-f]{64}$`).MatchString(k) {
 		t.Fatalf("key %q is not 64 lowercase hex chars", k)
+	}
+	for _, bad := range []JobRequest{
+		{ID: "fig3", Faults: "frobnicate:1"},
+		{ID: "fig3", Swapback: "floppy"},
+		{ID: "fig3", SwapPolicy: "lifo"},
+	} {
+		if k := Key(bad, testFingerprint); k != "" {
+			t.Errorf("Key(%+v) = %q, want none", bad, k)
+		}
 	}
 }
 

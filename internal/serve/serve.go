@@ -15,13 +15,12 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
 	"vswapsim/internal/experiment"
-	"vswapsim/internal/fault"
 	"vswapsim/internal/scenario"
-	"vswapsim/internal/swapback"
 )
 
 // Job states, in lifecycle order. done and failed are terminal.
@@ -41,7 +40,7 @@ func terminal(state string) bool { return state == StateDone || state == StateFa
 // Scenario (an inline scenario YAML document) must be set. Zero values
 // take the executor defaults (seed 42, scale 1.0). Parallel is an
 // execution hint only — it never enters the cache key, because results
-// are byte-identical across parallelism. CellTimeoutMS arms the PR-4
+// are byte-identical across parallelism. CellTimeoutMS arms the per-cell
 // wall-clock watchdog; it too stays out of the cache key (wall kills are
 // nondeterministic, and timed-out jobs are never cached).
 type JobRequest struct {
@@ -60,121 +59,96 @@ type JobRequest struct {
 	CellTimeoutMS int64   `json:"celltimeout_ms,omitempty"`
 }
 
-// normalize fills executor defaults so equal-meaning requests hash and
-// validate identically.
-func (r JobRequest) normalize() JobRequest {
-	if r.Seed == 0 {
-		r.Seed = 42
+// RequestFor is the one Options→JobRequest conversion the -server
+// clients use: the job that runs registry experiment id, or the inline
+// scenario document when id is empty, under o's knobs.
+func RequestFor(id, scenarioText string, o experiment.Options) JobRequest {
+	return JobRequest{
+		ID: id, Scenario: scenarioText,
+		Seed: o.Seed, Scale: o.Scale, Quick: o.Quick, Parallel: o.Parallel,
+		TraceRing: o.TraceRing, Faults: o.Faults.String(),
+		Swapback: o.Swapback.String(), SwapPolicy: o.SwapPolicy.String(),
+		AuditEvery: o.AuditEvery, MaxEvents: o.MaxEvents,
+		CellTimeoutMS: o.CellTimeout.Milliseconds(),
 	}
-	if r.Scale == 0 {
-		r.Scale = 1.0
-	}
-	return r
 }
 
-// target names what the job runs, for labels and diag bundles.
-func (r JobRequest) target() string {
-	if r.Scenario != "" {
-		if sc, err := scenario.Parse([]byte(r.Scenario)); err == nil {
-			return "scenario:" + sc.Name
-		}
-		return "scenario:?"
+// options is RequestFor's inverse: the request's knobs as Options, with
+// the fault plan, tier and policy parsed. Zero values stay zero.
+func (r JobRequest) options() (experiment.Options, error) {
+	o := experiment.Options{
+		Seed: r.Seed, Scale: r.Scale, Quick: r.Quick, Parallel: r.Parallel,
+		TraceRing: r.TraceRing, AuditEvery: r.AuditEvery, MaxEvents: r.MaxEvents,
+		CellTimeout: time.Duration(r.CellTimeoutMS) * time.Millisecond,
 	}
-	return r.ID
+	if err := o.Faults.Set(r.Faults); err != nil {
+		return o, fmt.Errorf("invalid faults: %v", err)
+	}
+	if err := o.Swapback.Set(r.Swapback); err != nil {
+		return o, fmt.Errorf("invalid swapback: %v", err)
+	}
+	if err := o.SwapPolicy.Set(r.SwapPolicy); err != nil {
+		return o, fmt.Errorf("invalid swappolicy: %v", err)
+	}
+	return o, nil
 }
 
-// validate checks the request against the same contracts the CLIs
-// enforce, returning a client-facing error. The parsed scenario (when
-// inline) is returned so compile need not parse twice.
-func (r JobRequest) validate() (*scenario.Scenario, error) {
-	if (r.ID == "") == (r.Scenario == "") {
-		return nil, fmt.Errorf("exactly one of \"id\" and \"scenario\" must be set")
+// compiled is a validated job: everything the daemon derives from a
+// request, computed once when the request arrives.
+type compiled struct {
+	req    JobRequest // seed and scale defaults filled in
+	key    string
+	target string // registry id or "scenario:<name>", for labels and diag bundles
+	exp    experiment.Experiment
+	opts   experiment.Options
+}
+
+// compile validates a request and derives its cache key, experiment and
+// executor options in one pass, under cfg (with defaults applied): a zero
+// Parallel takes cfg.Parallel, and the budget ceilings cap the watchdogs —
+// a job may tighten them but never loosen them past the daemon's. The
+// cache key is taken before the caps and the scenario's declarations
+// apply, so it stays a function of the request alone (see Key). Errors
+// are client-facing.
+func compile(req JobRequest, cfg Config) (*compiled, error) {
+	if (req.ID == "") == (req.Scenario == "") {
+		return nil, errors.New(`exactly one of "id" and "scenario" must be set`)
 	}
-	if r.Scale <= 0 || r.Scale > 16 {
-		return nil, fmt.Errorf("invalid scale %v: must be in (0, 16]", r.Scale)
-	}
-	if r.Parallel < 0 {
-		return nil, fmt.Errorf("invalid parallel %d: must be >= 0 (0 = server default)", r.Parallel)
-	}
-	if r.TraceRing < 0 {
-		return nil, fmt.Errorf("invalid tracering %d: must be >= 0", r.TraceRing)
-	}
-	if r.AuditEvery < 0 {
-		return nil, fmt.Errorf("invalid auditevery %d: must be >= 0", r.AuditEvery)
-	}
-	if r.CellTimeoutMS < 0 {
-		return nil, fmt.Errorf("invalid celltimeout_ms %d: must be >= 0", r.CellTimeoutMS)
-	}
-	if _, err := fault.ParsePlan(r.Faults); err != nil {
-		return nil, fmt.Errorf("invalid faults: %v", err)
-	}
-	kind, err := swapback.ParseKind(r.Swapback)
+	o, err := req.options()
 	if err != nil {
-		return nil, fmt.Errorf("invalid swapback: %v", err)
+		return nil, err
 	}
-	pol, err := swapback.ParsePolicy(r.SwapPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("invalid swappolicy: %v", err)
+	if o.Parallel == 0 {
+		o.Parallel = cfg.Parallel
 	}
-	if r.ID != "" {
-		if _, err := experiment.ByID(r.ID); err != nil {
+	o = o.WithDefaults()
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	req.Seed, req.Scale = o.Seed, o.Scale
+	c := &compiled{req: req, key: key(req, o, cfg.Fingerprint), target: req.ID}
+	if req.ID != "" {
+		if c.exp, err = experiment.ByID(req.ID); err != nil {
 			return nil, err
 		}
-		return nil, nil
+	} else {
+		sc, err := scenario.Parse([]byte(req.Scenario))
+		if err != nil {
+			return nil, fmt.Errorf("invalid scenario: %v", err)
+		}
+		if o, err = o.ForScenario(sc); err != nil {
+			return nil, err
+		}
+		c.exp, c.target = experiment.FromScenario(sc), "scenario:"+sc.Name
 	}
-	sc, err := scenario.Parse([]byte(r.Scenario))
-	if err != nil {
-		return nil, fmt.Errorf("invalid scenario: %v", err)
+	if ceil := cfg.MaxEventsCap; ceil > 0 && (o.MaxEvents == 0 || o.MaxEvents > ceil) {
+		o.MaxEvents = ceil
 	}
-	// Mirror the CLI contract: a scenario that declares its own backend
-	// axis owns it; a non-default request tier would silently fight it.
-	if kind != swapback.HDD && len(sc.Backends) > 0 {
-		return nil, fmt.Errorf("swapback conflicts with the scenario's backend declaration")
+	if ceil := cfg.CellTimeoutCap; ceil > 0 && (o.CellTimeout == 0 || o.CellTimeout > ceil) {
+		o.CellTimeout = ceil
 	}
-	if pol != swapback.PolicyWriteback && sc.Policy != "" {
-		return nil, fmt.Errorf("swappolicy conflicts with the scenario's policy declaration")
-	}
-	return sc, nil
-}
-
-// options compiles the request into executor Options, applying the
-// server-side budget caps: a job may tighten the watchdogs but never
-// loosen them past the daemon's ceilings.
-func (r JobRequest) options(defaultParallel int, maxEventsCap uint64, cellTimeoutCap time.Duration) experiment.Options {
-	plan, _ := fault.ParsePlan(r.Faults) // validated
-	kind, _ := swapback.ParseKind(r.Swapback)
-	pol, _ := swapback.ParsePolicy(r.SwapPolicy)
-	par := r.Parallel
-	if par <= 0 {
-		par = defaultParallel
-	}
-	maxEvents := r.MaxEvents
-	if maxEventsCap > 0 && (maxEvents == 0 || maxEvents > maxEventsCap) {
-		maxEvents = maxEventsCap
-	}
-	cellTimeout := time.Duration(r.CellTimeoutMS) * time.Millisecond
-	if cellTimeoutCap > 0 && (cellTimeout == 0 || cellTimeout > cellTimeoutCap) {
-		cellTimeout = cellTimeoutCap
-	}
-	return experiment.Options{
-		Seed: r.Seed, Scale: r.Scale, Quick: r.Quick,
-		Parallel: par, TraceRing: r.TraceRing,
-		Faults: plan, Swapback: kind, SwapPolicy: pol,
-		AuditEvery: r.AuditEvery,
-		MaxEvents:  maxEvents, CellTimeout: cellTimeout,
-	}
-}
-
-// experiment resolves the request's target into a runnable Experiment.
-func (r JobRequest) experiment() (experiment.Experiment, error) {
-	if r.ID != "" {
-		return experiment.ByID(r.ID)
-	}
-	sc, err := scenario.Parse([]byte(r.Scenario))
-	if err != nil {
-		return experiment.Experiment{}, fmt.Errorf("invalid scenario: %v", err)
-	}
-	return experiment.FromScenario(sc), nil
+	c.opts = o
+	return c, nil
 }
 
 // Event is one progress notification on a job's event stream.

@@ -25,7 +25,6 @@ import (
 const (
 	MetricJobsAccepted     = "serve.jobs.accepted"
 	MetricJobsRejectedFull = "serve.jobs.rejected.queuefull"
-	MetricJobsRejectedRate = "serve.jobs.rejected.ratelimit"
 	MetricJobsRejectedBad  = "serve.jobs.rejected.invalid"
 	MetricJobsCompleted    = "serve.jobs.completed"
 	MetricJobsFailed       = "serve.jobs.failed"
@@ -84,10 +83,6 @@ type Config struct {
 	Parallel int
 	// MaxBodyBytes bounds the request body (default 1 MiB).
 	MaxBodyBytes int64
-	// RatePerSec/RateBurst arm a global token-bucket admission limiter on
-	// POST /jobs (0 = unlimited).
-	RatePerSec float64
-	RateBurst  int
 	// RetryAfter is the hint returned with 429 responses (default 1s).
 	RetryAfter time.Duration
 	// MaxEventsCap / CellTimeoutCap are server-side ceilings on the
@@ -144,10 +139,9 @@ func (c Config) withDefaults() Config {
 // job is the server-side record of one submitted job. All mutable fields
 // are guarded by Server.mu.
 type job struct {
+	*compiled
 	id  string
 	seq uint64
-	req JobRequest // normalized
-	key string
 
 	state      string
 	cached     bool
@@ -173,12 +167,12 @@ type Server struct {
 
 	met *metrics.Set
 	// counter handles, resolved once; all updates happen under mu.
-	cAccepted, cRejFull, cRejRate, cRejBad *metrics.Counter
-	cCompleted, cFailed, cIncomplete       *metrics.Counter
-	cRecovered                             *metrics.Counter
-	cCacheHit, cCacheMiss, cCacheCorrupt   *metrics.Counter
-	cCacheWrite                            *metrics.Counter
-	hWall                                  *metrics.Histogram
+	cAccepted, cRejFull, cRejBad         *metrics.Counter
+	cCompleted, cFailed, cIncomplete     *metrics.Counter
+	cRecovered                           *metrics.Counter
+	cCacheHit, cCacheMiss, cCacheCorrupt *metrics.Counter
+	cCacheWrite                          *metrics.Counter
+	hWall                                *metrics.Histogram
 
 	mu       sync.Mutex
 	cond     *sync.Cond // broadcast when running drops
@@ -194,8 +188,6 @@ type Server struct {
 	workerWG    sync.WaitGroup
 	runCtx      context.Context
 	forceCancel context.CancelFunc
-
-	limiter *tokenBucket
 }
 
 // persistedState is the drain-time queue snapshot (StatePath contents).
@@ -230,7 +222,6 @@ func New(cfg Config) (*Server, error) {
 	s.cond = sync.NewCond(&s.mu)
 	s.cAccepted = s.met.Counter(MetricJobsAccepted)
 	s.cRejFull = s.met.Counter(MetricJobsRejectedFull)
-	s.cRejRate = s.met.Counter(MetricJobsRejectedRate)
 	s.cRejBad = s.met.Counter(MetricJobsRejectedBad)
 	s.cCompleted = s.met.Counter(MetricJobsCompleted)
 	s.cFailed = s.met.Counter(MetricJobsFailed)
@@ -242,13 +233,6 @@ func New(cfg Config) (*Server, error) {
 	s.cCacheWrite = s.met.Counter(MetricCacheWrites)
 	s.hWall = s.met.Histogram(MetricJobWallNS)
 	s.runCtx, s.forceCancel = context.WithCancel(context.Background())
-	if cfg.RatePerSec > 0 {
-		burst := cfg.RateBurst
-		if burst <= 0 {
-			burst = int(cfg.RatePerSec) + 1
-		}
-		s.limiter = newTokenBucket(cfg.RatePerSec, burst)
-	}
 
 	recovered, nextSeq, err := s.loadState()
 	if err != nil {
@@ -269,7 +253,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// loadState reads and consumes the persisted queue snapshot, validating
+// loadState reads and consumes the persisted queue snapshot, compiling
 // each pending request (a job that no longer validates — say, after a
 // registry change — is dropped rather than wedging the queue).
 func (s *Server) loadState() ([]*job, uint64, error) {
@@ -292,14 +276,13 @@ func (s *Server) loadState() ([]*job, uint64, error) {
 	}
 	var out []*job
 	for _, p := range st.Pending {
-		req := p.Request.normalize()
-		if _, err := req.validate(); err != nil {
+		c, err := compile(p.Request, s.cfg)
+		if err != nil {
 			continue
 		}
 		out = append(out, &job{
+			compiled:   c,
 			id:         p.ID,
-			req:        req,
-			key:        Key(req, s.cfg.Fingerprint),
 			state:      StateQueued,
 			enqueuedAt: time.Now(),
 			subs:       make(map[chan Event]bool),
@@ -362,24 +345,19 @@ func (s *Server) worker() {
 }
 
 // safeRun executes one job under the daemon's panic shield: a panic that
-// escapes the executor's own cell/experiment shields (request
-// compilation, document assembly, a buggy injected Runner) becomes a
-// structured FailureRecord and a failed job — never a dead daemon.
+// escapes the executor's own cell/experiment shields (document assembly,
+// a buggy injected Runner) becomes a structured FailureRecord and a
+// failed job — never a dead daemon.
 func (s *Server) safeRun(ctx context.Context, j *job) (payload []byte, out Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			rec := experiment.NewPanicFailure("job/"+j.id+"/"+j.req.target(), j.req.Seed, r)
+			rec := experiment.NewPanicFailure("job/"+j.id+"/"+j.target, j.opts.Seed, r)
 			out = Outcome{Failure: &rec}
 			payload = nil
 			err = fmt.Errorf("job panicked: %s", rec.Message)
 		}
 	}()
-	e, cerr := j.req.experiment()
-	if cerr != nil {
-		return nil, Outcome{}, cerr
-	}
-	o := j.req.options(s.cfg.Parallel, s.cfg.MaxEventsCap, s.cfg.CellTimeoutCap)
-	return s.cfg.Runner(ctx, j.req, e, o)
+	return s.cfg.Runner(ctx, j.req, j.exp, j.opts)
 }
 
 // finishJob records a completed execution: caches clean results, writes
@@ -445,15 +423,12 @@ func (s *Server) writeDiagBundles(j *job, out Outcome) {
 	if len(recs) == 0 {
 		return
 	}
-	o := j.req.options(s.cfg.Parallel, s.cfg.MaxEventsCap, s.cfg.CellTimeoutCap)
-	target := j.req.target()
-	replay := experiment.ReplayCommand("vswapsim", target, o)
+	replay := experiment.ReplayCommand(j.target, "", j.opts)
 	if j.req.Scenario != "" {
 		replay = "POST the same scenario job to vswapsimd, or save the YAML and run: " +
-			experiment.ScenarioReplayCommand("<scenario.yaml>", o)
+			experiment.ReplayCommand("", "<scenario.yaml>", j.opts)
 	}
-	dir := filepath.Join(s.cfg.DiagDir)
-	if _, err := experiment.WriteDiagBundlesReplay(dir, "vswapsimd", target, replay, o, recs); err != nil {
+	if _, err := experiment.WriteDiagBundles(s.cfg.DiagDir, "vswapsimd", j.target, replay, j.opts, recs); err != nil {
 		// Diagnostics are best-effort; the failure is already in the job.
 		fmt.Fprintf(os.Stderr, "vswapsimd: writing diag bundles: %v\n", err)
 	}
@@ -628,34 +603,6 @@ func exitHint(j *job) int {
 	return 0
 }
 
-// tokenBucket is a minimal global rate limiter for POST /jobs.
-type tokenBucket struct {
-	mu     sync.Mutex
-	rate   float64
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newTokenBucket(rate float64, burst int) *tokenBucket {
-	return &tokenBucket{rate: rate, burst: float64(burst), tokens: float64(burst), last: time.Now()}
-}
-
-func (b *tokenBucket) allow(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tokens += now.Sub(b.last).Seconds() * b.rate
-	b.last = now
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
 // retryAfterSeconds renders the Retry-After header value (whole seconds,
 // minimum 1 — the header does not speak fractions).
 func (s *Server) retryAfterSeconds() string {
@@ -689,17 +636,9 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// handleSubmit is POST /jobs: admission control (rate limit, drain gate,
-// body limit, validation), then cache lookup, then the bounded queue.
+// handleSubmit is POST /jobs: admission control (drain gate, body limit,
+// compilation), then cache lookup, then the bounded queue.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.limiter != nil && !s.limiter.allow(time.Now()) {
-		s.mu.Lock()
-		s.cRejRate.Inc()
-		s.mu.Unlock()
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "rate limit exceeded"})
-		return
-	}
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
@@ -725,8 +664,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed request: " + err.Error()})
 		return
 	}
-	req = req.normalize()
-	if _, err := req.validate(); err != nil {
+	c, err := compile(req, s.cfg)
+	if err != nil {
 		s.mu.Lock()
 		s.cRejBad.Inc()
 		s.mu.Unlock()
@@ -734,14 +673,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := Key(req, s.cfg.Fingerprint)
-	payload, corrupt := s.cache.Get(key)
+	payload, corrupt := s.cache.Get(c.key)
 
 	s.mu.Lock()
 	if payload != nil {
 		// Cache hit: the job is born terminal, serving the stored bytes
 		// verbatim — proven byte-identical to a cold run by test.
-		j := s.newJobLocked(req, key)
+		j := s.newJobLocked(c)
 		j.cached = true
 		j.state = StateDone
 		j.doc = payload
@@ -768,7 +706,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "server is draining"})
 		return
 	}
-	j := s.newJobLocked(req, key)
+	j := s.newJobLocked(c)
 	select {
 	case s.queue <- j:
 		s.cAccepted.Inc()
@@ -788,12 +726,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // newJobLocked allocates a job record. Callers hold mu.
-func (s *Server) newJobLocked(req JobRequest, key string) *job {
+func (s *Server) newJobLocked(c *compiled) *job {
 	j := &job{
+		compiled:   c,
 		id:         fmt.Sprintf("j-%d", s.nextSeq),
 		seq:        s.nextSeq,
-		req:        req,
-		key:        key,
 		state:      StateQueued,
 		enqueuedAt: time.Now(),
 		subs:       make(map[chan Event]bool),

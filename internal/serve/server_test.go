@@ -71,7 +71,7 @@ func testClient(ts *httptest.Server) *Client {
 // stubRunner returns a deterministic fake document derived from the
 // request, so lifecycle tests need no simulation.
 func stubRunner(ctx context.Context, req JobRequest, e experiment.Experiment, o experiment.Options) ([]byte, Outcome, error) {
-	return []byte(fmt.Sprintf(`{"stub":"%s","seed":%d}`, req.target(), o.Seed)), Outcome{}, nil
+	return []byte(fmt.Sprintf(`{"stub":"%s","seed":%d}`, e.ID, o.Seed)), Outcome{}, nil
 }
 
 // gate coordinates a blocking stub runner with the test body.
@@ -88,7 +88,7 @@ func newGate() *gate {
 // budget) yields a partial document marked incomplete, like the real
 // executor would produce.
 func (g *gate) runner(ctx context.Context, req JobRequest, e experiment.Experiment, o experiment.Options) ([]byte, Outcome, error) {
-	g.started <- req.target()
+	g.started <- e.ID
 	select {
 	case <-g.release:
 		return stubRunner(ctx, req, e, o)
@@ -291,29 +291,6 @@ func TestQueueFullRejects429(t *testing.T) {
 	}
 	if st.State != StateDone {
 		t.Fatalf("retried job state %s, want done", st.State)
-	}
-}
-
-// TestRateLimit429: the token bucket rejects a burst past its capacity.
-func TestRateLimit429(t *testing.T) {
-	s, ts := newTestServer(t, func(c *Config) {
-		c.Runner = stubRunner
-		c.RatePerSec = 0.001 // effectively: the burst is all you get
-		c.RateBurst = 2
-	})
-	codes := make([]int, 0, 3)
-	for i := 0; i < 3; i++ {
-		resp, _ := postJob(t, ts, `{"id":"tab1"}`)
-		codes = append(codes, resp.StatusCode)
-	}
-	if codes[0] == http.StatusTooManyRequests || codes[1] == http.StatusTooManyRequests {
-		t.Fatalf("burst rejected early: %v", codes)
-	}
-	if codes[2] != http.StatusTooManyRequests {
-		t.Fatalf("third request: status %d, want 429", codes[2])
-	}
-	if got := s.Metrics()(MetricJobsRejectedRate); got != 1 {
-		t.Fatalf("ratelimit counter = %d, want 1", got)
 	}
 }
 
@@ -712,7 +689,11 @@ func TestBudgetCaps(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := tc.req.normalize().options(2, tc.maxEventsCap, tc.cellTimeoutCap)
+			c, err := compile(tc.req, Config{Parallel: 2, MaxEventsCap: tc.maxEventsCap, CellTimeoutCap: tc.cellTimeoutCap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := c.opts
 			if o.MaxEvents != tc.wantMaxEvents {
 				t.Errorf("MaxEvents = %d, want %d", o.MaxEvents, tc.wantMaxEvents)
 			}

@@ -74,6 +74,16 @@ func ParseKind(name string) (Kind, error) {
 	return HDD, fmt.Errorf("unknown swap backend %q (valid: %s)", name, strings.Join(KindNames(), ", "))
 }
 
+// Set parses name into k, making *Kind a flag.Value.
+func (k *Kind) Set(name string) error {
+	v, err := ParseKind(name)
+	if err != nil {
+		return err
+	}
+	*k = v
+	return nil
+}
+
 // KindNames returns the valid backend names, sorted.
 func KindNames() []string {
 	out := append([]string(nil), kindNames[:]...)
@@ -122,6 +132,16 @@ func ParsePolicy(name string) (Policy, error) {
 		}
 	}
 	return PolicyWriteback, fmt.Errorf("unknown swap policy %q (valid: %s)", name, strings.Join(PolicyNames(), ", "))
+}
+
+// Set parses name into p, making *Policy a flag.Value.
+func (p *Policy) Set(name string) error {
+	v, err := ParsePolicy(name)
+	if err != nil {
+		return err
+	}
+	*p = v
+	return nil
 }
 
 // PolicyNames returns the valid policy names, sorted.
