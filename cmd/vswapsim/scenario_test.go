@@ -82,25 +82,27 @@ func TestREADMEDocumentsEveryFlag(t *testing.T) {
 	}
 }
 
-// TestScenarioCLIEquivalence is the end-to-end half of the equivalence
-// guarantee: `vswapsim run scenarios/fig3.yaml -json` must write the very
-// bytes `vswapsim -run fig3 -json` writes, through the real CLI path
-// (document header included — same -parallel, so headers agree too).
+// TestScenarioCLIEquivalence pins that the registry id and the scenario
+// file reach one definition: the fig3 entry runs the embedded
+// scenarios/fig3.yaml, so `vswapsim run scenarios/fig3.yaml -json` must
+// write the very bytes `vswapsim -run fig3 -json` writes, through the
+// real CLI path (document header included — same -parallel, so headers
+// agree too).
 func TestScenarioCLIEquivalence(t *testing.T) {
 	common := []string{"-json", "-quick", "-scale", "0.125", "-seed", "42", "-parallel", "1"}
-	var yamlOut, goOut, errBuf bytes.Buffer
+	var yamlOut, idOut, errBuf bytes.Buffer
 
 	args := append([]string{"run", filepath.Join("..", "..", "scenarios", "fig3.yaml")}, common...)
 	if code := run(args, &yamlOut, &errBuf); code != exitOK {
 		t.Fatalf("run %v exited %d: %s", args, code, errBuf.String())
 	}
 	args = append([]string{"-run", "fig3"}, common...)
-	if code := run(args, &goOut, &errBuf); code != exitOK {
+	if code := run(args, &idOut, &errBuf); code != exitOK {
 		t.Fatalf("run %v exited %d: %s", args, code, errBuf.String())
 	}
-	if !bytes.Equal(yamlOut.Bytes(), goOut.Bytes()) {
-		t.Fatalf("scenario JSON (%d bytes) differs from hand-coded fig3 JSON (%d bytes)",
-			yamlOut.Len(), goOut.Len())
+	if !bytes.Equal(yamlOut.Bytes(), idOut.Bytes()) {
+		t.Fatalf("scenario JSON (%d bytes) differs from registry fig3 JSON (%d bytes)",
+			yamlOut.Len(), idOut.Len())
 	}
 }
 

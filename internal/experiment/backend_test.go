@@ -209,7 +209,7 @@ func TestBackendNFingerprintStable(t *testing.T) {
 // in-tree engine: it loads, its per-tier grid runs, and all declared
 // assertions pass (the note CI greps for).
 func TestBackendsScenarioMatchesYAML(t *testing.T) {
-	e := FromScenario(loadScenario(t, "backends"))
+	e := FromScenario(embeddedScenario("backends")())
 	resetSweepCaches()
 	rep := e.Run(goldenOpts())
 	want := ""

@@ -5,8 +5,8 @@ import (
 	"strconv"
 
 	"vswapsim/internal/cluster"
-	"vswapsim/internal/hyper"
 	"vswapsim/internal/metrics"
+	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
 	"vswapsim/internal/swapback"
 )
@@ -17,48 +17,6 @@ import (
 // scheduler/monitor; the fan-out axis is the remediation policy, so
 // clusterN and the cluster: scenario mode compare policies on fleet-wide
 // p95/p99 unit latency and kill counts.
-
-// clusterCfg sizes a cluster cell. All MB figures are pre-scale.
-type clusterCfg struct {
-	hosts  int
-	hostMB int
-	// hostNames/hostMBs, when non-empty, override the homogeneous
-	// hosts×hostMB form with an explicitly-sized host list (the scenario
-	// layer's heterogeneous form).
-	hostNames     []string
-	hostMBs       []int
-	guestMB       int
-	wsMinPct      int
-	wsMaxPct      int
-	units         int
-	phaseUnits    int
-	unitComputeMS int
-	staggerMS     int
-	diskMB        int
-	packing       cluster.Packing
-	threshold     float64
-	sampleSec     int
-	cooldownSec   int
-	maxCommit     float64
-	swapback      swapback.Kind
-}
-
-// defaultClusterCfg is the clusterN configuration: four 1 GB hosts,
-// 256 MB guests with heterogeneous 60-95% working sets on staggered
-// hot/cold phases, a 2.5x commit bound and a balanced-pressure packer.
-func defaultClusterCfg() clusterCfg {
-	return clusterCfg{
-		hosts: 4, hostMB: 1024, guestMB: 256,
-		wsMinPct: 60, wsMaxPct: 95,
-		units: 120, phaseUnits: 40, unitComputeMS: 20, staggerMS: 20, diskMB: 1024,
-		packing:   cluster.BalancedPressure,
-		threshold: 0.05, sampleSec: 1, cooldownSec: 2,
-		maxCommit: 2.5,
-		// SSD swap keeps a pressured host's units moderately slow instead of
-		// catastrophically rare-slow, so fleet percentiles see the thrash.
-		swapback: swapback.SSD,
-	}
-}
 
 // clusterOut is one completed cluster cell in structured form.
 type clusterOut struct {
@@ -71,10 +29,10 @@ type clusterOut struct {
 	failed         bool
 }
 
-// runCluster executes one cluster cell and returns its structured
-// outcome. seed, when nonzero, overrides o.Seed so fan-out cells get
-// independent derived streams.
-func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uint64, cc clusterCfg) (clusterOut, *FailureRecord) {
+// runCluster executes one cluster cell sized by cs (MB figures
+// pre-scale) and returns its structured outcome. seed, when nonzero,
+// overrides o.Seed so fan-out cells get independent derived streams.
+func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uint64, cs scenario.ClusterSpec, tier swapback.Kind) (clusterOut, *FailureRecord) {
 	o = o.normalized()
 	release := o.acquire()
 	defer release()
@@ -83,13 +41,14 @@ func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uin
 	}
 	label := fmt.Sprintf("cluster/%s/%s/guests%d/seed%016x", s, remedy, n, seed)
 
-	// The -swapback flag still overrides the cell's tier; the cell default
-	// (SSD for clusterN) only applies when the option is left at its zero
-	// value (HDD).
+	// The -swapback flag still overrides the cell's tier; tier (SSD for
+	// clusterN) only applies when the option is left at its zero value
+	// (HDD).
 	sb := o.Swapback
 	if sb == swapback.HDD {
-		sb = cc.swapback
+		sb = tier
 	}
+	packing := clusterPackingByName(cs.Packing)
 
 	var out clusterOut
 	var cl *cluster.Cluster
@@ -98,20 +57,17 @@ func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uin
 		env := sim.NewEnv(seed)
 		env.SetBudget(o.cellBudget())
 		var hosts []cluster.HostSpec
-		if len(cc.hostNames) > 0 {
-			hosts = make([]cluster.HostSpec, len(cc.hostNames))
-			for i := range hosts {
-				hosts[i] = cluster.HostSpec{
-					Name:     cc.hostNames[i],
-					MemPages: o.pages(cc.hostMBs[i]),
-				}
+		if len(cs.HostList) > 0 {
+			hosts = make([]cluster.HostSpec, len(cs.HostList))
+			for i, h := range cs.HostList {
+				hosts[i] = cluster.HostSpec{Name: h.Name, MemPages: o.pages(h.MemMB)}
 			}
 		} else {
-			hosts = make([]cluster.HostSpec, cc.hosts)
+			hosts = make([]cluster.HostSpec, cs.Hosts)
 			for i := range hosts {
 				hosts[i] = cluster.HostSpec{
 					Name:     fmt.Sprintf("host%d", i),
-					MemPages: o.pages(cc.hostMB),
+					MemPages: o.pages(cs.HostMB),
 				}
 			}
 		}
@@ -120,20 +76,20 @@ func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uin
 			Env:               env,
 			Hosts:             hosts,
 			Guests:            n,
-			GuestMemPages:     o.pages(cc.guestMB),
-			WSMinPct:          cc.wsMinPct,
-			WSMaxPct:          cc.wsMaxPct,
-			Units:             cc.units,
-			PhaseUnits:        cc.phaseUnits,
-			UnitCompute:       sim.Duration(cc.unitComputeMS) * sim.Millisecond,
-			Stagger:           sim.Duration(cc.staggerMS) * sim.Millisecond,
-			GuestDiskBlocks:   int64(o.mb(cc.diskMB)) << 20 / 4096,
-			Packing:           cc.packing,
+			GuestMemPages:     o.pages(cs.GuestMB),
+			WSMinPct:          cs.WSMinPct,
+			WSMaxPct:          cs.WSMaxPct,
+			Units:             cs.Units,
+			PhaseUnits:        cs.PhaseUnits,
+			UnitCompute:       sim.Duration(cs.UnitComputeMS) * sim.Millisecond,
+			Stagger:           sim.Duration(cs.StaggerMS) * sim.Millisecond,
+			GuestDiskBlocks:   int64(o.mb(cs.DiskMB)) << 20 / 4096,
+			Packing:           packing,
 			Remediation:       remedy,
-			MaxCommitFactor:   cc.maxCommit,
-			SampleInterval:    sim.Duration(cc.sampleSec) * sim.Second,
-			PressureThreshold: cc.threshold,
-			Cooldown:          sim.Duration(cc.cooldownSec) * sim.Second,
+			MaxCommitFactor:   cs.MaxCommitFactor,
+			SampleInterval:    sim.Duration(cs.SampleSec) * sim.Second,
+			PressureThreshold: cs.Threshold,
+			Cooldown:          sim.Duration(cs.CooldownSec) * sim.Second,
 			Mapper:            s.mapper(),
 			Preventer:         s.preventer(),
 			Balloon:           s.balloon(),
@@ -142,7 +98,7 @@ func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uin
 			Faults:            o.Faults,
 			AuditEvery:        o.AuditEvery,
 			Spec: fmt.Sprintf("scheme=%s remediation=%s packing=%s guests=%d hosts=%d",
-				s, remedy, cc.packing, n, len(hosts)),
+				s, remedy, packing, n, len(hosts)),
 		})
 		st.m = cl.Hosts[0].M
 		cl.Run()
@@ -175,13 +131,13 @@ func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uin
 
 // clusterGrid fans the counts × remediations grid out on the worker
 // pool, row-major (counts outer), each cell on its own derived seed.
-func clusterGrid(o Options, id string, s Scheme, counts []int, remedies []cluster.Remediation, cc clusterCfg) []clusterOut {
+func clusterGrid(o Options, id string, s Scheme, counts []int, remedies []cluster.Remediation, cs scenario.ClusterSpec, tier swapback.Kind) []clusterOut {
 	o = o.normalized()
 	out := make([]clusterOut, len(counts)*len(remedies))
 	o.forEach(len(out), func(i int) {
 		n, r := counts[i/len(remedies)], remedies[i%len(remedies)]
 		seed := sim.DeriveSeed(o.Seed, id, s.String(), r.String(), strconv.Itoa(n))
-		cell, _ := runCluster(o, s, r, n, seed, cc)
+		cell, _ := runCluster(o, s, r, n, seed, cs, tier)
 		out[i] = cell
 	})
 	return out
@@ -210,41 +166,50 @@ func renderClusterCell(c clusterOut) string {
 	return cell
 }
 
-// clusterRemedies is the policy comparison set in column order.
-var clusterRemedies = cluster.AllRemediations()
-
 // ClusterN compares remediation policies on an overcommitted four-host
 // cluster: fleet-wide p95/p99 unit latency plus kill and migration
-// counts, per guest count.
+// counts, per guest count. Its hosts, guests, monitor tuning, policies
+// and SSD tier are cluster.yaml's; the entry adds the 16-guest row.
 func ClusterN(o Options) *Report {
 	o = o.normalized()
 	counts := []int{16, 32}
 	if o.Quick {
 		counts = []int{32}
 	}
-	cc := defaultClusterCfg()
 	rep := &Report{
 		ID:        "clusterN",
 		Title:     "Cluster remediation policies under overcommit (reballoon/migrate/kill)",
 		PaperNote: "beyond the paper: VSwapper at cluster scale — fleet p95/p99 unit latency per OOM-avoidance policy",
 	}
-	tab := &Table{
-		Title:   "fleet workload latency p95/p99 [sec] by remediation policy (killed guests count as unbounded)",
-		Columns: []string{"guests"},
+	sc := clusterScenario()
+	_, tab := clusterPolicies(o, rep.ID, sc, counts, scenarioKinds(sc, o)[0])
+	rep.Tables = append(rep.Tables, tab)
+	return rep
+}
+
+// clusterPolicies runs sc's cluster stanza at each guest count with one
+// column per declared remediation policy, each cell on a seed derived
+// from id. It returns the grid (row-major, counts outer) and its table.
+func clusterPolicies(o Options, id string, sc *scenario.Scenario, counts []int, tier swapback.Kind) ([]clusterOut, *Table) {
+	names := sc.Cluster.Remediations
+	remedies := make([]cluster.Remediation, len(names))
+	for i, name := range names {
+		r, ok := cluster.RemediationNames[name]
+		if !ok {
+			panic("experiment: invalid scenario remediation " + name) // validation rejects
+		}
+		remedies[i] = r
 	}
-	for _, r := range clusterRemedies {
-		tab.Columns = append(tab.Columns, r.String())
-	}
-	cells := clusterGrid(o, "clusterN", VSwapper, counts, clusterRemedies, cc)
+	grid := clusterGrid(o, id, schemeByName[sc.Schemes[0].Name], counts, remedies, sc.Cluster, tier)
+	tab := &Table{Title: sc.TableTitle, Columns: append([]string{"guests"}, names...)}
 	for i, n := range counts {
 		row := []string{fmt.Sprintf("%d", n)}
-		for j := range clusterRemedies {
-			row = append(row, renderClusterCell(cells[i*len(clusterRemedies)+j]))
+		for j := range names {
+			row = append(row, renderClusterCell(grid[i*len(names)+j]))
 		}
 		tab.Add(row...)
 	}
-	rep.Tables = append(rep.Tables, tab)
-	return rep
+	return grid, tab
 }
 
 // clusterMetricValue resolves one cluster pseudo-metric or fleet counter
@@ -271,7 +236,3 @@ func clusterMetricValue(c clusterOut, name string) float64 {
 	}
 	return 0
 }
-
-// ensure hyper is referenced even if the runlog path is compiled out in
-// future refactors (the import carries Report types through runCluster).
-var _ *hyper.RunReport

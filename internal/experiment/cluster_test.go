@@ -4,31 +4,36 @@ import (
 	"bytes"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"vswapsim/internal/cluster"
 	"vswapsim/internal/scenario"
-	"vswapsim/internal/swapback"
 )
 
 // TestClusterParallelEquivalence extends the repo-wide determinism
-// invariant to the cluster cells: both the hand-coded clusterN registry
-// entry and its YAML twin must produce byte-identical JSON reports
-// serially and at -parallel 4. (Like fleetN, the two are not mirrors of
-// each other — their seed derivation ids differ — so each gets its own
-// serial-vs-parallel check.)
+// invariant to the cluster cells: the clusterN registry entry and
+// `vswapsim run scenarios/cluster.yaml` must each produce byte-identical
+// JSON reports serially and at -parallel 4. clusterN takes its sizing
+// from cluster.yaml, but the two ids key different seed streams, so each
+// gets its own check.
 func TestClusterParallelEquivalence(t *testing.T) {
-	goExp, err := ByID("clusterN")
+	idExp, err := ByID("clusterN")
 	if err != nil {
 		t.Fatal(err)
 	}
-	yamlExp := FromScenario(loadScenario(t, "cluster"))
-	for _, e := range []Experiment{goExp, yamlExp} {
+	yamlExp := FromScenario(embeddedScenario("cluster")())
+	for _, e := range []Experiment{idExp, yamlExp} {
 		t.Run(e.ID, func(t *testing.T) {
 			o := goldenOpts()
-			want := scenarioJSON(t, e, o)
+			var want []byte
+			if e.ID == "cluster" {
+				_, want = clusterYAMLSerial(t)
+			} else {
+				_, want = scenarioJSON(t, e, o)
+			}
 			o.Parallel = 4
-			got := scenarioJSON(t, e, o)
+			_, got := scenarioJSON(t, e, o)
 			if !bytes.Equal(got, want) {
 				t.Errorf("parallel run diverges from serial for %s (%d vs %d bytes)",
 					e.ID, len(got), len(want))
@@ -37,14 +42,33 @@ func TestClusterParallelEquivalence(t *testing.T) {
 	}
 }
 
+// clusterYAML holds scenarios/cluster.yaml's serial report at the golden
+// configuration. It is simulated once per test binary and shared by
+// TestClusterParallelEquivalence and TestClusterScenarioMatchesYAML.
+var clusterYAML struct {
+	once sync.Once
+	rep  *Report
+	data []byte
+}
+
+func clusterYAMLSerial(t *testing.T) (*Report, []byte) {
+	t.Helper()
+	clusterYAML.once.Do(func() {
+		clusterYAML.rep, clusterYAML.data = scenarioJSON(t,
+			FromScenario(embeddedScenario("cluster")()), goldenOpts())
+	})
+	if clusterYAML.rep == nil {
+		t.Fatal("the serial cluster.yaml run failed in an earlier test")
+	}
+	return clusterYAML.rep, clusterYAML.data
+}
+
 // TestClusterScenarioMatchesYAML pins scenarios/cluster.yaml against the
-// in-tree engine: it loads, its remediation grid runs, all declared
-// assertions pass (the note CI greps for), and every policy appears as a
-// column of the report table.
+// engine on the shared serial report: all declared assertions pass (the
+// note CI greps for), every policy is a table column, and killed guests
+// render as censored latency.
 func TestClusterScenarioMatchesYAML(t *testing.T) {
-	e := FromScenario(loadScenario(t, "cluster"))
-	resetSweepCaches()
-	rep := e.Run(goldenOpts())
+	rep, _ := clusterYAMLSerial(t)
 	want := ""
 	for _, n := range rep.Notes {
 		if strings.Contains(n, "assertions:") {
@@ -73,68 +97,6 @@ func TestClusterScenarioMatchesYAML(t *testing.T) {
 	csv := rep.Tables[0].CSV()
 	if !strings.Contains(csv, "inf") || !strings.Contains(csv, "killed") {
 		t.Errorf("kill column lacks the censored-latency rendering:\n%s", csv)
-	}
-}
-
-// TestClusterScenarioMirrorsRegistry pins scenarios/cluster.yaml to the
-// hand-coded clusterN configuration: same fleet sizing, workload shape,
-// monitor tuning and policy set. The two run different seed streams (the
-// scenario name keys the derivation), so outputs legitimately differ;
-// this structural check is what keeps them the same experiment.
-func TestClusterScenarioMirrorsRegistry(t *testing.T) {
-	sc := loadScenario(t, "cluster")
-	cc := defaultClusterCfg()
-	if sc.Mode != scenario.ModeCluster {
-		t.Fatalf("cluster scenario mode %q, want cluster", sc.Mode)
-	}
-	cs := sc.Cluster
-	checks := []struct {
-		name      string
-		got, want int
-	}{
-		{"hosts", cs.Hosts, cc.hosts},
-		{"host_mb", cs.HostMB, cc.hostMB},
-		{"guest_mb", cs.GuestMB, cc.guestMB},
-		{"working_set_min", cs.WSMinPct, cc.wsMinPct},
-		{"working_set_max", cs.WSMaxPct, cc.wsMaxPct},
-		{"units", cs.Units, cc.units},
-		{"phase_units", cs.PhaseUnits, cc.phaseUnits},
-		{"unit_compute_ms", cs.UnitComputeMS, cc.unitComputeMS},
-		{"stagger_ms", cs.StaggerMS, cc.staggerMS},
-		{"disk_mb", cs.DiskMB, cc.diskMB},
-		{"sample_sec", cs.SampleSec, cc.sampleSec},
-		{"cooldown_sec", cs.CooldownSec, cc.cooldownSec},
-	}
-	for _, c := range checks {
-		if c.got != c.want {
-			t.Errorf("cluster.yaml %s = %d, registry uses %d", c.name, c.got, c.want)
-		}
-	}
-	if cs.Threshold != cc.threshold {
-		t.Errorf("cluster.yaml threshold = %g, registry uses %g", cs.Threshold, cc.threshold)
-	}
-	if cs.MaxCommitFactor != cc.maxCommit {
-		t.Errorf("cluster.yaml max_commit_factor = %g, registry uses %g", cs.MaxCommitFactor, cc.maxCommit)
-	}
-	if clusterPackingByName(cs.Packing) != cc.packing {
-		t.Errorf("cluster.yaml packing = %q, registry uses %q", cs.Packing, cc.packing)
-	}
-	if len(sc.Backends) != 1 || sc.Backends[0] != swapback.SSD.String() {
-		t.Errorf("cluster.yaml backends = %v, registry cell defaults to ssd", sc.Backends)
-	}
-	all := cluster.AllRemediations()
-	if len(cs.Remediations) != len(all) {
-		t.Fatalf("cluster.yaml declares %d remediations, registry compares %d", len(cs.Remediations), len(all))
-	}
-	for i, r := range all {
-		if cs.Remediations[i] != r.String() {
-			t.Errorf("remediation[%d] = %q, registry %q", i, cs.Remediations[i], r)
-		}
-	}
-	// The quick guest count matches clusterN's quick row — 2x aggregate
-	// commit, the regime the acceptance assertions are tuned for.
-	if cs.Guests != 32 {
-		t.Errorf("cluster.yaml guests = %d, clusterN quick row uses 32", cs.Guests)
 	}
 }
 

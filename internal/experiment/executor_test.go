@@ -89,11 +89,12 @@ func TestSerialParallelEquivalence(t *testing.T) {
 }
 
 // TestRunAllParallelMatchesSerial runs whole registry entries concurrently
-// — including fig5 and fig11, which share the single-flight pbzip sweep —
-// and requires byte-identical reports in both modes.
+// — including fig5 and fig11, which share the single-flight pbzip sweep,
+// and fig9 and fig14, which run their scenario files — and requires
+// byte-identical reports in both modes.
 func TestRunAllParallelMatchesSerial(t *testing.T) {
 	var exps []Experiment
-	for _, id := range []string{"fig3", "fig5", "fig11"} {
+	for _, id := range []string{"fig3", "fig5", "fig9", "fig11", "fig14"} {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)

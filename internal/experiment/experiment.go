@@ -262,7 +262,6 @@ type runOut struct {
 	res    workload.Result
 	met    map[string]int64 // counter deltas over the measured body
 	m      *hyper.Machine
-	vm     *hyper.VM
 	failed *FailureRecord
 }
 
@@ -334,7 +333,6 @@ func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) ru
 			rc.vmTweak(&vmc)
 		}
 		vm := m.NewVM(vmc)
-		out.vm = vm
 
 		m.Env.Go("driver", func(p *sim.Proc) {
 			vm.Boot(p)

@@ -9,6 +9,16 @@ import (
 // quickOpts runs experiments at quarter scale with trimmed sweeps.
 func quickOpts() Options { return Options{Seed: 42, Scale: 0.25, Quick: true} }
 
+// runID runs one registry entry by id.
+func runID(t *testing.T, id string, o Options) *Report {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Run(o)
+}
+
 // cellFloat parses a numeric cell, returning NaN-ish failure as (0,false).
 func cellFloat(s string) (float64, bool) {
 	s = strings.Fields(s)[0]
@@ -41,7 +51,7 @@ func TestRegistryLookup(t *testing.T) {
 }
 
 func TestFig3ShapeQuick(t *testing.T) {
-	rep := Fig3(quickOpts())
+	rep := runID(t, "fig3", quickOpts())
 	tab := rep.Tables[0]
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
@@ -63,7 +73,7 @@ func TestFig3ShapeQuick(t *testing.T) {
 }
 
 func TestFig9ShapeQuick(t *testing.T) {
-	rep := Fig9(quickOpts())
+	rep := runID(t, "fig9", quickOpts())
 	if len(rep.Tables) != 4 {
 		t.Fatalf("panels = %d", len(rep.Tables))
 	}

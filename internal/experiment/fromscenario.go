@@ -12,12 +12,13 @@ import (
 )
 
 // This file compiles a validated scenario.Scenario onto the experiment
-// machinery. Compilation targets the exact code paths the hand-coded
-// figures use — runSingle for controlled-memory runs, dynamicGrid for
-// phased fleets — with identical labels and seed derivations, so a YAML
-// scenario that mirrors a figure (same name, fleet, schemes, workload)
-// produces a byte-identical report; the equivalence tests in
-// fromscenario_test.go enforce that for fig3/fig9/fig14.
+// machinery: runSingle for controlled-memory runs, dynamicGrid for
+// phased fleets and clusterGrid for multi-host policy grids, the same
+// cells the hand-coded figures use. The scenario name keys every cell's
+// seed derivation. The registry's fig3, fig9, fig14 and fleetN entries
+// are scenario files run through here (see registry.go), so
+// `vswapsim run scenarios/fig3.yaml` and `vswapsim -run fig3` reach one
+// definition.
 
 // schemeByName maps scenario scheme identifiers onto Scheme values. It
 // must agree with Scheme.String and scenario.SchemeNames (enforced by
@@ -115,10 +116,13 @@ func runScenario(sc *scenario.Scenario, o Options) *Report {
 
 // ---- single mode ----
 
-// singleOut is one scheme's finished run plus the notes its timeline
-// events produced.
+// singleOut is what the report needs of one scheme's finished run: its
+// result, its counter deltas, and the notes its timeline events
+// produced. It holds no machine, so a cell's simulator state is garbage
+// as soon as the cell returns.
 type singleOut struct {
-	out   runOut
+	res   workload.Result
+	met   map[string]int64
 	notes []string
 }
 
@@ -212,7 +216,7 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 					}
 				}
 			}
-			results[cellKey(k, ref.Name)] = singleOut{out: out, notes: notes}
+			results[cellKey(k, ref.Name)] = singleOut{res: out.res, met: out.met, notes: notes}
 		}
 	}
 
@@ -231,7 +235,7 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 		for _, k := range kinds {
 			for _, ref := range sc.Schemes {
 				name := cellKey(k, ref.Name)
-				row := []string{name, runtimeOrKilled(results[name].out.res)}
+				row := []string{name, runtimeOrKilled(results[name].res)}
 				if withPaper {
 					row = append(row, ref.Paper)
 				}
@@ -269,7 +273,7 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 		if multi {
 			key = backend + "/" + schemeName
 		}
-		out := results[key].out
+		out := results[key]
 		switch metric {
 		case scenario.MetricRuntimeSec:
 			return out.res.Runtime().Seconds()
@@ -342,18 +346,7 @@ func runScenarioDynamic(sc *scenario.Scenario, o Options, rep *Report) {
 	for i, ref := range sc.Schemes {
 		schemes[i] = schemeByName[ref.Name]
 	}
-	w := sc.Workload
-	dc := dynCfg{
-		memMB:      sc.Fleet.MemoryMB,
-		hostMB:     sc.Fleet.HostMB,
-		vcpus:      sc.Fleet.VCPUs,
-		staggerSec: sc.Fleet.StaggerSec,
-		diskMB:     sc.Fleet.DiskMB,
-		job: func(o Options, vm *hyper.VM) *workload.Job {
-			return scenarioJob(o, w, vm, nil)
-		},
-	}
-	grid := dynamicGrid(o, sc.Name, counts, schemes, dc)
+	grid := dynamicGrid(o, sc.Name, counts, schemes, sc.Fleet, sc.Workload)
 
 	tab := &Table{Title: sc.TableTitle, Columns: []string{"guests"}}
 	for _, ref := range sc.Schemes {
@@ -398,62 +391,18 @@ func runScenarioDynamic(sc *scenario.Scenario, o Options, rep *Report) {
 
 // ---- cluster mode ----
 
-// runScenarioCluster compiles the cluster stanza onto the same grid the
-// hand-coded clusterN uses: one guest count, the stanza's remediation
-// policies as columns, each cell on its own derived seed.
+// runScenarioCluster compiles the cluster stanza onto the grid clusterN
+// uses: one guest count, the stanza's remediation policies as columns,
+// each cell on its own derived seed.
 func runScenarioCluster(sc *scenario.Scenario, o Options, rep *Report) {
 	// A declared backend replaces the invocation tier (at most one,
 	// enforced by validation); no declaration keeps the CLI -swapback.
 	o.Swapback = scenarioKinds(sc, o)[0]
-	cs := sc.Cluster
-	cc := clusterCfg{
-		hosts:         cs.Hosts,
-		hostMB:        cs.HostMB,
-		guestMB:       cs.GuestMB,
-		wsMinPct:      cs.WSMinPct,
-		wsMaxPct:      cs.WSMaxPct,
-		units:         cs.Units,
-		phaseUnits:    cs.PhaseUnits,
-		unitComputeMS: cs.UnitComputeMS,
-		staggerMS:     cs.StaggerMS,
-		diskMB:        cs.DiskMB,
-		packing:       clusterPackingByName(cs.Packing),
-		threshold:     cs.Threshold,
-		sampleSec:     cs.SampleSec,
-		cooldownSec:   cs.CooldownSec,
-		maxCommit:     cs.MaxCommitFactor,
-		swapback:      o.Swapback,
-	}
-	for _, h := range cs.HostList {
-		cc.hostNames = append(cc.hostNames, h.Name)
-		cc.hostMBs = append(cc.hostMBs, h.MemMB)
-	}
-	remedies := make([]cluster.Remediation, len(cs.Remediations))
-	for i, name := range cs.Remediations {
-		r, ok := cluster.RemediationNames[name]
-		if !ok {
-			panic("experiment: invalid scenario remediation " + name) // validation rejects
-		}
-		remedies[i] = r
-	}
-	s := schemeByName[sc.Schemes[0].Name]
-	counts := []int{cs.Guests}
-
-	grid := clusterGrid(o, sc.Name, s, counts, remedies, cc)
-
-	tab := &Table{Title: sc.TableTitle, Columns: []string{"guests"}}
-	for _, name := range cs.Remediations {
-		tab.Columns = append(tab.Columns, name)
-	}
-	row := []string{fmt.Sprintf("%d", cs.Guests)}
-	for j := range remedies {
-		row = append(row, renderClusterCell(grid[j]))
-	}
-	tab.Add(row...)
+	grid, tab := clusterPolicies(o, sc.Name, sc, []int{sc.Cluster.Guests}, o.Swapback)
 	rep.Tables = append(rep.Tables, tab)
 
 	evalAssertionsCluster(sc, rep, func(remedy string) (clusterOut, bool) {
-		for i, name := range cs.Remediations {
+		for i, name := range sc.Cluster.Remediations {
 			if name == remedy {
 				return grid[i], true
 			}

@@ -1,31 +1,23 @@
 package experiment
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"vswapsim/internal/hyper"
 	"vswapsim/internal/scenario"
 )
 
-func loadScenario(t *testing.T, name string) *scenario.Scenario {
-	t.Helper()
-	sc, err := scenario.Load(filepath.Join("..", "..", "scenarios", name+".yaml"))
-	if err != nil {
-		t.Fatalf("load %s: %v", name, err)
-	}
-	return sc
-}
-
 // scenarioJSON runs one experiment through the shared executor and returns
-// its full machine-readable report (tables, notes, per-run records) as
-// canonical JSON bytes — the same payload `vswapsim -json` emits per
-// experiment, minus the document header.
-func scenarioJSON(t *testing.T, e Experiment, o Options) []byte {
+// its report and its full machine-readable form (tables, notes, per-run
+// records) as canonical JSON bytes — the same payload `vswapsim -json`
+// emits per experiment, minus the document header.
+func scenarioJSON(t *testing.T, e Experiment, o Options) (*Report, []byte) {
 	t.Helper()
 	resetSweepCaches()
 	rs := RunAll([]Experiment{e}, o, nil)
@@ -40,33 +32,7 @@ func scenarioJSON(t *testing.T, e Experiment, o Options) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
-}
-
-// TestScenarioEquivalence proves the YAML mirrors of the hand-coded paper
-// figures are not approximations: compiled scenarios must produce
-// byte-identical JSON reports to their Go counterparts, serially and under
-// the parallel executor.
-func TestScenarioEquivalence(t *testing.T) {
-	for _, id := range []string{"fig3", "fig9", "fig14"} {
-		t.Run(id, func(t *testing.T) {
-			goExp, err := ByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			yamlExp := FromScenario(loadScenario(t, id))
-			for _, par := range []int{1, 4} {
-				o := goldenOpts()
-				o.Parallel = par
-				want := scenarioJSON(t, goExp, o)
-				got := scenarioJSON(t, yamlExp, o)
-				if !bytes.Equal(got, want) {
-					t.Errorf("parallel=%d: YAML scenario diverges from Go %s (%d vs %d bytes)",
-						par, id, len(got), len(want))
-				}
-			}
-		})
-	}
+	return r.Report, data
 }
 
 const scenarioGoldenFile = "testdata/golden_scenarios.json"
@@ -173,6 +139,44 @@ func TestSchemeNamesAgree(t *testing.T) {
 			t.Errorf("compiler accepts scheme %q missing from scenario.SchemeNames", n)
 		}
 	}
+}
+
+// TestSingleOutHoldsNoMachine pins what single mode keeps of each cell
+// until the report is built: results and counter deltas only. A field
+// that reaches a hyper.Machine or hyper.VM keeps every cell's simulated
+// host alive until the last scheme finishes, which multiplies the peak
+// memory of every single-mode scenario by its scheme count.
+func TestSingleOutHoldsNoMachine(t *testing.T) {
+	banned := map[reflect.Type]bool{
+		reflect.TypeOf(hyper.Machine{}): true,
+		reflect.TypeOf(hyper.VM{}):      true,
+	}
+	seen := map[reflect.Type]bool{}
+	var walk func(ty reflect.Type, path string)
+	walk = func(ty reflect.Type, path string) {
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		if banned[ty] {
+			t.Errorf("%s reaches %s", path, ty)
+			return
+		}
+		switch ty.Kind() {
+		case reflect.Map:
+			walk(ty.Key(), path+"[key]")
+			walk(ty.Elem(), path+"[elem]")
+		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+			walk(ty.Elem(), path+"[elem]")
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		case reflect.Interface, reflect.Func:
+			t.Errorf("%s is %s: its dynamic value is not checkable", path, ty.Kind())
+		}
+	}
+	walk(reflect.TypeOf(singleOut{}), "singleOut")
 }
 
 // TestScenarioAssertionFailure proves a failed assertion is both visible

@@ -1,18 +1,26 @@
 package experiment
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
 
-// Registry lists every reproduced table and figure in paper order.
+	"vswapsim/internal/scenario"
+	"vswapsim/scenarios"
+)
+
+// Registry lists every reproduced table and figure in paper order. An
+// entry that runs runEmbedded is defined by its embedded scenario file
+// alone; the entry adds only the short -list title.
 var Registry = []Experiment{
-	{ID: "fig3", Title: "200MB read, 512MB guest on 100MB", PaperNote: "Fig. 3", Run: Fig3},
+	{ID: "fig3", Title: "200MB read, 512MB guest on 100MB", PaperNote: "Fig. 3", Run: runEmbedded(fig3Scenario)},
 	{ID: "fig4", Title: "Ten phased MapReduce guests", PaperNote: "Fig. 4", Run: Fig4},
 	{ID: "fig5", Title: "pbzip2 sweep: runtime + over-ballooning", PaperNote: "Fig. 5", Run: Fig5},
-	{ID: "fig9", Title: "Sysbench pathology panels", PaperNote: "Fig. 9", Run: Fig9},
+	{ID: "fig9", Title: "Sysbench pathology panels", PaperNote: "Fig. 9", Run: runEmbedded(fig9Scenario)},
 	{ID: "fig10", Title: "False reads on an allocating process", PaperNote: "Fig. 10", Run: Fig10},
 	{ID: "fig11", Title: "pbzip2 I/O and reclaim panels", PaperNote: "Fig. 11", Run: Fig11},
 	{ID: "fig12", Title: "Kernbench runtime + preventer remaps", PaperNote: "Fig. 12", Run: Fig12},
 	{ID: "fig13", Title: "DaCapo Eclipse sweep", PaperNote: "Fig. 13", Run: Fig13},
-	{ID: "fig14", Title: "Dynamic MapReduce scale-up", PaperNote: "Fig. 14", Run: Fig14},
+	{ID: "fig14", Title: "Dynamic MapReduce scale-up", PaperNote: "Fig. 14", Run: runEmbedded(fig14Scenario)},
 	{ID: "fig15", Title: "Mapper tracking vs guest page cache", PaperNote: "Fig. 15", Run: Fig15},
 	{ID: "tab1", Title: "VSwapper lines of code", PaperNote: "Table 1", Run: Table1},
 	{ID: "tab2", Title: "Balloon enabled vs disabled (VMware profile)", PaperNote: "Table 2", Run: Table2},
@@ -20,9 +28,53 @@ var Registry = []Experiment{
 	{ID: "windows", Title: "Windows-profile guest", PaperNote: "§5.4", Run: Windows},
 	{ID: "ablation", Title: "Design-choice ablations", PaperNote: "DESIGN.md §6", Run: Ablations},
 	{ID: "migration", Title: "Mapping-assisted migration estimate", PaperNote: "§7 future work", Run: Migration},
-	{ID: "fleetN", Title: "Cloud-density fleet on one overcommitted host", PaperNote: "beyond Fig. 14", Run: FleetN},
+	{ID: "fleetN", Title: "Cloud-density fleet on one overcommitted host", PaperNote: "beyond Fig. 14", Run: runEmbedded(fleetNScenario)},
 	{ID: "backendN", Title: "Swap-backend tiers: hdd/ssd/zswap/remote", PaperNote: "beyond §2.1", Run: BackendN},
 	{ID: "clusterN", Title: "Cluster remediation policies under overcommit", PaperNote: "beyond the paper", Run: ClusterN},
+}
+
+// The embedded scenario files the registry runs or sizes entries from.
+// Fig. 4 is Fig. 14's §5.2 setup at one guest count, and clusterN is
+// cluster.yaml at more guest counts.
+var (
+	fig3Scenario    = embeddedScenario("fig3")
+	fig9Scenario    = embeddedScenario("fig9")
+	fig14Scenario   = embeddedScenario("fig14")
+	clusterScenario = embeddedScenario("cluster")
+	// fleetNScenario is fleet.yaml under the registry id fleetN, which
+	// keys its cells' seed streams, so fleetN and `vswapsim run
+	// scenarios/fleet.yaml` are the same experiment on different
+	// streams. The file's assertions stay with the file: the registry
+	// entry reports the table alone.
+	fleetNScenario = sync.OnceValue(func() *scenario.Scenario {
+		sc := *embeddedScenario("fleet")()
+		sc.Name = "fleetN"
+		sc.Assertions = nil
+		return &sc
+	})
+)
+
+// embeddedScenario returns scenarios/<name>.yaml from the embedded set,
+// parsed on first call, so a process pays only for the files its
+// experiments read. The files are checked by `vswapsim validate` and the
+// scenario goldens, so a parse error is a build defect: it panics, and
+// the experiment reading the file reports the panic as its failure.
+func embeddedScenario(name string) func() *scenario.Scenario {
+	return sync.OnceValue(func() *scenario.Scenario {
+		data, err := scenarios.FS.ReadFile(name + ".yaml")
+		if err == nil {
+			var sc *scenario.Scenario
+			if sc, err = scenario.Parse(data); err == nil {
+				return sc
+			}
+		}
+		panic(fmt.Sprintf("experiment: embedded scenario %s: %v", name, err))
+	})
+}
+
+// runEmbedded runs an embedded scenario file as a registry entry.
+func runEmbedded(sc func() *scenario.Scenario) func(Options) *Report {
+	return func(o Options) *Report { return runScenario(sc(), o) }
 }
 
 // ByID returns the experiment with the given id.

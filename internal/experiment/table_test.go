@@ -70,8 +70,8 @@ func TestOptionsScaling(t *testing.T) {
 }
 
 func TestExperimentDeterminism(t *testing.T) {
-	a := Fig3(quickOpts()).String()
-	b := Fig3(quickOpts()).String()
+	a := runID(t, "fig3", quickOpts()).String()
+	b := runID(t, "fig3", quickOpts()).String()
 	if a != b {
 		t.Fatal("fig3 not deterministic across runs")
 	}

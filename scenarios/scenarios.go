@@ -1,0 +1,12 @@
+// Package scenarios embeds the checked-in scenario files. The experiment
+// registry runs fig3, fig9, fig14 and fleetN from them and sizes clusterN
+// and fig4 from them, so each of those experiments has exactly one
+// definition: its YAML file here.
+package scenarios
+
+import "embed"
+
+// FS holds every *.yaml file in this directory.
+//
+//go:embed *.yaml
+var FS embed.FS
