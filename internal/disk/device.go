@@ -35,6 +35,11 @@ type Device struct {
 	inj     *fault.Injector // nil unless fault injection is on
 	headPos int64           // next sequential block after the last transfer
 	freeAt  sim.Time        // when the device finishes its queued work
+
+	// Handles on the metrics every request updates, resolved once in
+	// NewDevice instead of one string lookup per update.
+	ops, busy, readSectors, writeSectors, diskWait *metrics.Counter
+	queueHist, serviceHist                         *metrics.Histogram
 }
 
 // Injected-error retry policy: the firmware/driver pair retries a failed
@@ -60,7 +65,16 @@ func NewDevice(env *sim.Env, model LatencyModel, met *metrics.Set) *Device {
 	if met == nil {
 		met = metrics.NewSet()
 	}
-	return &Device{env: env, model: model, met: met}
+	return &Device{
+		env: env, model: model, met: met,
+		ops:          met.Counter(metrics.DiskOps),
+		busy:         met.Counter(metrics.DiskBusy),
+		readSectors:  met.Counter(metrics.DiskReadSectors),
+		writeSectors: met.Counter(metrics.DiskWriteSectors),
+		diskWait:     met.Counter(metrics.TimeDiskWait),
+		queueHist:    met.Histogram(metrics.HistDiskQueue),
+		serviceHist:  met.Histogram(metrics.HistDiskService),
+	}
 }
 
 // Submit enqueues a transfer of nblocks starting at block `start` and
@@ -98,15 +112,15 @@ func (d *Device) Submit(kind Kind, start int64, nblocks int) sim.Time {
 	d.freeAt = done
 	d.headPos = start + int64(nblocks)
 
-	d.met.Inc(metrics.DiskOps)
-	d.met.Add(metrics.DiskBusy, int64(svc))
-	d.met.Histogram(metrics.HistDiskQueue).Observe(begin.Sub(arrive))
-	d.met.Histogram(metrics.HistDiskService).Observe(svc)
+	d.ops.Inc()
+	d.busy.Add(int64(svc))
+	d.queueHist.Observe(begin.Sub(arrive))
+	d.serviceHist.Observe(svc)
 	sectors := int64(nblocks) * SectorsPerBlock
 	if kind == Read {
-		d.met.Add(metrics.DiskReadSectors, sectors)
+		d.readSectors.Add(sectors)
 	} else {
-		d.met.Add(metrics.DiskWriteSectors, sectors)
+		d.writeSectors.Add(sectors)
 	}
 	return done
 }
@@ -123,7 +137,7 @@ func (d *Device) Access(p *sim.Proc, kind Kind, start int64, nblocks int) {
 // accounted in one place.
 func (d *Device) WaitFor(p *sim.Proc, done sim.Time) {
 	if wait := done.Sub(d.env.Now()); wait > 0 {
-		d.met.Add(metrics.TimeDiskWait, int64(wait))
+		d.diskWait.Add(int64(wait))
 	}
 	p.SleepUntil(done)
 }

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/sim"
@@ -170,6 +172,40 @@ func TestHardeningFixtureKindsAndDiagnostics(t *testing.T) {
 			t.Errorf("report text missing %q:\n%s", want, text)
 		}
 	}
+}
+
+// TestFailedRunsReleaseTheirMachines: when a panic ends a cell's run, its
+// parked processes exit, so nothing keeps the failed cell's machine
+// reachable. Repeated failed runs leave the goroutine count and the live
+// heap where they started.
+func TestFailedRunsReleaseTheirMachines(t *testing.T) {
+	runFixture(t, 1) // build lazily initialised state first
+	goroutines, heap := runtime.NumGoroutine(), liveHeap()
+	for i := 0; i < 5; i++ {
+		if r := runFixture(t, 1); len(r.Failures) != 2 {
+			t.Fatalf("run %d: %d failures, want 2", i, len(r.Failures))
+		}
+	}
+	// A process goroutine ends just after its last handshake; give the
+	// stragglers a moment.
+	for wait := 0; runtime.NumGoroutine() > goroutines && wait < 100; wait++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("goroutines %d -> %d after five failed runs", goroutines, n)
+	}
+	const slack = 1 << 20
+	if h := liveHeap(); h > heap+slack {
+		t.Errorf("live heap %.1f -> %.1f MB after five failed runs", float64(heap)/(1<<20), float64(h)/(1<<20))
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // TestHardeningFixtureSerialParallelIdentical: the full JSON document —

@@ -1,9 +1,5 @@
 package guest
 
-import (
-	"vswapsim/internal/metrics"
-)
-
 // raState is per-file readahead bookkeeping; stored OS-side so VFile stays
 // a plain layout descriptor.
 type raState struct {
@@ -120,9 +116,9 @@ func (t *Thread) ReadFile(f *VFile, off, n int64) {
 		bufs.run, bufs.gfns = run, gfns
 		os.putIOBufs(bufs)
 		if len(run) > 1 {
-			os.Met.Add(metrics.GuestReadaheadPgs, int64(len(run)-1))
+			os.c.readahead.Add(int64(len(run) - 1))
 		}
-		os.Met.Inc(metrics.GuestMajorFaults)
+		os.c.majorFaults.Inc()
 		t.Compute(os.Cfg.PerPageCost)
 	}
 }

@@ -241,6 +241,16 @@ type OS struct {
 
 	booted   bool
 	shutdown bool
+
+	// c holds handles on the counters the per-slice and per-fault paths
+	// update, resolved once in NewOS instead of one string lookup each.
+	c guestMetrics
+}
+
+// guestMetrics caches the handles OS.c holds.
+type guestMetrics struct {
+	guestRun, majorFaults, readahead *metrics.Counter
+	cacheDrops, swapOuts, swapIns    *metrics.Counter
 }
 
 // NewOS creates a guest OS over the platform. Call Boot from a process
@@ -267,6 +277,14 @@ func NewOS(env *sim.Env, met *metrics.Set, plat Platform, fs *FileSystem, cfg Co
 		inactiveAnon: newGFNList(listInactiveAnon),
 		swap:         newGuestSwap(fs.SwapStart(), fs.SwapBlocks()),
 		balloonWake:  nil,
+		c: guestMetrics{
+			guestRun:    met.Counter(metrics.TimeGuestRun),
+			majorFaults: met.Counter(metrics.GuestMajorFaults),
+			readahead:   met.Counter(metrics.GuestReadaheadPgs),
+			cacheDrops:  met.Counter(metrics.GuestCacheDrops),
+			swapOuts:    met.Counter(metrics.GuestSwapOuts),
+			swapIns:     met.Counter(metrics.GuestSwapIns),
+		},
 	}
 	os.balloonWake = sim.NewSignal(env)
 	min := 128 + cfg.MemPages/256

@@ -166,7 +166,7 @@ func (os *OS) shrinkLists(t *Thread, target int) (freedN, cheapN, ioN int) {
 			list.remove(os, gfn)
 			os.cache.del(pi.block)
 			os.putFree(gfn)
-			os.Met.Inc(metrics.GuestCacheDrops)
+			os.c.cacheDrops.Inc()
 			freed++
 			cheap++
 		case kindAnon:
@@ -230,14 +230,14 @@ func (os *OS) writebackAndFree(t *Thread, bufs *ioBufs) int {
 			s.gfn = nilGFN
 			w.proc.resident--
 			os.swap.setOwner(w.slot, w.proc, int(w.idx))
-			os.Met.Inc(metrics.GuestSwapOuts)
+			os.c.swapOuts.Inc()
 		} else {
 			if pi.kind != kindCache {
 				continue // dropped concurrently
 			}
 			os.cache.del(pi.block)
 			os.dirtyCount--
-			os.Met.Inc(metrics.GuestCacheDrops)
+			os.c.cacheDrops.Inc()
 		}
 		os.putFree(w.gfn)
 		freed++

@@ -3,8 +3,6 @@ package guest
 import (
 	"fmt"
 	"slices"
-
-	"vswapsim/internal/metrics"
 )
 
 // anon page states
@@ -156,13 +154,13 @@ func (os *OS) guestSwapIn(t *Thread, pr *Process, idx int) {
 	os.swap.release(slot)
 	for next := slot + 1; next < slot+int64(len(gfns)); next++ {
 		os.swap.release(next)
-		os.Met.Inc(metrics.GuestSwapIns)
+		os.c.swapIns.Inc()
 		os.noteThrashIn() // prefetched working-set pages count as thrash
 	}
 	bufs.gfns = gfns
 	os.putIOBufs(bufs)
-	os.Met.Inc(metrics.GuestSwapIns)
-	os.Met.Inc(metrics.GuestMajorFaults)
+	os.c.swapIns.Inc()
+	os.c.majorFaults.Inc()
 	os.noteThrashIn()
 }
 

@@ -1,9 +1,6 @@
 package guest
 
-import (
-	"vswapsim/internal/metrics"
-	"vswapsim/internal/sim"
-)
+import "vswapsim/internal/sim"
 
 // Thread is an execution context inside the guest: a workload thread or a
 // kernel daemon. CPU time accumulates as debt and is paid on the VCPU in
@@ -49,7 +46,7 @@ func (t *Thread) FlushCPU() {
 	}
 	d := t.cpuDebt
 	t.cpuDebt = 0
-	t.OS.Met.Add(metrics.TimeGuestRun, int64(d))
+	t.OS.c.guestRun.Add(int64(d))
 	t.OS.VCPU.Acquire(t.P)
 	t.P.Sleep(d)
 	t.OS.VCPU.Release()

@@ -74,6 +74,10 @@ type Machine struct {
 	stopKswapd func()
 	trace      *trace.Ring
 	seed       uint64
+
+	// Handles on the counters DiskRead and DiskWrite update per virtio
+	// request, resolved once in NewMachine.
+	imageRead, imageWrite *metrics.Counter
 }
 
 // NewMachine builds a host.
@@ -131,6 +135,9 @@ func NewMachine(cfg MachineConfig) *Machine {
 		MM:     mm,
 		Inj:    inj,
 		seed:   cfg.Seed,
+
+		imageRead:  met.Counter(metrics.ImageReadSectors),
+		imageWrite: met.Counter(metrics.ImageWriteSectors),
 	}
 	m.stopKswapd = mm.StartKswapd(hostmm.DefaultKswapdConfig())
 	return m

@@ -163,7 +163,6 @@ func (vm *VM) DiskRead(p *sim.Proc, gfns []int, start int64) {
 	}
 	vm.exit(p)
 	mm := vm.M.MM
-	met := vm.M.Met
 
 	pages := vm.getPageBuf()
 	defer func() { vm.putPageBuf(pages) }()
@@ -189,7 +188,7 @@ func (vm *VM) DiskRead(p *sim.Proc, gfns []int, start int64) {
 			}
 		}
 		done := vm.M.Dev.Submit(disk.Read, vm.imagePhys(start), len(gfns))
-		met.Add(metrics.ImageReadSectors, int64(len(gfns))*disk.SectorsPerBlock)
+		vm.M.imageRead.Add(int64(len(gfns)) * disk.SectorsPerBlock)
 		vm.M.Dev.WaitFor(p, done)
 		vm.Mapper.OnDiskRead(p, pages, start)
 		return
@@ -202,7 +201,7 @@ func (vm *VM) DiskRead(p *sim.Proc, gfns []int, start int64) {
 		mm.Pin(pg)
 	}
 	done := vm.M.Dev.Submit(disk.Read, vm.imagePhys(start), len(gfns))
-	met.Add(metrics.ImageReadSectors, int64(len(gfns))*disk.SectorsPerBlock)
+	vm.M.imageRead.Add(int64(len(gfns)) * disk.SectorsPerBlock)
 	vm.M.Dev.WaitFor(p, done)
 	for i, pg := range pages {
 		// DMA wrote the frame through QEMU's mapping: host knows it is
@@ -266,7 +265,6 @@ func (vm *VM) DiskWrite(p *sim.Proc, gfns []int, start int64) {
 	}
 	vm.exit(p)
 	mm := vm.M.MM
-	met := vm.M.Met
 
 	pages := vm.getPageBuf()
 	defer func() { vm.putPageBuf(pages) }()
@@ -285,7 +283,7 @@ func (vm *VM) DiskWrite(p *sim.Proc, gfns []int, start int64) {
 		vm.Mapper.BeforeDiskWrite(p, start, len(gfns))
 	}
 	done := vm.M.Dev.Submit(disk.Write, vm.imagePhys(start), len(gfns))
-	met.Add(metrics.ImageWriteSectors, int64(len(gfns))*disk.SectorsPerBlock)
+	vm.M.imageWrite.Add(int64(len(gfns)) * disk.SectorsPerBlock)
 	vm.M.Dev.WaitFor(p, done) // writethrough caching: completion after durability
 	for i, pg := range pages {
 		pg.TruthBlock = hostmm.BlockRef{File: vm.Image, Block: start + int64(i)}

@@ -26,7 +26,6 @@ func (r *Resource) Acquire(p *Proc) {
 		return
 	}
 	r.queue = append(r.queue, p)
-	r.env.blocked++
 	p.block()
 	// Our unit was transferred to us by Release before the wakeup.
 }
@@ -51,7 +50,6 @@ func (r *Resource) Release() {
 		next := r.queue[0]
 		copy(r.queue, r.queue[1:])
 		r.queue = r.queue[:len(r.queue)-1]
-		r.env.blocked--
 		r.env.scheduleProc(0, next)
 		return // unit handed over, inUse unchanged
 	}
