@@ -38,7 +38,7 @@ func BackendN(o Options) *Report {
 		PaperNote: "beyond the paper: §2.1's slow-swap premise re-measured per storage tier",
 	}
 
-	cells := make([]runOut, len(kinds)*len(backendSchemes))
+	cells := make([]cell, len(kinds)*len(backendSchemes))
 	o.forEach(len(cells), func(i int) {
 		k, s := kinds[i/len(backendSchemes)], backendSchemes[i%len(backendSchemes)]
 		ko := o
@@ -52,19 +52,18 @@ func BackendN(o Options) *Report {
 			return workload.SeqRead(vm, workload.SeqReadConfig{FileMB: o.mb(200)})
 		})
 	})
-	cell := func(k, s int) runOut { return cells[k*len(backendSchemes)+s] }
 
 	rt := &Table{
 		Title:   "200MB read runtime by swap tier [sec]",
 		Columns: []string{"backend", "baseline", "vswapper", "speedup"},
 	}
 	for ki, k := range kinds {
-		base, vsw := cell(ki, 0), cell(ki, 1)
+		base, vsw := cells[ki*len(backendSchemes)], cells[ki*len(backendSchemes)+1]
 		speedup := "-"
-		if base.failed == nil && vsw.failed == nil && vsw.res.Runtime() > 0 {
-			speedup = fmt.Sprintf("%.2fx", base.res.Runtime().Seconds()/vsw.res.Runtime().Seconds())
+		if !base.failed && !vsw.failed && vsw.runtime > 0 {
+			speedup = fmt.Sprintf("%.2fx", base.runtime.Seconds()/vsw.runtime.Seconds())
 		}
-		rt.Add(k.String(), runtimeOrKilled(base.res), runtimeOrKilled(vsw.res), speedup)
+		rt.Add(k.String(), runtimeSecs(base), runtimeSecs(vsw), speedup)
 	}
 	rep.Tables = append(rep.Tables, rt)
 
@@ -72,14 +71,12 @@ func BackendN(o Options) *Report {
 		Title:   "swap traffic by tier and scheme",
 		Columns: append([]string{"backend", "scheme"}, backendCounters...),
 	}
-	for ki, k := range kinds {
-		for si, s := range backendSchemes {
-			row := []string{k.String(), s.String()}
-			for _, name := range backendCounters {
-				row = append(row, fmt.Sprintf("%d", cell(ki, si).met[name]))
-			}
-			ct.Add(row...)
+	for _, c := range cells {
+		row := []string{c.tier.String(), c.scheme.String()}
+		for _, name := range backendCounters {
+			row = append(row, c.show("%d", c.met[name]))
 		}
+		ct.Add(row...)
 	}
 	rep.Tables = append(rep.Tables, ct)
 	return rep

@@ -18,21 +18,11 @@ import (
 // clusterN and the cluster: scenario mode compare policies on fleet-wide
 // p95/p99 unit latency and kill counts.
 
-// clusterOut is one completed cluster cell in structured form.
-type clusterOut struct {
-	p95NS, p99NS   int64 // per-unit latency quantiles
-	gp95NS, gp99NS int64 // per-guest workload latency quantiles
-	units          int64
-	kills          int64
-	migrations     int64
-	refused        int64
-	failed         bool
-}
-
 // runCluster executes one cluster cell sized by cs (MB figures
-// pre-scale) and returns its structured outcome. seed, when nonzero,
-// overrides o.Seed so fan-out cells get independent derived streams.
-func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uint64, cs scenario.ClusterSpec, tier swapback.Kind) (clusterOut, *FailureRecord) {
+// pre-scale). The cell measures the fleet's latency quantiles and
+// counters. seed, when nonzero, overrides o.Seed so fan-out cells get
+// independent derived streams.
+func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uint64, cs scenario.ClusterSpec, tier swapback.Kind) cell {
 	o = o.normalized()
 	release := o.acquire()
 	defer release()
@@ -50,10 +40,10 @@ func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uin
 	}
 	packing := clusterPackingByName(cs.Packing)
 
-	var out clusterOut
+	out := cell{tier: sb, scheme: s, policy: remedy, guests: n}
 	var cl *cluster.Cluster
 	st := &cellState{}
-	failed := o.runShielded(label, seed, st, func() {
+	out.failed = o.runShielded(label, seed, st, func() {
 		env := sim.NewEnv(seed)
 		env.SetBudget(o.cellBudget())
 		var hosts []cluster.HostSpec
@@ -106,64 +96,53 @@ func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uin
 			panic(fmt.Sprintf("experiment: cluster invariant violation (replay with seed=%d faults=%q; cell seed %#x): %v",
 				o.Seed, o.Faults.String(), seed, err))
 		}
-		out = clusterOut{
-			p95NS:      cl.UnitP95(),
-			p99NS:      cl.UnitP99(),
-			gp95NS:     cl.GuestP95(),
-			gp99NS:     cl.GuestP99(),
-			units:      cl.Counter(metrics.ClusterUnits),
-			kills:      cl.Counter(metrics.ClusterKills),
-			migrations: cl.Counter(metrics.ClusterMigrations),
-			refused:    cl.Counter(metrics.ClusterMigrateRefused),
-		}
-	})
-	if failed != nil {
-		return clusterOut{failed: true}, failed
+	}) != nil
+	if out.failed {
+		return out
 	}
 	if o.runlog != nil {
 		for _, h := range cl.Hosts {
-			o.runlog.add(label+"/"+h.Name, h.M.Report())
+			o.runlog.add(RunRecord{Label: label + "/" + h.Name, Report: h.M.Report()})
 		}
-		o.runlog.add(label+"/fleet", cl.FleetReport())
+		o.runlog.add(RunRecord{Label: label + "/fleet", Report: cl.FleetReport()})
 	}
-	return out, nil
+	out.unitP95, out.unitP99 = cl.UnitP95(), cl.UnitP99()
+	out.guestP95, out.guestP99 = cl.GuestP95(), cl.GuestP99()
+	out.met = cl.Met.Snapshot()
+	out.killed = int(out.met[metrics.ClusterKills])
+	return out
 }
 
 // clusterGrid fans the counts × remediations grid out on the worker
 // pool, row-major (counts outer), each cell on its own derived seed.
-func clusterGrid(o Options, id string, s Scheme, counts []int, remedies []cluster.Remediation, cs scenario.ClusterSpec, tier swapback.Kind) []clusterOut {
+func clusterGrid(o Options, id string, s Scheme, counts []int, remedies []cluster.Remediation, cs scenario.ClusterSpec, tier swapback.Kind) []cell {
 	o = o.normalized()
-	out := make([]clusterOut, len(counts)*len(remedies))
+	out := make([]cell, len(counts)*len(remedies))
 	o.forEach(len(out), func(i int) {
 		n, r := counts[i/len(remedies)], remedies[i%len(remedies)]
-		seed := sim.DeriveSeed(o.Seed, id, s.String(), r.String(), strconv.Itoa(n))
-		cell, _ := runCluster(o, s, r, n, seed, cs, tier)
-		out[i] = cell
+		out[i] = runCluster(o, s, r, n, sim.DeriveSeed(o.Seed, id, s.String(), r.String(), strconv.Itoa(n)), cs, tier)
 	})
 	return out
 }
 
-// renderClusterCell formats one cell for the policy table. Quantiles in
+// clusterLatency renders a cluster cell for the policy table. Quantiles in
 // the killed-guest sentinel bucket render as "inf": that tail is censored
 // kills, not a measured completion time.
-func renderClusterCell(c clusterOut) string {
-	if c.failed {
-		return "failed"
-	}
+func clusterLatency(c cell) string {
 	q := func(ns int64) string {
 		if ns >= int64(cluster.KilledLatency) {
 			return "inf"
 		}
 		return fmt.Sprintf("%.1f", float64(ns)/1e9)
 	}
-	cell := q(c.gp95NS) + "/" + q(c.gp99NS)
-	if c.kills > 0 {
-		cell += fmt.Sprintf(" (%d killed)", c.kills)
+	s := q(c.guestP95) + "/" + q(c.guestP99)
+	if c.killed > 0 {
+		s += fmt.Sprintf(" (%d killed)", c.killed)
 	}
-	if c.migrations > 0 {
-		cell += fmt.Sprintf(" (%d mig)", c.migrations)
+	if mig := c.met[metrics.ClusterMigrations]; mig > 0 {
+		s += fmt.Sprintf(" (%d mig)", mig)
 	}
-	return cell
+	return s
 }
 
 // ClusterN compares remediation policies on an overcommitted four-host
@@ -190,7 +169,7 @@ func ClusterN(o Options) *Report {
 // clusterPolicies runs sc's cluster stanza at each guest count with one
 // column per declared remediation policy, each cell on a seed derived
 // from id. It returns the grid (row-major, counts outer) and its table.
-func clusterPolicies(o Options, id string, sc *scenario.Scenario, counts []int, tier swapback.Kind) ([]clusterOut, *Table) {
+func clusterPolicies(o Options, id string, sc *scenario.Scenario, counts []int, tier swapback.Kind) ([]cell, *Table) {
 	names := sc.Cluster.Remediations
 	remedies := make([]cluster.Remediation, len(names))
 	for i, name := range names {
@@ -201,38 +180,5 @@ func clusterPolicies(o Options, id string, sc *scenario.Scenario, counts []int, 
 		remedies[i] = r
 	}
 	grid := clusterGrid(o, id, schemeByName[sc.Schemes[0].Name], counts, remedies, sc.Cluster, tier)
-	tab := &Table{Title: sc.TableTitle, Columns: append([]string{"guests"}, names...)}
-	for i, n := range counts {
-		row := []string{fmt.Sprintf("%d", n)}
-		for j := range names {
-			row = append(row, renderClusterCell(grid[i*len(names)+j]))
-		}
-		tab.Add(row...)
-	}
-	return grid, tab
-}
-
-// clusterMetricValue resolves one cluster pseudo-metric or fleet counter
-// for assertion evaluation. Latency quantiles are reported in
-// milliseconds.
-func clusterMetricValue(c clusterOut, name string) float64 {
-	switch name {
-	case "unit_p95_ms":
-		return float64(c.p95NS) / 1e6
-	case "unit_p99_ms":
-		return float64(c.p99NS) / 1e6
-	case "guest_p95_ms":
-		return float64(c.gp95NS) / 1e6
-	case "guest_p99_ms":
-		return float64(c.gp99NS) / 1e6
-	case metrics.ClusterUnits:
-		return float64(c.units)
-	case metrics.ClusterKills:
-		return float64(c.kills)
-	case metrics.ClusterMigrations:
-		return float64(c.migrations)
-	case metrics.ClusterMigrateRefused:
-		return float64(c.refused)
-	}
-	return 0
+	return grid, pivot(sc.TableTitle, "guests", grid, cell.guestsLabel, cell.policyLabel, clusterLatency)
 }

@@ -15,11 +15,10 @@ import (
 // (f.MemoryMB with f.VCPUs VCPUs and an f.DiskMB disk each) on an
 // f.HostMB host run w, started f.StaggerSec seconds apart. All MB
 // figures are pre-scale. Balloon schemes are managed by the MOM-like
-// controller. It returns the mean guest runtime, how many guests were
-// OOM-killed, and the failure record when the cell was killed or
-// panicked (runtime and kills are then zero). seed, when nonzero,
-// overrides o.Seed so fan-out cells get independent derived streams.
-func runDynamic(o Options, scheme Scheme, n int, seed uint64, f scenario.Fleet, w scenario.Workload) (sim.Duration, int, *FailureRecord) {
+// controller. The cell measures the mean guest runtime and how many
+// guests were OOM-killed. seed, when nonzero, overrides o.Seed so fan-out
+// cells get independent derived streams.
+func runDynamic(o Options, scheme Scheme, n int, seed uint64, f scenario.Fleet, w scenario.Workload) cell {
 	o = o.normalized()
 	release := o.acquire()
 	defer release()
@@ -28,10 +27,11 @@ func runDynamic(o Options, scheme Scheme, n int, seed uint64, f scenario.Fleet, 
 	}
 	label := fmt.Sprintf("dynamic/%s/guests%d/seed%016x", scheme, n, seed)
 
+	out := cell{tier: o.Swapback, scheme: scheme, guests: n}
 	var total sim.Duration
 	killed := 0
 	st := &cellState{}
-	failed := o.runShielded(label, seed, st, func() {
+	out.failed = o.runShielded(label, seed, st, func() {
 		m := hyper.NewMachine(hyper.MachineConfig{
 			Seed:         seed,
 			HostMemPages: o.pages(f.HostMB),
@@ -91,47 +91,35 @@ func runDynamic(o Options, scheme Scheme, n int, seed uint64, f scenario.Fleet, 
 		})
 		m.Run()
 		checkAudit()
-	})
-	if failed != nil {
-		return 0, 0, failed
+	}) != nil
+	if out.failed {
+		return out
 	}
 	if o.runlog != nil {
-		o.runlog.add(label, st.m.Report())
+		o.runlog.add(RunRecord{Label: label, Report: st.m.Report()})
 	}
-	return total / sim.Duration(n), killed, nil
+	out.runtime, out.killed = total/sim.Duration(n), killed
+	return out
 }
 
-// dynOut is one completed dynamic cell in structured form (scenario
-// assertions evaluate against these before rendering).
-type dynOut struct {
-	mean   sim.Duration
-	killed int
-	failed bool
-}
-
-// renderDynCell formats a dynamic cell the way Fig. 4/14 print them.
-func renderDynCell(c dynOut) string {
-	if c.failed {
-		return "failed"
-	}
-	cell := secs(c.mean)
+// fleetRuntime renders a fleet cell the way Figs. 4 and 14 print them.
+func fleetRuntime(c cell) string {
+	s := secs(c.runtime)
 	if c.killed > 0 {
-		cell += fmt.Sprintf(" (%d killed)", c.killed)
+		s += fmt.Sprintf(" (%d killed)", c.killed)
 	}
-	return cell
+	return s
 }
 
 // dynamicGrid runs the counts × schemes grid of runDynamic calls on the
-// worker pool, returning structured cells in row-major (counts-outer)
-// order. Each cell's seed derives from (id, scheme, guest count).
-func dynamicGrid(o Options, id string, counts []int, schemes []Scheme, f scenario.Fleet, w scenario.Workload) []dynOut {
+// worker pool, returning its cells row-major (counts outer). Each cell's
+// seed derives from (id, scheme, guest count).
+func dynamicGrid(o Options, id string, counts []int, schemes []Scheme, f scenario.Fleet, w scenario.Workload) []cell {
 	o = o.normalized()
-	out := make([]dynOut, len(counts)*len(schemes))
+	out := make([]cell, len(counts)*len(schemes))
 	o.forEach(len(out), func(i int) {
 		n, s := counts[i/len(schemes)], schemes[i%len(schemes)]
-		seed := sim.DeriveSeed(o.Seed, id, s.String(), strconv.Itoa(n))
-		mean, killed, failed := runDynamic(o, s, n, seed, f, w)
-		out[i] = dynOut{mean: mean, killed: killed, failed: failed != nil}
+		out[i] = runDynamic(o, s, n, sim.DeriveSeed(o.Seed, id, s.String(), strconv.Itoa(n)), f, w)
 	})
 	return out
 }
@@ -155,9 +143,8 @@ func Fig4(o Options) *Report {
 	tab := &Table{Title: "avg runtime [sec]", Columns: []string{"config", "runtime", "paper"}}
 	schemes := []Scheme{Baseline, BalloonBase, VSwapper, BalloonVSwapper}
 	sc := fig14Scenario()
-	grid := dynamicGrid(o, "fig4", []int{n}, schemes, sc.Fleet, sc.Workload)
-	for i, s := range schemes {
-		tab.Add(s.String(), renderDynCell(grid[i]), paper[s])
+	for _, c := range dynamicGrid(o, "fig4", []int{n}, schemes, sc.Fleet, sc.Workload) {
+		tab.Add(c.scheme.String(), c.show("%s", fleetRuntime(c)), paper[c.scheme])
 	}
 	rep.Tables = append(rep.Tables, tab)
 	return rep

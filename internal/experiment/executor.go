@@ -101,7 +101,7 @@ func runExperimentShielded(e Experiment, o Options) (rep *Report) {
 			Message:  sanitizeMessage(fmt.Sprint(r)),
 			Stack:    sanitizeStack(debug.Stack()),
 		}
-		o.faillog.add(rec)
+		o.faillog.add(*rec)
 		rep = &Report{
 			ID:        e.ID,
 			Title:     e.Title,

@@ -255,21 +255,12 @@ type runCfg struct {
 	hostTweak       func(*hyper.MachineConfig)
 }
 
-// runOut is a completed run. failed is non-nil when the cell was killed
-// by the watchdog, panicked, or was canceled; res and met are then
-// zero-valued and the FailureRecord carries the diagnostics.
-type runOut struct {
-	res    workload.Result
-	met    map[string]int64 // counter deltas over the measured body
-	m      *hyper.Machine
-	failed *FailureRecord
-}
-
 // runSingle executes one controlled-memory scenario: boot, optional static
 // balloon, optional warm-up, then the measured body — all under the
 // run-hardening shield, so a watchdog kill or a panic in this cell
-// degrades to a FailureRecord instead of aborting the sweep.
-func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) runOut {
+// degrades to a failed cell and a FailureRecord instead of aborting the
+// sweep.
+func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) cell {
 	o := rc.opts.normalized()
 	release := o.acquire()
 	defer release()
@@ -289,7 +280,7 @@ func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) ru
 	label := fmt.Sprintf("%s/guest%dMB/actual%dMB/host%dMB/vcpus%d/seed%016x",
 		rc.scheme, rc.guestMB, rc.actualMB, hostMB, rc.vcpus, rc.seed)
 
-	var out runOut
+	out := cell{tier: o.Swapback, scheme: rc.scheme}
 	st := &cellState{}
 	out.failed = o.runShielded(label, rc.seed, st, func() {
 		mc := hyper.MachineConfig{
@@ -305,7 +296,6 @@ func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) ru
 		}
 		m := hyper.NewMachine(mc)
 		st.m = m
-		out.m = m
 		var checkAudit func()
 		st.aud, checkAudit = o.attachAuditor(m, rc.seed)
 		if o.TraceRing > 0 {
@@ -347,16 +337,19 @@ func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) ru
 				workload.Warmup(vm, 2048).Wait(p)
 			}
 			snap := m.Met.Snapshot()
-			job := body(vm, p)
-			out.res = job.Wait(p)
+			res := body(vm, p).Wait(p)
 			out.met = m.Met.Diff(snap)
+			out.runtime, out.iters = res.Runtime(), res.Iterations
+			if res.Killed {
+				out.killed = 1
+			}
 			m.Shutdown()
 		})
 		m.Run()
 		checkAudit()
-	})
-	if out.failed == nil && o.runlog != nil {
-		o.runlog.add(label, out.m.Report())
+	}) != nil
+	if !out.failed && o.runlog != nil {
+		o.runlog.add(RunRecord{Label: label, Report: st.m.Report()})
 	}
 	return out
 }
@@ -384,13 +377,4 @@ func (o Options) attachAuditor(m *hyper.Machine, seed uint64) (*audit.Auditor, f
 func (o Options) attachAudit(m *hyper.Machine, seed uint64) func() {
 	_, check := o.attachAuditor(m, seed)
 	return check
-}
-
-// runtimeOrKilled renders a result cell, flagging OOM kills the way the
-// paper annotates crashed balloon runs.
-func runtimeOrKilled(r workload.Result) string {
-	if r.Killed {
-		return "killed"
-	}
-	return secs(r.Runtime())
 }

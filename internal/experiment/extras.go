@@ -36,17 +36,21 @@ func Overhead(o Options) *Report {
 		}},
 	}
 	for _, w := range bodies {
-		var times [2]sim.Duration
+		var runs [2]cell
 		for i, s := range []Scheme{Baseline, VSwapper} {
-			out := runSingle(runCfg{
+			runs[i] = runSingle(runCfg{
 				opts: o, scheme: s,
 				guestMB:  512,
 				actualMB: 512, // uncapped: no host swapping
 			}, w.body)
-			times[i] = out.res.Runtime()
 		}
-		slow := float64(times[1])/float64(times[0]) - 1
-		tab.Add(w.name, secs(times[0]), secs(times[1]), fmt.Sprintf("%+.1f%%", slow*100))
+		base, vsw := runs[0], runs[1]
+		slowdown := "-"
+		if !base.failed && !vsw.failed {
+			slow := float64(vsw.runtime)/float64(base.runtime) - 1
+			slowdown = fmt.Sprintf("%+.1f%%", slow*100)
+		}
+		tab.Add(w.name, base.show("%s", secs(base.runtime)), vsw.show("%s", secs(vsw.runtime)), slowdown)
 	}
 	rep.Tables = append(rep.Tables, tab)
 	return rep
@@ -78,8 +82,8 @@ func Windows(o Options) *Report {
 		}},
 	}
 	for _, c := range cases {
-		var times [2]sim.Duration
-		for i, s := range []Scheme{Baseline, VSwapper} {
+		row := []string{c.name}
+		for _, s := range []Scheme{Baseline, VSwapper} {
 			out := runSingle(runCfg{
 				opts: o, scheme: s,
 				guestMB:  2048,
@@ -88,9 +92,9 @@ func Windows(o Options) *Report {
 				warmup:   true,
 				vmTweak:  noAPF,
 			}, c.body)
-			times[i] = out.res.Runtime()
+			row = append(row, out.show("%s", secs(out.runtime)))
 		}
-		tab.Add(c.name, secs(times[0]), secs(times[1]), c.paper)
+		tab.Add(append(row, c.paper)...)
 	}
 	rep.Tables = append(rep.Tables, tab)
 	return rep
@@ -133,9 +137,9 @@ func Ablations(o Options) *Report {
 			return workload.AllocTouch(vm, workload.AllocTouchConfig{SizeMB: o.mb(200)})
 		})
 		prevTab.Add(k.deadline.String(), fmt.Sprintf("%d", k.max),
-			runtimeOrKilled(out.res),
-			fmt.Sprintf("%d", out.met["vswap.preventer.remaps"]),
-			fmt.Sprintf("%d", out.met["vswap.preventer.merges"]))
+			runtimeSecs(out),
+			out.show("%d", out.met["vswap.preventer.remaps"]),
+			out.show("%d", out.met["vswap.preventer.merges"]))
 	}
 	rep.Tables = append(rep.Tables, prevTab)
 
@@ -170,7 +174,7 @@ func Ablations(o Options) *Report {
 			return workload.SeqRead(vm, workload.SeqReadConfig{FileMB: o.mb(200)})
 		})
 		raTab.Add(k.scheme.String(), fmt.Sprintf("%d", k.cluster), fmt.Sprintf("%d", k.ramax),
-			runtimeOrKilled(out.res))
+			runtimeSecs(out))
 	}
 	rep.Tables = append(rep.Tables, raTab)
 
@@ -191,8 +195,8 @@ func Ablations(o Options) *Report {
 		}, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
 			return workload.SeqRead(vm, workload.SeqReadConfig{FileMB: o.mb(200), Iterations: 3})
 		})
-		dbTab.Add(fmt.Sprintf("%v", db), runtimeOrKilled(out.res),
-			fmt.Sprintf("%d", out.met["hostswap.write.sectors"]))
+		dbTab.Add(fmt.Sprintf("%v", db), runtimeSecs(out),
+			out.show("%d", out.met["hostswap.write.sectors"]))
 	}
 	rep.Tables = append(rep.Tables, dbTab)
 
@@ -227,8 +231,8 @@ func Ablations(o Options) *Report {
 		if k.ssd {
 			name = "ssd"
 		}
-		ssdTab.Add(k.scheme.String(), name, runtimeOrKilled(out.res),
-			fmt.Sprintf("%d", out.met["hostswap.write.sectors"]))
+		ssdTab.Add(k.scheme.String(), name, runtimeSecs(out),
+			out.show("%d", out.met["hostswap.write.sectors"]))
 	}
 	rep.Tables = append(rep.Tables, ssdTab)
 
@@ -254,8 +258,8 @@ func Ablations(o Options) *Report {
 		if unaligned {
 			name = "512B sectors (needs reformat)"
 		}
-		alTab.Add(name, runtimeOrKilled(out.res),
-			fmt.Sprintf("%d", out.met["vswap.mapper.assoc.established"]))
+		alTab.Add(name, runtimeSecs(out),
+			out.show("%d", out.met["vswap.mapper.assoc.established"]))
 	}
 	rep.Tables = append(rep.Tables, alTab)
 	return rep

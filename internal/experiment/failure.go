@@ -1,15 +1,10 @@
 package experiment
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"regexp"
 	"runtime/debug"
-	"sort"
 	"strings"
-	"sync"
 
 	"vswapsim/internal/fault/audit"
 	"vswapsim/internal/hyper"
@@ -69,76 +64,15 @@ type FailureRecord struct {
 	AuditTail []string                 `json:"audit_tail,omitempty"`
 }
 
-// failureLog accumulates FailureRecords from concurrently executing
-// cells, mirroring runLog.
-type failureLog struct {
-	mu   sync.Mutex
-	recs []FailureRecord
-}
-
-func (fl *failureLog) add(rec *FailureRecord) {
-	if fl == nil || rec == nil {
-		return
-	}
-	fl.mu.Lock()
-	fl.recs = append(fl.recs, *rec)
-	fl.mu.Unlock()
-}
-
-// addRecords replays already-collected records (e.g. from a memoized
-// sweep) into this log.
-func (fl *failureLog) addRecords(recs []FailureRecord) {
-	if fl == nil || len(recs) == 0 {
-		return
-	}
-	fl.mu.Lock()
-	fl.recs = append(fl.recs, recs...)
-	fl.mu.Unlock()
-}
-
-// sorted returns the records in a scheduling-independent order: by label,
-// then by the sha256 of the serialized record.
-func (fl *failureLog) sorted() []FailureRecord {
-	if fl == nil {
-		return nil
-	}
-	fl.mu.Lock()
-	recs := make([]FailureRecord, len(fl.recs))
-	copy(recs, fl.recs)
-	fl.mu.Unlock()
-	keys := make([]string, len(recs))
-	for i, r := range recs {
-		data, err := json.Marshal(r)
-		if err != nil {
-			panic("experiment: failure record not serializable: " + err.Error())
-		}
-		sum := sha256.Sum256(data)
-		keys[i] = r.Label + "\x00" + hex.EncodeToString(sum[:])
-	}
-	sort.Sort(&failSorter{recs: recs, keys: keys})
-	return recs
-}
-
-type failSorter struct {
-	recs []FailureRecord
-	keys []string
-}
-
-func (s *failSorter) Len() int           { return len(s.recs) }
-func (s *failSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *failSorter) Swap(i, j int) {
-	s.recs[i], s.recs[j] = s.recs[j], s.recs[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
 // EnableFailureLog arms failure collection on this Options value, like
 // EnableRunLog does for run records. It returns the fetch function; call
 // it after the experiment finishes to get the records in deterministic
 // order.
 func (o *Options) EnableFailureLog() func() []FailureRecord {
-	fl := &failureLog{}
-	o.faillog = fl
-	return fl.sorted
+	o.faillog = &recordLog[FailureRecord]{
+		key: func(r FailureRecord) (string, any) { return r.Label, r },
+	}
+	return o.faillog.sorted
 }
 
 // cellState carries the pieces of a running cell that failure capture
@@ -160,7 +94,7 @@ func (o Options) runShielded(label string, seed uint64, st *cellState, fn func()
 		rec = o.newFailure(label, seed, st)
 		rec.Kind = FailCanceled
 		rec.Message = "cell skipped: run canceled before it started"
-		o.faillog.add(rec)
+		o.faillog.add(*rec)
 		return rec
 	}
 	defer func() {
@@ -169,7 +103,7 @@ func (o Options) runShielded(label string, seed uint64, st *cellState, fn func()
 			return
 		}
 		rec = o.captureFailure(label, seed, st, r, debug.Stack())
-		o.faillog.add(rec)
+		o.faillog.add(*rec)
 		if rec.Kind == FailWatchdogWall {
 			// A wall-clock breach means real time is being lost on a cell
 			// that should long have finished; treat it as fatal and cancel

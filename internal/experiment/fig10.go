@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/metrics"
 	"vswapsim/internal/sim"
@@ -23,20 +21,23 @@ func Fig10(o Options) *Report {
 		Columns: []string{"config", "runtime [sec]", "disk ops [1000s]", "false reads"},
 	}
 	for _, s := range []Scheme{Baseline, MapperOnly, VSwapper, BalloonBase} {
-		var allocSnap map[string]int64
+		var m *hyper.Machine
+		var allocSnap, d map[string]int64
 		out := runSingle(runCfg{
 			opts: o, scheme: s,
 			guestMB: 512, actualMB: 100,
 			warmup: true,
 		}, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
 			workload.SeqRead(vm, workload.SeqReadConfig{FileMB: o.mb(200)}).Wait(p)
-			allocSnap = vm.M.Met.Snapshot() // isolate the alloc phase
+			m, allocSnap = vm.M, vm.M.Met.Snapshot() // isolate the alloc phase
 			return workload.AllocTouch(vm, workload.AllocTouchConfig{SizeMB: o.mb(200)})
 		})
-		d := out.m.Met.Diff(allocSnap)
-		tab.Add(s.String(), runtimeOrKilled(out.res),
-			fmt.Sprintf("%.1f", float64(d[metrics.DiskOps])/1000),
-			fmt.Sprintf("%d", d[metrics.FalseSwapReads]))
+		if !out.failed {
+			d = m.Met.Diff(allocSnap)
+		}
+		tab.Add(s.String(), runtimeSecs(out),
+			out.show("%.1f", float64(d[metrics.DiskOps])/1000),
+			out.show("%d", d[metrics.FalseSwapReads]))
 	}
 	rep.Tables = append(rep.Tables, tab)
 	return rep

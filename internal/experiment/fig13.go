@@ -22,7 +22,7 @@ func Fig13(o Options) *Report {
 	if o.Quick {
 		iters = 3
 	}
-	data := runSweep(o, "fig13", schemes, sizes, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
+	cells := runSweep(o, "fig13", schemes, sizes, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
 		return workload.Eclipse(vm, workload.EclipseConfig{
 			HeapMB:      o.mb(128),
 			JVMAnonMB:   o.mb(230),
@@ -35,8 +35,7 @@ func Fig13(o Options) *Report {
 		Title:     "DaCapo Eclipse, 128MB Java heap, 512MB guest (Fig. 13)",
 		PaperNote: "balloon 1-4% faster while alive but kills Eclipse below 448MB; baseline 0.97-1.28x of vswapper; mapper within 1.00-1.08x",
 	}
-	rep.Tables = append(rep.Tables, sweepTable("runtime [sec]", schemes, sizes, data,
-		func(r sweepResult) string { return runtimeOrKilled(r.res) }))
+	rep.Tables = append(rep.Tables, sweepTable("runtime [sec]", cells, runtimeSecs))
 	return rep
 }
 

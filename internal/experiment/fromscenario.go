@@ -116,16 +116,6 @@ func runScenario(sc *scenario.Scenario, o Options) *Report {
 
 // ---- single mode ----
 
-// singleOut is what the report needs of one scheme's finished run: its
-// result, its counter deltas, and the notes its timeline events
-// produced. It holds no machine, so a cell's simulator state is garbage
-// as soon as the cell returns.
-type singleOut struct {
-	res   workload.Result
-	met   map[string]int64
-	notes []string
-}
-
 func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFaults bool) {
 	// The timeline's inject_faults plan is built into every machine
 	// disarmed, then armed at its event time; a CLI -faults override
@@ -146,7 +136,7 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 	}
 
 	// Panels reproduce the Fig. 9 shape: counter panels sample one shared
-	// Met.Diff per iteration, the runtime panel reads res.Iterations.
+	// Met.Diff per iteration, the runtime panel reads the cell's iterations.
 	iters := scenarioIters(o, sc.Workload)
 	panelData := make([]map[string][]string, len(sc.Panels))
 	for i := range panelData {
@@ -159,15 +149,10 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 	// rejected by validation there), each tier on its own derived seed so
 	// the tiers' streams stay independent; a single backend keeps the
 	// invocation seed so a scenario equals the -swapback CLI form exactly.
+	// Timeline notes go straight into the report, in run order.
 	kinds := scenarioKinds(sc, o)
 	multi := len(kinds) > 1
-	cellKey := func(k swapback.Kind, schemeName string) string {
-		if multi {
-			return k.String() + "/" + schemeName
-		}
-		return schemeName
-	}
-	results := make(map[string]singleOut, len(kinds)*len(sc.Schemes))
+	var cells []cell
 	for _, k := range kinds {
 		ko := o
 		ko.Swapback = k
@@ -176,11 +161,9 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 		}
 		for _, ref := range sc.Schemes {
 			ref := ref
-			s := schemeByName[ref.Name]
-			var notes []string
 			var lastSnap map[string]int64
-			out := runSingle(runCfg{
-				opts: ko, scheme: s,
+			c := runSingle(runCfg{
+				opts: ko, scheme: schemeByName[ref.Name],
 				guestMB:         sc.Fleet.MemoryMB,
 				actualMB:        sc.Fleet.ActualMB,
 				hostMB:          sc.Fleet.HostMB,
@@ -205,18 +188,18 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 				}
 				job := scenarioJob(ko, sc.Workload, vm, after)
 				if len(sc.Timeline) > 0 {
-					runTimeline(sc, ko, vm, job, timelineFaults, ref.Name, &notes)
+					runTimeline(sc, ko, vm, job, timelineFaults, ref.Name, &rep.Notes)
 				}
 				return job
 			})
 			for i, pn := range sc.Panels {
 				if pn.Source == "runtime" {
-					for _, it := range out.res.Iterations {
+					for _, it := range c.iters {
 						panelData[i][ref.Name] = append(panelData[i][ref.Name], secs(it))
 					}
 				}
 			}
-			results[cellKey(k, ref.Name)] = singleOut{res: out.res, met: out.met, notes: notes}
+			cells = append(cells, c)
 		}
 	}
 
@@ -232,15 +215,16 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 			cols = append(cols, "paper")
 		}
 		tab := &Table{Title: sc.TableTitle, Columns: cols}
-		for _, k := range kinds {
-			for _, ref := range sc.Schemes {
-				name := cellKey(k, ref.Name)
-				row := []string{name, runtimeOrKilled(results[name].res)}
-				if withPaper {
-					row = append(row, ref.Paper)
-				}
-				tab.Add(row...)
+		for i, c := range cells {
+			name := c.scheme.String()
+			if multi {
+				name = c.tier.String() + "/" + name
 			}
+			row := []string{name, runtimeSecs(c)}
+			if withPaper {
+				row = append(row, sc.Schemes[i%len(sc.Schemes)].Paper)
+			}
+			tab.Add(row...)
 		}
 		rep.Tables = append(rep.Tables, tab)
 	}
@@ -262,30 +246,7 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 		}
 		rep.Tables = append(rep.Tables, tab)
 	}
-	for _, k := range kinds {
-		for _, ref := range sc.Schemes {
-			rep.Notes = append(rep.Notes, results[cellKey(k, ref.Name)].notes...)
-		}
-	}
-
-	evalAssertions(sc, rep, func(backend, schemeName, metric string) float64 {
-		key := schemeName
-		if multi {
-			key = backend + "/" + schemeName
-		}
-		out := results[key]
-		switch metric {
-		case scenario.MetricRuntimeSec:
-			return out.res.Runtime().Seconds()
-		case scenario.MetricKilled:
-			if out.res.Killed {
-				return 1
-			}
-			return 0
-		default:
-			return float64(out.met[metric])
-		}
-	})
+	evalAssertions(sc, rep, cells)
 }
 
 // runTimeline starts the scenario's event schedule as a simulation
@@ -346,47 +307,10 @@ func runScenarioDynamic(sc *scenario.Scenario, o Options, rep *Report) {
 	for i, ref := range sc.Schemes {
 		schemes[i] = schemeByName[ref.Name]
 	}
-	grid := dynamicGrid(o, sc.Name, counts, schemes, sc.Fleet, sc.Workload)
-
-	tab := &Table{Title: sc.TableTitle, Columns: []string{"guests"}}
-	for _, ref := range sc.Schemes {
-		tab.Columns = append(tab.Columns, ref.Name)
-	}
-	for i, n := range counts {
-		row := []string{fmt.Sprintf("%d", n)}
-		for j := range schemes {
-			row = append(row, renderDynCell(grid[i*len(schemes)+j]))
-		}
-		tab.Add(row...)
-	}
-	rep.Tables = append(rep.Tables, tab)
-
-	cell := func(schemeName string, guests int) (dynOut, bool) {
-		row := -1
-		if guests == 0 { // default: the largest count in this run
-			for i, n := range counts {
-				if row < 0 || n > counts[row] {
-					row = i
-				}
-			}
-		} else {
-			for i, n := range counts {
-				if n == guests {
-					row = i
-				}
-			}
-		}
-		if row < 0 {
-			return dynOut{}, false
-		}
-		for j, ref := range sc.Schemes {
-			if ref.Name == schemeName {
-				return grid[row*len(schemes)+j], true
-			}
-		}
-		return dynOut{}, false
-	}
-	evalAssertionsDynamic(sc, rep, cell)
+	cells := dynamicGrid(o, sc.Name, counts, schemes, sc.Fleet, sc.Workload)
+	rep.Tables = append(rep.Tables,
+		pivot(sc.TableTitle, "guests", cells, cell.guestsLabel, cell.schemeLabel, fleetRuntime))
+	evalAssertions(sc, rep, cells)
 }
 
 // ---- cluster mode ----
@@ -400,15 +324,7 @@ func runScenarioCluster(sc *scenario.Scenario, o Options, rep *Report) {
 	o.Swapback = scenarioKinds(sc, o)[0]
 	grid, tab := clusterPolicies(o, sc.Name, sc, []int{sc.Cluster.Guests}, o.Swapback)
 	rep.Tables = append(rep.Tables, tab)
-
-	evalAssertionsCluster(sc, rep, func(remedy string) (clusterOut, bool) {
-		for i, name := range sc.Cluster.Remediations {
-			if name == remedy {
-				return grid[i], true
-			}
-		}
-		return clusterOut{}, false
-	})
+	evalAssertions(sc, rep, grid)
 }
 
 // clusterPackingByName resolves a validated packing identifier.
@@ -418,118 +334,4 @@ func clusterPackingByName(name string) cluster.Packing {
 		panic("experiment: invalid scenario packing " + name) // validation rejects
 	}
 	return p
-}
-
-// evalAssertionsCluster checks cluster-mode assertions: the scheme slots
-// of an assertion name remediation policies, and metrics resolve through
-// clusterMetricValue (latency quantiles plus cluster.* counters).
-func evalAssertionsCluster(sc *scenario.Scenario, rep *Report, cell func(remedy string) (clusterOut, bool)) {
-	if len(sc.Assertions) == 0 {
-		return
-	}
-	passed := 0
-	for _, a := range sc.Assertions {
-		var left, right float64
-		if a.Threshold() {
-			c, _ := cell(a.Scheme)
-			left, right = clusterMetricValue(c, a.Counter), a.Value
-		} else {
-			cl, _ := cell(a.Left)
-			cr, _ := cell(a.Right)
-			left, right = clusterMetricValue(cl, a.Counter), clusterMetricValue(cr, a.Counter)
-		}
-		if a.Compare(left, right) {
-			passed++
-			continue
-		}
-		rep.AssertionFailures++
-		rep.Notes = append(rep.Notes,
-			fmt.Sprintf("ASSERTION FAILED: %s (left=%g right=%g)", a.String(), left, right))
-	}
-	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("assertions: %d/%d passed", passed, len(sc.Assertions)))
-}
-
-// ---- assertions ----
-
-// evalAssertions checks single-mode assertions with val resolving
-// (backend, scheme, metric) triples, appending deterministic notes and
-// counting failures into the report. An assertion without a backend
-// selector reads the first declared backend ("" when the scenario
-// declares none and the grid is the invocation tier).
-func evalAssertions(sc *scenario.Scenario, rep *Report, val func(backend, scheme, metric string) float64) {
-	if len(sc.Assertions) == 0 {
-		return
-	}
-	passed := 0
-	for _, a := range sc.Assertions {
-		backend := a.Backend
-		if backend == "" && len(sc.Backends) > 0 {
-			backend = sc.Backends[0]
-		}
-		var left, right float64
-		if a.Threshold() {
-			left, right = val(backend, a.Scheme, a.Counter), a.Value
-		} else {
-			left, right = val(backend, a.Left, a.Counter), val(backend, a.Right, a.Counter)
-		}
-		if a.Compare(left, right) {
-			passed++
-			continue
-		}
-		rep.AssertionFailures++
-		rep.Notes = append(rep.Notes,
-			fmt.Sprintf("ASSERTION FAILED: %s (left=%g right=%g)", a.String(), left, right))
-	}
-	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("assertions: %d/%d passed", passed, len(sc.Assertions)))
-}
-
-// evalAssertionsDynamic checks dynamic-mode assertions against grid
-// cells. An assertion whose guest count is absent from this run (e.g. a
-// -quick run with trimmed counts) is skipped with a note rather than
-// failed, so quick and full runs both stay meaningful.
-func evalAssertionsDynamic(sc *scenario.Scenario, rep *Report, cell func(scheme string, guests int) (dynOut, bool)) {
-	if len(sc.Assertions) == 0 {
-		return
-	}
-	passed, skipped := 0, 0
-	metric := func(c dynOut, name string) float64 {
-		switch name {
-		case scenario.MetricMeanRuntimeSec:
-			return c.mean.Seconds()
-		case scenario.MetricKilled:
-			return float64(c.killed)
-		}
-		return 0
-	}
-	for _, a := range sc.Assertions {
-		var left, right float64
-		ok := true
-		if a.Threshold() {
-			c, found := cell(a.Scheme, a.Guests)
-			ok = found
-			left, right = metric(c, a.Counter), a.Value
-		} else {
-			cl, foundL := cell(a.Left, a.Guests)
-			cr, foundR := cell(a.Right, a.Guests)
-			ok = foundL && foundR
-			left, right = metric(cl, a.Counter), metric(cr, a.Counter)
-		}
-		if !ok {
-			skipped++
-			rep.Notes = append(rep.Notes,
-				fmt.Sprintf("assertion skipped (guests %d not in this run): %s", a.Guests, a.String()))
-			continue
-		}
-		if a.Compare(left, right) {
-			passed++
-			continue
-		}
-		rep.AssertionFailures++
-		rep.Notes = append(rep.Notes,
-			fmt.Sprintf("ASSERTION FAILED: %s (left=%g right=%g)", a.String(), left, right))
-	}
-	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("assertions: %d/%d passed (%d skipped)", passed, len(sc.Assertions)-skipped, skipped))
 }

@@ -141,11 +141,12 @@ func TestSchemeNamesAgree(t *testing.T) {
 	}
 }
 
-// TestSingleOutHoldsNoMachine pins what single mode keeps of each cell
-// until the report is built: results and counter deltas only. A field
-// that reaches a hyper.Machine or hyper.VM keeps every cell's simulated
-// host alive until the last scheme finishes, which multiplies the peak
-// memory of every single-mode scenario by its scheme count.
+// TestSingleOutHoldsNoMachine pins what every grid keeps of each cell
+// until the report is built: the cell record, which holds coordinates and
+// measures only. A field that reaches a hyper.Machine or hyper.VM keeps
+// every cell's simulated host alive until the last cell finishes, which
+// multiplies the peak memory of every single-mode scenario by its scheme
+// count and of every sweep by its grid size.
 func TestSingleOutHoldsNoMachine(t *testing.T) {
 	banned := map[reflect.Type]bool{
 		reflect.TypeOf(hyper.Machine{}): true,
@@ -176,7 +177,7 @@ func TestSingleOutHoldsNoMachine(t *testing.T) {
 			t.Errorf("%s is %s: its dynamic value is not checkable", path, ty.Kind())
 		}
 	}
-	walk(reflect.TypeOf(singleOut{}), "singleOut")
+	walk(reflect.TypeOf(cell{}), "cell")
 }
 
 // TestScenarioAssertionFailure proves a failed assertion is both visible

@@ -71,7 +71,7 @@ func hardeningFixture() Experiment {
 					// host swapping and hence trace-ring content.
 					guestMB: 256, actualMB: 32, warmup: false,
 				}, cells[i].body)
-				if r.failed != nil {
+				if r.failed {
 					results[i] = "failed"
 				} else {
 					results[i] = "ok"

@@ -4,7 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"vswapsim/internal/hyper"
@@ -27,66 +28,59 @@ type RunRecord struct {
 	Report *hyper.RunReport `json:"report"`
 }
 
-// runLog accumulates RunRecords from concurrently executing runs.
-type runLog struct {
+// recordLog accumulates records from concurrently executing cells: the
+// run log of RunRecords and the failure log of FailureRecords.
+type recordLog[T any] struct {
 	mu   sync.Mutex
-	recs []RunRecord
+	recs []T
+	// key returns a record's label and the value whose serialized sha256
+	// orders records that share a label.
+	key func(T) (label string, content any)
 }
 
-func (rl *runLog) add(label string, rep *hyper.RunReport) {
-	if rl == nil {
+// add appends records; a nil log drops them. Replay order (e.g. of a
+// memoized sweep's records) is free, because sorted re-orders everything.
+func (l *recordLog[T]) add(recs ...T) {
+	if l == nil || len(recs) == 0 {
 		return
 	}
-	rl.mu.Lock()
-	rl.recs = append(rl.recs, RunRecord{Label: label, Report: rep})
-	rl.mu.Unlock()
-}
-
-// addRecords replays already-collected records (e.g. from a memoized sweep)
-// into this log. sorted() re-orders everything, so replay order is free.
-func (rl *runLog) addRecords(recs []RunRecord) {
-	if rl == nil || len(recs) == 0 {
-		return
-	}
-	rl.mu.Lock()
-	rl.recs = append(rl.recs, recs...)
-	rl.mu.Unlock()
+	l.mu.Lock()
+	l.recs = append(l.recs, recs...)
+	l.mu.Unlock()
 }
 
 // sorted returns the records in a scheduling-independent order: by label,
-// then by the sha256 of the serialized report (ties can only be records
+// then by the sha256 of the serialized content (ties can only be records
 // with identical bytes, whose relative order is immaterial).
-func (rl *runLog) sorted() []RunRecord {
-	if rl == nil {
+func (l *recordLog[T]) sorted() []T {
+	if l == nil {
 		return nil
 	}
-	rl.mu.Lock()
-	recs := make([]RunRecord, len(rl.recs))
-	copy(recs, rl.recs)
-	rl.mu.Unlock()
-	keys := make([]string, len(recs))
-	for i, r := range recs {
-		data, err := json.Marshal(r.Report)
+	l.mu.Lock()
+	type keyed struct {
+		key string
+		rec T
+	}
+	ks := make([]keyed, len(l.recs))
+	for i, r := range l.recs {
+		ks[i].rec = r
+	}
+	l.mu.Unlock()
+	for i := range ks {
+		label, content := l.key(ks[i].rec)
+		data, err := json.Marshal(content)
 		if err != nil {
-			panic("experiment: run report not serializable: " + err.Error())
+			panic("experiment: record not serializable: " + err.Error())
 		}
 		sum := sha256.Sum256(data)
-		keys[i] = r.Label + "\x00" + hex.EncodeToString(sum[:])
+		ks[i].key = label + "\x00" + hex.EncodeToString(sum[:])
 	}
-	sort.Sort(&recSorter{recs: recs, keys: keys})
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	recs := make([]T, len(ks))
+	for i, k := range ks {
+		recs[i] = k.rec
+	}
 	return recs
-}
-
-type recSorter struct {
-	recs []RunRecord
-	keys []string
-}
-
-func (s *recSorter) Len() int           { return len(s.recs) }
-func (s *recSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *recSorter) Swap(i, j int) {
-	s.recs[i], s.recs[j] = s.recs[j], s.recs[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // EnableRunLog arms per-run report collection on this Options value: every
@@ -95,9 +89,10 @@ func (s *recSorter) Swap(i, j int) {
 // deterministic order. Collection follows the Options value into nested
 // runs, so enable it before passing Options to Run/RunAll.
 func (o *Options) EnableRunLog() func() []RunRecord {
-	rl := &runLog{}
-	o.runlog = rl
-	return rl.sorted
+	o.runlog = &recordLog[RunRecord]{
+		key: func(r RunRecord) (string, any) { return r.Label, r.Report },
+	}
+	return o.runlog.sorted
 }
 
 // JSONTable is a Table in serializable form.

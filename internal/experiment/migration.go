@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/sim"
 	"vswapsim/internal/workload"
@@ -28,7 +26,7 @@ func Migration(o Options) *Report {
 	}
 	for _, s := range []Scheme{Baseline, VSwapper} {
 		var naive, mapped hyper.MigrationResult
-		runSingle(runCfg{
+		out := runSingle(runCfg{
 			opts: o, scheme: s,
 			guestMB: 512, actualMB: 256,
 			warmup: true,
@@ -40,11 +38,11 @@ func Migration(o Options) *Report {
 			mapped = vm.Migrate(p, hyper.MigrationConfig{UseMappings: true})
 			return j
 		})
-		toMB := func(b int64) string { return fmt.Sprintf("%.1f", float64(b)/(1<<20)) }
-		tab.Add(s.String(), "content copy", toMB(naive.BytesSent), secs(naive.Duration),
-			"-", fmt.Sprintf("%d", naive.Plan.Skippable))
-		tab.Add(s.String(), "mapping-assisted", toMB(mapped.BytesSent), secs(mapped.Duration),
-			fmt.Sprintf("%d", mapped.Plan.MappingOnly), fmt.Sprintf("%d", mapped.Plan.Skippable))
+		toMB := func(b int64) string { return out.show("%.1f", float64(b)/(1<<20)) }
+		tab.Add(s.String(), "content copy", toMB(naive.BytesSent), out.show("%s", secs(naive.Duration)),
+			"-", out.show("%d", naive.Plan.Skippable))
+		tab.Add(s.String(), "mapping-assisted", toMB(mapped.BytesSent), out.show("%s", secs(mapped.Duration)),
+			out.show("%d", mapped.Plan.MappingOnly), out.show("%d", mapped.Plan.Skippable))
 	}
 	rep.Tables = append(rep.Tables, tab)
 	rep.Notes = append(rep.Notes,

@@ -79,10 +79,10 @@ type Options struct {
 	lim *limiter
 	// runlog, when armed via EnableRunLog, collects one RunRecord per
 	// simulated machine (see json.go).
-	runlog *runLog
+	runlog *recordLog[RunRecord]
 	// faillog, when armed via EnableFailureLog, collects one
 	// FailureRecord per failed cell (see failure.go).
-	faillog *failureLog
+	faillog *recordLog[FailureRecord]
 }
 
 // The values a zero Seed or Scale stands for.

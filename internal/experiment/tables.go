@@ -1,12 +1,12 @@
 package experiment
 
 import (
+	"embed"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
 
+	"vswapsim/internal/core"
+	"vswapsim/internal/hostmm"
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/metrics"
 	"vswapsim/internal/sim"
@@ -23,16 +23,10 @@ func Table1(o Options) *Report {
 		Title:     "Lines of code of VSwapper (Table 1)",
 		PaperNote: "paper: Mapper 409 (174 user + 235 kernel), Preventer 1974 (10 user + 1964 kernel), total 2383",
 	}
-	_, self, _, ok := runtime.Caller(0)
-	if !ok {
-		rep.Notes = append(rep.Notes, "cannot locate source tree")
-		return rep
-	}
-	root := filepath.Dir(filepath.Dir(filepath.Dir(self)))
-	count := func(rel string) int {
-		data, err := os.ReadFile(filepath.Join(root, rel))
+	count := func(src embed.FS, name string) int {
+		data, err := src.ReadFile(name)
 		if err != nil {
-			return 0
+			panic("experiment: " + err.Error()) // the names are embedded at build time
 		}
 		n := 0
 		for _, line := range strings.Split(string(data), "\n") {
@@ -42,9 +36,9 @@ func Table1(o Options) *Report {
 		}
 		return n
 	}
-	mapperPolicy := count("internal/core/mapper.go")
-	preventerPolicy := count("internal/core/preventer.go")
-	mapperMech := count("internal/hostmm/mmap.go")
+	mapperPolicy := count(core.Source, "mapper.go")
+	preventerPolicy := count(core.Source, "preventer.go")
+	mapperMech := count(hostmm.Source, "mmap.go")
 	tab := &Table{
 		Title:   "non-comment lines of Go",
 		Columns: []string{"component", "policy (core)", "mechanism (hostmm)", "sum"},
@@ -83,10 +77,10 @@ func Table2(o Options) *Report {
 			return workload.SeqRead(vm, workload.SeqReadConfig{FileMB: o.mb(1024), FileName: "bigfile"})
 		})
 		tab.Add(name,
-			runtimeOrKilled(out.res),
-			fmt.Sprintf("%d", out.met[metrics.SwapReadSectors]),
-			fmt.Sprintf("%d", out.met[metrics.SwapWriteSectors]),
-			fmt.Sprintf("%d", out.met[metrics.HostMajorFaults]))
+			runtimeSecs(out),
+			out.show("%d", out.met[metrics.SwapReadSectors]),
+			out.show("%d", out.met[metrics.SwapWriteSectors]),
+			out.show("%d", out.met[metrics.HostMajorFaults]))
 	}
 	run("balloon enabled", BalloonBase)
 	run("balloon disabled", Baseline)
