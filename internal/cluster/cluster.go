@@ -240,9 +240,6 @@ func (h *Host) Commit() int { return h.commit }
 // CommitBound reports the commit ceiling.
 func (h *Host) CommitBound() int { return h.bound }
 
-// Pressure reports the monitor's latest score for the host.
-func (h *Host) Pressure() float64 { return h.pressure }
-
 // Guest is one admitted guest spec and its current residence.
 type Guest struct {
 	Idx      int
@@ -508,16 +505,14 @@ func (c *Cluster) AuditHistory() []string {
 	return c.aud.History()
 }
 
-// UnitP50, UnitP95 and UnitP99 report the fleet-wide per-unit workload
-// latency quantiles in nanoseconds.
-func (c *Cluster) UnitP50() int64 { return c.unitHist.P50() }
+// UnitP95 and UnitP99 report the fleet-wide per-unit workload latency
+// quantiles in nanoseconds.
 func (c *Cluster) UnitP95() int64 { return c.unitHist.P95() }
 func (c *Cluster) UnitP99() int64 { return c.unitHist.P99() }
 
-// GuestP50, GuestP95 and GuestP99 report the fleet-wide per-guest
-// workload latency quantiles in nanoseconds: admission to completion,
-// with killed guests recorded as KilledLatency (see finish).
-func (c *Cluster) GuestP50() int64 { return c.guestHist.P50() }
+// GuestP95 and GuestP99 report the fleet-wide per-guest workload latency
+// quantiles in nanoseconds: admission to completion, with killed guests
+// recorded as KilledLatency (see finish).
 func (c *Cluster) GuestP95() int64 { return c.guestHist.P95() }
 func (c *Cluster) GuestP99() int64 { return c.guestHist.P99() }
 

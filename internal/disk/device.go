@@ -144,9 +144,3 @@ func (d *Device) WaitFor(p *sim.Proc, done sim.Time) {
 
 // FreeAt reports when the device drains its current queue.
 func (d *Device) FreeAt() sim.Time { return d.freeAt }
-
-// HeadPos reports the block following the last transferred block.
-func (d *Device) HeadPos() int64 { return d.headPos }
-
-// Metrics returns the accounting set the device writes to.
-func (d *Device) Metrics() *metrics.Set { return d.met }

@@ -184,13 +184,11 @@ func TestBackendPolicyVariantsRun(t *testing.T) {
 }
 
 // TestBackendNFingerprintStable: the registry experiment is deterministic
-// — two serial runs fingerprint identically — and names every tier.
+// — its serial and parallel golden-pass runs fingerprint identically —
+// and names every tier.
 func TestBackendNFingerprintStable(t *testing.T) {
-	o := goldenOpts()
-	resetSweepCaches()
-	a := BackendN(o)
-	resetSweepCaches()
-	b := BackendN(o)
+	s, p := passRuns(t, "backendN")
+	a, b := s.Report, p.Report
 	if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
 		t.Fatalf("backendN fingerprint unstable: %s vs %s", fa, fb)
 	}
@@ -209,9 +207,7 @@ func TestBackendNFingerprintStable(t *testing.T) {
 // in-tree engine: it loads, its per-tier grid runs, and all declared
 // assertions pass (the note CI greps for).
 func TestBackendsScenarioMatchesYAML(t *testing.T) {
-	e := FromScenario(embeddedScenario("backends")())
-	resetSweepCaches()
-	rep := e.Run(goldenOpts())
+	rep := serialRun(t, "scenarios/backends.yaml").Report
 	want := ""
 	for _, n := range rep.Notes {
 		if strings.Contains(n, "assertions:") {

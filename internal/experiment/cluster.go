@@ -90,7 +90,7 @@ func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uin
 			Spec: fmt.Sprintf("scheme=%s remediation=%s packing=%s guests=%d hosts=%d",
 				s, remedy, packing, n, len(hosts)),
 		})
-		st.m = cl.Hosts[0].M
+		st.m, st.auditTail = cl.Hosts[0].M, cl.AuditHistory
 		cl.Run()
 		if err := cl.Final(); err != nil {
 			panic(fmt.Sprintf("experiment: cluster invariant violation (replay with seed=%d faults=%q; cell seed %#x): %v",

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 
 	"vswapsim/internal/cluster"
@@ -14,61 +13,24 @@ import (
 // TestClusterParallelEquivalence extends the repo-wide determinism
 // invariant to the cluster cells: the clusterN registry entry and
 // `vswapsim run scenarios/cluster.yaml` must each produce byte-identical
-// JSON reports serially and at -parallel 4. clusterN takes its sizing
-// from cluster.yaml, but the two ids key different seed streams, so each
-// gets its own check.
+// JSON reports in the serial and the parallel golden pass. clusterN takes
+// its sizing from cluster.yaml, but the two ids key different seed
+// streams, so each gets its own check.
 func TestClusterParallelEquivalence(t *testing.T) {
-	idExp, err := ByID("clusterN")
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ name, key string }{
+		{"clusterN", "clusterN"},
+		{"cluster", "scenarios/cluster.yaml"},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkPassesAgree(t, c.key) })
 	}
-	yamlExp := FromScenario(embeddedScenario("cluster")())
-	for _, e := range []Experiment{idExp, yamlExp} {
-		t.Run(e.ID, func(t *testing.T) {
-			o := goldenOpts()
-			var want []byte
-			if e.ID == "cluster" {
-				_, want = clusterYAMLSerial(t)
-			} else {
-				_, want = scenarioJSON(t, e, o)
-			}
-			o.Parallel = 4
-			_, got := scenarioJSON(t, e, o)
-			if !bytes.Equal(got, want) {
-				t.Errorf("parallel run diverges from serial for %s (%d vs %d bytes)",
-					e.ID, len(got), len(want))
-			}
-		})
-	}
-}
-
-// clusterYAML holds scenarios/cluster.yaml's serial report at the golden
-// configuration. It is simulated once per test binary and shared by
-// TestClusterParallelEquivalence and TestClusterScenarioMatchesYAML.
-var clusterYAML struct {
-	once sync.Once
-	rep  *Report
-	data []byte
-}
-
-func clusterYAMLSerial(t *testing.T) (*Report, []byte) {
-	t.Helper()
-	clusterYAML.once.Do(func() {
-		clusterYAML.rep, clusterYAML.data = scenarioJSON(t,
-			FromScenario(embeddedScenario("cluster")()), goldenOpts())
-	})
-	if clusterYAML.rep == nil {
-		t.Fatal("the serial cluster.yaml run failed in an earlier test")
-	}
-	return clusterYAML.rep, clusterYAML.data
 }
 
 // TestClusterScenarioMatchesYAML pins scenarios/cluster.yaml against the
-// engine on the shared serial report: all declared assertions pass (the
-// note CI greps for), every policy is a table column, and killed guests
-// render as censored latency.
+// engine on its serial golden-pass report: all declared assertions pass
+// (the note CI greps for), every policy is a table column, and killed
+// guests render as censored latency.
 func TestClusterScenarioMatchesYAML(t *testing.T) {
-	rep, _ := clusterYAMLSerial(t)
+	rep := serialRun(t, "scenarios/cluster.yaml").Report
 	want := ""
 	for _, n := range rep.Notes {
 		if strings.Contains(n, "assertions:") {
@@ -97,6 +59,28 @@ func TestClusterScenarioMatchesYAML(t *testing.T) {
 	csv := rep.Tables[0].CSV()
 	if !strings.Contains(csv, "inf") || !strings.Contains(csv, "killed") {
 		t.Errorf("kill column lacks the censored-latency rendering:\n%s", csv)
+	}
+}
+
+// TestFailuresCarryAuditTail: with the invariant auditor attached, a
+// cell the event budget kills records the auditor's recent checks, in
+// single, dynamic and cluster mode alike (a cluster's come from its
+// audit group).
+func TestFailuresCarryAuditTail(t *testing.T) {
+	for _, name := range []string{"fault-storm", "fleet", "cluster"} {
+		t.Run(name, func(t *testing.T) {
+			o := starvedOpts()
+			o.AuditEvery = 512
+			r := RunAll([]Experiment{FromScenario(embeddedScenario(name)())}, o, nil)[0]
+			if len(r.Failures) == 0 {
+				t.Fatal("the budget killed no cell")
+			}
+			for _, f := range r.Failures {
+				if len(f.AuditTail) == 0 {
+					t.Errorf("failure %s (%s) has no audit tail", f.Label, f.Kind)
+				}
+			}
+		})
 	}
 }
 

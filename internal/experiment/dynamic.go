@@ -42,7 +42,7 @@ func runDynamic(o Options, scheme Scheme, n int, seed uint64, f scenario.Fleet, 
 		})
 		st.m = m
 		var checkAudit func()
-		st.aud, checkAudit = o.attachAuditor(m, seed)
+		st.auditTail, checkAudit = o.attachAuditor(m, seed)
 		if o.TraceRing > 0 {
 			m.EnableTrace(o.TraceRing)
 		}

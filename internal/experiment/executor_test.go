@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"sync"
@@ -60,68 +61,45 @@ func TestAcquireWithoutLimiterIsNoop(t *testing.T) {
 	release()                      // must not panic or block
 }
 
-// equivOpts is the configuration both sides of an equivalence check use.
-func equivOpts(parallel int) Options {
-	return Options{Seed: 42, Scale: 0.125, Quick: true, Parallel: parallel}
-}
-
 // TestSerialParallelEquivalence is the headline claim of the executor:
 // a sweep run on the worker pool is byte-identical to the serial run.
+// fig12 is a pure sweep; fig11 reads the memoized pbzip sweep, which the
+// parallel pass shares with fig5.
 func TestSerialParallelEquivalence(t *testing.T) {
-	// fig12: a pure sweep with no cross-experiment memoization.
-	serial := Fig12(equivOpts(1)).String()
-	parallel := Fig12(equivOpts(4)).String()
-	if serial != parallel {
-		t.Fatalf("fig12 parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, parallel)
-	}
-
-	// fig11: the memoized pbzip sweep; reset the cache between runs so
-	// both sides actually execute.
-	resetSweepCaches()
-	serial = Fig11(equivOpts(1)).String()
-	resetSweepCaches()
-	parallel = Fig11(equivOpts(4)).String()
-	if serial != parallel {
-		t.Fatalf("fig11 parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, parallel)
+	for _, id := range []string{"fig12", "fig11"} {
+		s, p := passRuns(t, id)
+		serial, parallel := s.Report.String(), p.Report.String()
+		if serial != parallel {
+			t.Fatalf("%s parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
+				id, serial, parallel)
+		}
 	}
 }
 
-// TestRunAllParallelMatchesSerial runs whole registry entries concurrently
-// — including fig5 and fig11, which share the single-flight pbzip sweep,
-// and fig9 and fig14, which run their scenario files — and requires
-// byte-identical reports in both modes.
+// TestRunAllParallelMatchesSerial compares the two golden passes
+// document by document: every registry entry and scenario file, run
+// concurrently in one RunAll (fig5 and fig11 sharing the single-flight
+// pbzip sweep), must give byte-identical reports, run records and
+// failure records, returned and emitted in input order.
 func TestRunAllParallelMatchesSerial(t *testing.T) {
-	var exps []Experiment
-	for _, id := range []string{"fig3", "fig5", "fig9", "fig11", "fig14"} {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exps = append(exps, e)
+	docs, serial, parallel := passes(t)
+	if len(serial.runs) != len(parallel.runs) {
+		t.Fatalf("result counts differ: %d vs %d", len(serial.runs), len(parallel.runs))
 	}
-	resetSweepCaches()
-	serial := RunAll(exps, equivOpts(1), nil)
-	resetSweepCaches()
-	var emitted []string
-	parallel := RunAll(exps, equivOpts(3), func(r RunResult) {
-		emitted = append(emitted, r.Experiment.ID)
-	})
-	if len(serial) != len(parallel) {
-		t.Fatalf("result counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i].Experiment.ID != exps[i].ID {
-			t.Fatalf("result %d out of order: %s", i, serial[i].Experiment.ID)
+	for i, d := range docs {
+		if serial.runs[i].Experiment.ID != d.exp.ID || parallel.runs[i].Experiment.ID != d.exp.ID {
+			t.Fatalf("result %d out of order: %s / %s", i, serial.runs[i].Experiment.ID, parallel.runs[i].Experiment.ID)
 		}
-		if emitted[i] != exps[i].ID {
-			t.Fatalf("emit order %v, want input order", emitted)
+		if parallel.emitted[i] != d.exp.ID {
+			t.Fatalf("emit order %v, want input order", parallel.emitted)
 		}
-		a, b := serial[i].Report.String(), parallel[i].Report.String()
+		a, b := serial.runs[i].Report.String(), parallel.runs[i].Report.String()
 		if a != b {
-			t.Fatalf("%s: parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				exps[i].ID, a, b)
+			t.Errorf("%s: parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
+				d.key, a, b)
+		} else if !bytes.Equal(serial.runs[i].json, parallel.runs[i].json) {
+			t.Errorf("%s: parallel run records or failures differ from serial (%d vs %d bytes)",
+				d.key, len(parallel.runs[i].json), len(serial.runs[i].json))
 		}
 	}
 }

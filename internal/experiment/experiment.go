@@ -250,7 +250,6 @@ type runCfg struct {
 	// balloonMarginMB is added to the static balloon so kernel + QEMU
 	// overhead fits under the cgroup limit (pre-scale).
 	balloonMarginMB int
-	guestTweak      func(*guest.Config)
 	vmTweak         func(*hyper.VMConfig)
 	hostTweak       func(*hyper.MachineConfig)
 }
@@ -297,14 +296,11 @@ func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) ce
 		m := hyper.NewMachine(mc)
 		st.m = m
 		var checkAudit func()
-		st.aud, checkAudit = o.attachAuditor(m, rc.seed)
+		st.auditTail, checkAudit = o.attachAuditor(m, rc.seed)
 		if o.TraceRing > 0 {
 			m.EnableTrace(o.TraceRing)
 		}
 		gcfg := guest.DefaultConfig(o.pages(rc.guestMB))
-		if rc.guestTweak != nil {
-			rc.guestTweak(&gcfg)
-		}
 		vmc := hyper.VMConfig{
 			Name:       "vm0",
 			MemPages:   o.pages(rc.guestMB),
@@ -355,16 +351,17 @@ func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) ce
 }
 
 // attachAuditor hooks the invariant auditor into the machine when
-// o.AuditEvery is positive. Call the returned function after Machine.Run:
+// o.AuditEvery is positive. Call the returned check after Machine.Run:
 // it panics with a replayable message (machine seed + fault spec) on the
-// first invariant violation the run produced. The auditor itself is
-// returned so failure capture can embed its recent check history.
-func (o Options) attachAuditor(m *hyper.Machine, seed uint64) (*audit.Auditor, func()) {
+// first invariant violation the run produced. The auditor's recent check
+// history is returned too (nil when auditing is off), so failure capture
+// can embed it.
+func (o Options) attachAuditor(m *hyper.Machine, seed uint64) (history func() []string, check func()) {
 	if o.AuditEvery <= 0 {
 		return nil, func() {}
 	}
 	a := audit.Attach(m, o.AuditEvery)
-	return a, func() {
+	return a.History, func() {
 		if err := a.Final(); err != nil {
 			panic(fmt.Sprintf(
 				"experiment: invariant violation (replay with seed=%d faults=%q; machine seed %#x): %v",
@@ -373,7 +370,7 @@ func (o Options) attachAuditor(m *hyper.Machine, seed uint64) (*audit.Auditor, f
 	}
 }
 
-// attachAudit is attachAuditor without the auditor handle.
+// attachAudit is attachAuditor without the audit history.
 func (o Options) attachAudit(m *hyper.Machine, seed uint64) func() {
 	_, check := o.attachAuditor(m, seed)
 	return check

@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"testing"
+
+	"vswapsim/internal/scenario"
 )
 
 // quickOpts runs experiments at quarter scale with trimmed sweeps.
@@ -177,5 +180,99 @@ func TestTable2Shape(t *testing.T) {
 	offW, _ := cellFloat(tab.Rows[1][3])
 	if !(onW < offW) {
 		t.Fatalf("balloon-enabled swap writes (%v) not lower (%v)", onW, offW)
+	}
+}
+
+// repeatDynamic and repeatCluster are small dynamic and cluster
+// documents under memory pressure, for the repeat-run checks.
+const repeatDynamic = `scenario: repeat-dynamic
+title: "dynamic repeat-run probe"
+mode: dynamic
+fleet:
+  counts: [4]
+  memory_mb: 128
+  host_mb: 320
+  vcpus: 1
+  stagger_sec: 1
+  disk_mb: 256
+schemes: [baseline, vswapper]
+workload:
+  kind: metis
+  input_mb: 48
+  table_mb: 64
+table:
+  title: "mean guest runtime [sec]"
+`
+
+const repeatCluster = `scenario: repeat-cluster
+title: "cluster repeat-run probe"
+mode: cluster
+backend: ssd
+cluster:
+  hosts: 2
+  host_mb: 512
+  guests: 8
+  guest_mb: 256
+  working_set_pct: [60, 95]
+  units: 30
+  phase_units: 10
+  unit_compute_ms: 20
+  stagger_ms: 20
+  disk_mb: 512
+  packing: balanced-pressure
+  remediation: [migrate, kill]
+  threshold: 0.05
+  sample_sec: 1
+  cooldown_sec: 2
+  max_commit_factor: 2.5
+schemes: [vswapper]
+table:
+  title: "fleet latency p95/p99 [sec]"
+`
+
+// docJSON runs one experiment as its own invocation and returns its
+// report, run records and failures as JSON.
+func docJSON(t *testing.T, e Experiment, o Options) []byte {
+	t.Helper()
+	run, err := newGoldenRun(RunAll([]Experiment{e}, o, nil)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run.json
+}
+
+// TestExperimentDeterminism is the explicit in-process repeat-run check,
+// one per cell kind: a document run twice in one process gives
+// byte-identical JSON. The golden passes simulate each golden document
+// only once per parallelism, so this is the check that one run leaves
+// nothing behind that changes the next.
+func TestExperimentDeterminism(t *testing.T) {
+	fig3, err := ByID("fig3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		e    Experiment
+		doc  string
+	}{
+		{name: "single", e: fig3},
+		{name: "dynamic", doc: repeatDynamic},
+		{name: "cluster", doc: repeatCluster},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := quickOpts()
+			if c.doc != "" {
+				sc, err := scenario.Parse([]byte(c.doc))
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.e, o = FromScenario(sc), goldenOpts()
+			}
+			a, b := docJSON(t, c.e, o), docJSON(t, c.e, o)
+			if !bytes.Equal(a, b) {
+				t.Fatalf("%s not deterministic across runs", c.name)
+			}
+		})
 	}
 }

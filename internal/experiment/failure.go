@@ -6,7 +6,6 @@ import (
 	"runtime/debug"
 	"strings"
 
-	"vswapsim/internal/fault/audit"
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/sim"
 )
@@ -77,12 +76,13 @@ func (o *Options) EnableFailureLog() func() []FailureRecord {
 
 // cellState carries the pieces of a running cell that failure capture
 // needs: the machine (for the trace-ring tail and event/clock position)
-// and the auditor (for the recent audit states). The cell body fills it
-// in as the pieces come to exist, so a panic at any stage still captures
-// whatever was already built.
+// and the source of the recent audit states (a single machine's auditor,
+// or a cluster's audit group). The cell body fills it in as the pieces
+// come to exist, so a panic at any stage still captures whatever was
+// already built.
 type cellState struct {
-	m   *hyper.Machine
-	aud *audit.Auditor
+	m         *hyper.Machine
+	auditTail func() []string
 }
 
 // runShielded executes one simulation cell under the hardening envelope:
@@ -132,8 +132,8 @@ func (o Options) newFailure(label string, seed uint64, st *cellState) *FailureRe
 		rec.SimNowNS = int64(st.m.Env.Now())
 		rec.Trace = st.m.Report().Trace
 	}
-	if st != nil && st.aud != nil {
-		rec.AuditTail = st.aud.History()
+	if st != nil && st.auditTail != nil {
+		rec.AuditTail = st.auditTail()
 	}
 	return rec
 }

@@ -69,7 +69,6 @@ func TestFaultPlanPropertySweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resetSweepCaches()
 			e.Run(o)
 		})
 	}

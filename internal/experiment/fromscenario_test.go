@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -13,58 +12,33 @@ import (
 	"vswapsim/internal/scenario"
 )
 
-// scenarioJSON runs one experiment through the shared executor and returns
-// its report and its full machine-readable form (tables, notes, per-run
-// records) as canonical JSON bytes — the same payload `vswapsim -json`
-// emits per experiment, minus the document header.
-func scenarioJSON(t *testing.T, e Experiment, o Options) (*Report, []byte) {
-	t.Helper()
-	resetSweepCaches()
-	rs := RunAll([]Experiment{e}, o, nil)
-	if len(rs) != 1 {
-		t.Fatalf("RunAll returned %d results", len(rs))
-	}
-	r := rs[0]
-	if len(r.Failures) != 0 {
-		t.Fatalf("%s: unexpected failures: %+v", e.ID, r.Failures)
-	}
-	data, err := json.MarshalIndent(BuildJSON(r.Report, r.Runs, r.Failures), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r.Report, data
-}
-
 const scenarioGoldenFile = "testdata/golden_scenarios.json"
 
-// TestScenarioGoldens fingerprints every checked-in scenario at the golden
-// configuration, reusing the package-wide -update flag:
+// TestScenarioGoldens fingerprints every checked-in scenario from the
+// serial golden pass, reusing the package-wide -update flag:
 //
 //	go test ./internal/experiment -run TestScenarioGoldens -update
 func TestScenarioGoldens(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no scenarios found: %v", err)
+	docs, err := goldenDocs()
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Strings(paths)
 	got := map[string]string{}
-	for _, p := range paths {
-		sc, err := scenario.Load(p)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
+	for _, d := range docs {
+		if d.sc == nil {
+			continue
 		}
-		base := strings.TrimSuffix(filepath.Base(p), ".yaml")
-		if sc.Name != base {
+		base := strings.TrimSuffix(strings.TrimPrefix(d.key, "scenarios/"), ".yaml")
+		if d.sc.Name != base {
 			t.Errorf("%s: scenario name %q does not match file name %q "+
-				"(the name keys the seed derivation)", p, sc.Name, base)
+				"(the name keys the seed derivation)", d.key, d.sc.Name, base)
 		}
-		resetSweepCaches()
-		rep := FromScenario(sc).Run(goldenOpts())
+		rep := serialRun(t, d.key).Report
 		if rep.AssertionFailures != 0 {
 			t.Errorf("%s: %d assertion failures at golden config:\n  %s",
-				p, rep.AssertionFailures, strings.Join(rep.Notes, "\n  "))
+				d.key, rep.AssertionFailures, strings.Join(rep.Notes, "\n  "))
 		}
-		got[sc.Name] = rep.Fingerprint()
+		got[d.sc.Name] = rep.Fingerprint()
 	}
 
 	if *update {

@@ -13,7 +13,6 @@ const goldenReportFile = "testdata/golden_report_fig3.json"
 // serialized JSONDocument.
 func jsonBytes(t *testing.T, id string, o Options) []byte {
 	t.Helper()
-	resetSweepCaches()
 	e, err := ByID(id)
 	if err != nil {
 		t.Fatal(err)
@@ -110,26 +109,11 @@ func TestJSONReportShape(t *testing.T) {
 }
 
 // TestJSONSerialParallelEquivalence is the acceptance criterion in bytes:
-// the -json output of a sweep experiment is bit-identical between serial
-// and parallel execution, including run-record order.
+// the -json output of a sweep experiment is bit-identical between the
+// serial and the parallel golden pass, including run-record order.
 func TestJSONSerialParallelEquivalence(t *testing.T) {
-	serial := goldenOpts()
-	parallel := goldenOpts()
-	parallel.Parallel = 8
-	a := jsonBytes(t, "fig5", serial)
-	b := jsonBytes(t, "fig5", parallel)
-	// The documents embed their Parallel setting; compare everything else.
-	var da, db JSONDocument
-	if err := json.Unmarshal(a, &da); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &db); err != nil {
-		t.Fatal(err)
-	}
-	da.Parallel, db.Parallel = 0, 0
-	ja, _ := json.Marshal(da)
-	jb, _ := json.Marshal(db)
-	if !bytes.Equal(ja, jb) {
+	s, p := passRuns(t, "fig5")
+	if !bytes.Equal(s.json, p.json) {
 		t.Fatal("serial and parallel JSON reports differ")
 	}
 }
@@ -137,15 +121,7 @@ func TestJSONSerialParallelEquivalence(t *testing.T) {
 // TestRunRecordsDeterministicOrder checks the collection layer directly:
 // records added in any order sort to the same sequence.
 func TestRunRecordsDeterministicOrder(t *testing.T) {
-	o := goldenOpts()
-	fetch := o.EnableRunLog()
-	e, err := ByID("fig10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resetSweepCaches()
-	e.Run(o)
-	recs := fetch()
+	recs := serialRun(t, "fig10").Runs
 	if len(recs) < 2 {
 		t.Fatalf("want multiple run records, got %d", len(recs))
 	}

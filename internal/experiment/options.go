@@ -77,6 +77,8 @@ type Options struct {
 	// lim is the run-slot pool shared by everything derived from this
 	// Options value; normalized creates it once per top-level invocation.
 	lim *limiter
+	// pbzip is the invocation's pbzip2 sweep memo, created beside lim.
+	pbzip *pbzipMemo
 	// runlog, when armed via EnableRunLog, collects one RunRecord per
 	// simulated machine (see json.go).
 	runlog *recordLog[RunRecord]
@@ -154,6 +156,7 @@ func (o Options) normalized() Options {
 	o = o.WithDefaults()
 	if o.lim == nil {
 		o.lim = newLimiter(o.Parallel)
+		o.pbzip = &pbzipMemo{entries: map[string]*pbzipEntry{}}
 	}
 	return o
 }

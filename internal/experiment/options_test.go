@@ -158,36 +158,49 @@ func TestForScenario(t *testing.T) {
 // memoOpts is the small fig5 configuration the memo tests run.
 func memoOpts() Options { return Options{Seed: 42, Scale: 0.0625, Quick: true, Parallel: 1} }
 
-// TestPbzipMemoKeysOnBackend: in one process, fig5 at hdd and then at ssd
-// must give the fresh ssd answer, not the memoized hdd sweep.
+// TestPbzipMemoKeysOnBackend: in one invocation, fig5 and fig11 at hdd
+// share one sweep, and fig5 at ssd after them must give the fresh ssd
+// answer, not the memoized hdd sweep.
 func TestPbzipMemoKeysOnBackend(t *testing.T) {
-	defer resetSweepCaches()
-	ssd := memoOpts()
+	var exps []Experiment
+	for _, id := range []string{"fig5", "fig11"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps = append(exps, e)
+	}
+	hdd := memoOpts()
+	hdd.Parallel = 2 // fig5 and fig11 reach the memo at once
+	hdd = hdd.normalized()
+	ssd := hdd // shares hdd's invocation and memo
 	ssd.Swapback = swapback.SSD
-	resetSweepCaches()
-	hdd := Fig5(memoOpts()).Fingerprint()
+	hddFP := RunAll(exps, hdd, nil)[0].Report.Fingerprint()
 	afterHDD := Fig5(ssd).Fingerprint()
-	resetSweepCaches()
-	fresh := Fig5(ssd).Fingerprint()
-	if fresh == hdd {
+	if n := len(hdd.pbzip.entries); n != 2 {
+		t.Fatalf("the invocation's memo holds %d sweeps, want 2 (hdd, ssd)", n)
+	}
+	fresh := memoOpts()
+	fresh.Swapback = swapback.SSD
+	freshFP := Fig5(fresh).Fingerprint()
+	if freshFP == hddFP {
 		t.Fatal("the ssd and hdd sweeps coincide; the test cannot tell them apart")
 	}
-	if afterHDD != fresh {
-		t.Fatalf("fig5 at ssd after hdd = %s, fresh ssd = %s: the memo served the hdd sweep", afterHDD[:12], fresh[:12])
+	if afterHDD != freshFP {
+		t.Fatalf("fig5 at ssd after hdd = %s, fresh ssd = %s: the memo served the hdd sweep", afterHDD[:12], freshFP[:12])
 	}
 }
 
-// TestPbzipMemoKeysOnTraceRing: a traced fig5 after an untraced one must
-// carry trace tails in every run record.
+// TestPbzipMemoKeysOnTraceRing: a traced fig5 after an untraced one in the
+// same invocation must carry trace tails in every run record.
 func TestPbzipMemoKeysOnTraceRing(t *testing.T) {
-	defer resetSweepCaches()
 	e, err := ByID("fig5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resetSweepCaches()
-	RunAll([]Experiment{e}, memoOpts(), nil)
-	traced := memoOpts()
+	o := memoOpts().normalized() // traced shares o's invocation and memo
+	RunAll([]Experiment{e}, o, nil)
+	traced := o
 	traced.TraceRing = 64
 	runs := RunAll([]Experiment{e}, traced, nil)[0].Runs
 	if len(runs) == 0 {

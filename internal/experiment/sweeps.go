@@ -47,11 +47,18 @@ func sweepTable(title string, cells []cell, measure func(cell) string) *Table {
 	return pivot(title, "guest mem [MB]", cells, cell.sizeLabel, cell.schemeLabel, measure)
 }
 
-// pbzipSweep runs the pbzip2 sweep shared by Figs. 5 and 11; results are
-// memoized single-flight under Options.Key, so the two figures cost one
-// sweep even when the parallel executor generates them concurrently, and
-// a run under different knobs (a backend tier, a trace ring) never reuses
-// another's sweep.
+// pbzipMemo memoizes the pbzip2 sweep shared by Figs. 5 and 11 for one
+// invocation: normalized creates it beside the run-slot limiter, so the
+// experiments of one RunAll share it and it goes when the invocation
+// returns. Entries are single-flight under Options.Key, so the two figures
+// cost one sweep even when the parallel executor generates them
+// concurrently, and a run under different knobs (a backend tier, a trace
+// ring) never reuses another's sweep.
+type pbzipMemo struct {
+	mu      sync.Mutex
+	entries map[string]*pbzipEntry
+}
+
 type pbzipEntry struct {
 	once  sync.Once
 	cells []cell
@@ -59,19 +66,8 @@ type pbzipEntry struct {
 	fails []FailureRecord
 }
 
-var (
-	pbzipMu    sync.Mutex
-	pbzipCache = map[string]*pbzipEntry{}
-)
-
-// resetSweepCaches clears the cross-experiment memoization; tests and
-// BenchmarkRegistry use it to make every run actually simulate.
-func resetSweepCaches() {
-	pbzipMu.Lock()
-	defer pbzipMu.Unlock()
-	pbzipCache = map[string]*pbzipEntry{}
-}
-
+// pbzipSweep runs the pbzip2 sweep, or replays the invocation's memoized
+// one.
 func pbzipSweep(o Options) []cell {
 	o = o.normalized()
 	schemes := []Scheme{Baseline, MapperOnly, VSwapper, BalloonBase}
@@ -79,13 +75,13 @@ func pbzipSweep(o Options) []cell {
 	// pbzip2 under the static balloon ("below 240MB" on their axis).
 	sizes := append(sweepSizes(o), 128)
 	key := o.Key()
-	pbzipMu.Lock()
-	e := pbzipCache[key]
+	o.pbzip.mu.Lock()
+	e := o.pbzip.entries[key]
 	if e == nil {
 		e = &pbzipEntry{}
-		pbzipCache[key] = e
+		o.pbzip.entries[key] = e
 	}
-	pbzipMu.Unlock()
+	o.pbzip.mu.Unlock()
 	e.once.Do(func() {
 		// The sweep is shared between Figs. 5 and 11, so its run records are
 		// captured once here and replayed into every caller's log below —

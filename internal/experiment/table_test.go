@@ -68,11 +68,3 @@ func TestOptionsScaling(t *testing.T) {
 		t.Fatalf("defaults: %+v", d)
 	}
 }
-
-func TestExperimentDeterminism(t *testing.T) {
-	a := runID(t, "fig3", quickOpts()).String()
-	b := runID(t, "fig3", quickOpts()).String()
-	if a != b {
-		t.Fatal("fig3 not deterministic across runs")
-	}
-}

@@ -21,7 +21,7 @@ func Table1(o Options) *Report {
 	rep := &Report{
 		ID:        "tab1",
 		Title:     "Lines of code of VSwapper (Table 1)",
-		PaperNote: "paper: Mapper 409 (174 user + 235 kernel), Preventer 1974 (10 user + 1964 kernel), total 2383",
+		PaperNote: "Mapper 409 (174 user + 235 kernel), Preventer 1974 (10 user + 1964 kernel), total 2383",
 	}
 	count := func(src embed.FS, name string) int {
 		data, err := src.ReadFile(name)

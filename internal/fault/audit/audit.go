@@ -5,9 +5,9 @@
 // pathology and fault counters monotone, the virtual clock monotonic —
 // on top of hostmm's own structural Audit.
 //
-// Attach it before Machine.Run; afterwards call Final (or Err) and treat
-// a non-nil error as a failed run, replayable from the seed and the fault
-// plan spec.
+// Attach it before Machine.Run; afterwards call Final and treat a non-nil
+// error as a failed run, replayable from the seed and the fault plan
+// spec.
 package audit
 
 import (
@@ -67,7 +67,7 @@ const histCap = 8
 // Attach hooks an auditor into the machine's event loop, running one full
 // Check every `every` events (minimum 1). A full check is O(pages), so
 // large simulations should stride; tiny unit tests can afford every=1.
-// Attach before Machine.Run; read Err or Final after.
+// Attach before Machine.Run; read Final after.
 func Attach(m *hyper.Machine, every int) *Auditor {
 	if every < 1 {
 		every = 1
@@ -82,9 +82,6 @@ func (a *Auditor) Detach() { a.m.Env.SetAfterEvent(nil) }
 
 // Checks reports how many full audits ran.
 func (a *Auditor) Checks() int64 { return a.checks }
-
-// Err returns the first recorded violation, or nil.
-func (a *Auditor) Err() error { return a.err }
 
 // History returns one-line summaries of the most recent checks (oldest
 // first, at most histCap). The content is a pure function of the run, so
@@ -134,7 +131,6 @@ func (a *Auditor) step() {
 // after-event hook, so the group installs one hook and strides a full
 // per-machine audit across all members. Violations carry the host label.
 type Group struct {
-	env      *sim.Env
 	every    int
 	tick     int
 	labels   []string
@@ -150,19 +146,13 @@ func AttachGroup(env *sim.Env, ms []*hyper.Machine, labels []string, every int) 
 	if every < 1 {
 		every = 1
 	}
-	g := &Group{env: env, every: every, labels: labels}
+	g := &Group{every: every, labels: labels}
 	for _, m := range ms {
 		g.auditors = append(g.auditors, &Auditor{m: m, every: 1, mono: make(map[string]int64)})
 	}
 	env.SetAfterEvent(g.step)
 	return g
 }
-
-// Detach removes the event hook.
-func (g *Group) Detach() { g.env.SetAfterEvent(nil) }
-
-// Err returns the first recorded violation, or nil.
-func (g *Group) Err() error { return g.err }
 
 // History returns the members' recent check summaries, labeled by host.
 func (g *Group) History() []string {

@@ -46,9 +46,6 @@ func (in *Injector) SetEnabled(v bool) {
 	}
 }
 
-// Enabled reports whether the injector can fire (false for nil).
-func (in *Injector) Enabled() bool { return in != nil && !in.disarmed }
-
 // Plan returns the injector's plan (the zero Plan for a nil injector).
 func (in *Injector) Plan() Plan {
 	if in == nil {

@@ -147,5 +147,3 @@ func (g *guestSwap) ownerAt(slot int64) swapOwner {
 
 // block translates a slot to its vdisk block.
 func (g *guestSwap) block(slot int64) int64 { return g.start + slot }
-
-func (g *guestSwap) full() bool { return g.inUse == len(g.free) }

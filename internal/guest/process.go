@@ -48,9 +48,6 @@ func (pr *Process) Reserve(n int) (firstIdx int) {
 	return firstIdx
 }
 
-// Pages reports the reserved virtual size in pages.
-func (pr *Process) Pages() int { return len(pr.slots) }
-
 // Resident reports resident anonymous pages.
 func (pr *Process) Resident() int { return pr.resident }
 

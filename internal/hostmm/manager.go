@@ -322,9 +322,6 @@ func (m *Manager) DrainLazy(cg *Cgroup) {
 	}
 }
 
-// SetLimit adjusts the cgroup limit; the next charge enforces it.
-func (cg *Cgroup) SetLimit(pages int) { cg.Limit = pages }
-
 // AnonPages and FilePages report LRU sizes (for tests and introspection).
 func (cg *Cgroup) AnonPages() int { return cg.activeAnon.size + cg.inactiveAnon.size }
 func (cg *Cgroup) FilePages() int { return cg.activeFile.size + cg.inactiveFile.size }

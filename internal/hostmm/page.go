@@ -131,9 +131,6 @@ type Page struct {
 	prev, next *Page
 }
 
-// InLRU reports whether the page is currently on one of the cgroup lists.
-func (pg *Page) InLRU() bool { return pg.list != nil }
-
 // key is a stable per-page identity (cgroup registration order + page ID)
 // for the swap backend: per-page properties like compressibility and heat
 // must survive slot reuse, so they key by page, not by slot. IDs can be

@@ -190,9 +190,6 @@ func (vm *VM) page(gfn int) *hostmm.Page {
 	return pg
 }
 
-// PageForTest exposes host page state to white-box tests and experiments.
-func (vm *VM) PageForTest(gfn int) *hostmm.Page { return vm.page(gfn) }
-
 // EachPage calls f for every host page descriptor the VM has materialized:
 // guest frames (lazily created by GFN) and QEMU text pages. The
 // invariant-audit harness iterates these to check cross-layer properties.

@@ -20,9 +20,6 @@ func Bytes(pages int) int64 { return int64(pages) * PageSize }
 // MiB is a convenience constant for sizing configurations.
 const MiB = 1 << 20
 
-// GiB is a convenience constant for sizing configurations.
-const GiB = 1 << 30
-
 // FramePool tracks allocation of host physical frames. The simulator does
 // not store page contents, so a "frame" is purely an accounting unit: the
 // pool bounds total residency and per-cgroup limits bound each guest.

@@ -61,8 +61,6 @@ const (
 	GuestOOMKills     = "guest.oom.kills"
 
 	// VSwapper.
-	MapperTracked    = "vswap.mapper.tracked.pages" // gauge-like, sampled
-	MapperBreaks     = "vswap.mapper.assoc.breaks"
 	MapperEstablish  = "vswap.mapper.assoc.established"
 	MapperInvalidate = "vswap.mapper.invalidations"
 	PreventerStarts  = "vswap.preventer.emulations"

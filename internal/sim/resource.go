@@ -55,9 +55,3 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 }
-
-// InUse reports the number of held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Waiting reports the number of queued processes.
-func (r *Resource) Waiting() int { return len(r.queue) }

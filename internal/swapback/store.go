@@ -100,12 +100,6 @@ func New(cfg Config) *Store {
 	return st
 }
 
-// Kind reports the backend kind.
-func (st *Store) Kind() Kind { return st.kind }
-
-// Policy reports the tiering policy.
-func (st *Store) Policy() Policy { return st.policy }
-
 // SetOwnerKey installs the slot-to-page-identity resolver (hostmm wires
 // this to the swap area's owner records).
 func (st *Store) SetOwnerKey(fn func(int64) uint64) { st.ownerKey = fn }
@@ -308,31 +302,6 @@ func (st *Store) BackgroundTick() {
 		st.histWrite.Observe(done.Sub(now))
 		z.demoted.Inc()
 	}
-}
-
-// FastUsedBytes reports the compressed pool's occupancy (tests and
-// introspection); zero for backends without a fast tier.
-func (st *Store) FastUsedBytes() int64 {
-	if st.fast == nil {
-		return 0
-	}
-	return st.fast.usedBytes
-}
-
-// FastFrames reports the host frames the compressed pool currently holds.
-func (st *Store) FastFrames() int {
-	if st.fast == nil {
-		return 0
-	}
-	return st.fast.frames
-}
-
-// FastCapBytes reports the compressed pool's byte capacity.
-func (st *Store) FastCapBytes() int64 {
-	if st.fast == nil {
-		return 0
-	}
-	return st.fast.capBytes
 }
 
 // hddSlow adapts the machine's disk.Device as a slot-addressed slow tier

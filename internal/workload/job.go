@@ -46,9 +46,6 @@ func (j *Job) Wait(p *sim.Proc) Result {
 // Finished reports whether the workload completed.
 func (j *Job) Finished() bool { return j.finished }
 
-// Result returns the result; valid only after Finished.
-func (j *Job) Result() Result { return j.res }
-
 // launch starts body as a guest thread of vm and returns its Job. body
 // receives the job to record iteration data; Start/End/Killed are filled
 // automatically (Killed from the attached process, if any).
