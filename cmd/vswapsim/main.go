@@ -283,7 +283,16 @@ func validateCmd(args []string, stdout, stderr io.Writer) int {
 			bad++
 			continue
 		}
-		fmt.Fprintf(stdout, "ok %s (%s, %s mode, %d schemes)\n", path, sc.Name, sc.Mode, len(sc.Schemes))
+		// The axis the grid compares: remediation policies in cluster
+		// mode, schemes otherwise.
+		n, one, many := len(sc.Schemes), "scheme", "schemes"
+		if sc.Mode == scenario.ModeCluster {
+			n, one, many = len(sc.Cluster.Remediations), "remediation policy", "remediation policies"
+		}
+		if n == 1 {
+			many = one
+		}
+		fmt.Fprintf(stdout, "ok %s (%s, %s mode, %d %s)\n", path, sc.Name, sc.Mode, n, many)
 	}
 	if bad > 0 {
 		fmt.Fprintf(stderr, "%d of %d scenario file(s) invalid\n", bad, len(args))

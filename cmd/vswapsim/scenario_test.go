@@ -120,6 +120,12 @@ func TestValidateCmdExitCodes(t *testing.T) {
 			t.Errorf("validate output missing ok line for %s:\n%s", p, out.String())
 		}
 	}
+	// A cluster file's grid compares remediation policies, not schemes.
+	clusterLine := "ok " + filepath.Join("..", "..", "scenarios", "cluster.yaml") +
+		" (cluster, cluster mode, 4 remediation policies)\n"
+	if !strings.Contains(out.String(), clusterLine) {
+		t.Errorf("validate output lacks %q:\n%s", clusterLine, out.String())
+	}
 
 	bad := filepath.Join(t.TempDir(), "bad.yaml")
 	badDoc := `scenario: x

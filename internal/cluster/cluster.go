@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 
 	"vswapsim/internal/balloon"
 	"vswapsim/internal/fault"
@@ -38,23 +39,23 @@ const (
 	BalancedPressure
 )
 
+var packingNames = [...]string{"first-fit", "worst-fit", "balanced-pressure"}
+
 func (p Packing) String() string {
-	switch p {
-	case FirstFit:
-		return "first-fit"
-	case WorstFit:
-		return "worst-fit"
-	default:
-		return "balanced-pressure"
+	if p >= 0 && int(p) < len(packingNames) {
+		return packingNames[p]
 	}
+	return fmt.Sprintf("Packing(%d)", int(p))
 }
 
-// PackingNames maps canonical spelling to policy; the scenario parser and
-// CLI validation share it.
-var PackingNames = map[string]Packing{
-	"first-fit":         FirstFit,
-	"worst-fit":         WorstFit,
-	"balanced-pressure": BalancedPressure,
+// ParsePacking maps a packing name to its Packing.
+func ParsePacking(name string) (Packing, error) {
+	for i, n := range packingNames {
+		if n == name {
+			return Packing(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown packing %q (valid: %s)", name, strings.Join(packingNames[:], ", "))
 }
 
 // Remediation selects what the monitor does about a pressured host.
@@ -74,30 +75,23 @@ const (
 	RemedyKill
 )
 
+var remediationNames = [...]string{"none", "reballoon", "migrate", "kill"}
+
 func (r Remediation) String() string {
-	switch r {
-	case RemedyNone:
-		return "none"
-	case RemedyReballoon:
-		return "reballoon"
-	case RemedyMigrate:
-		return "migrate"
-	default:
-		return "kill"
+	if r >= 0 && int(r) < len(remediationNames) {
+		return remediationNames[r]
 	}
+	return fmt.Sprintf("Remediation(%d)", int(r))
 }
 
-// RemediationNames maps canonical spelling to policy.
-var RemediationNames = map[string]Remediation{
-	"none":      RemedyNone,
-	"reballoon": RemedyReballoon,
-	"migrate":   RemedyMigrate,
-	"kill":      RemedyKill,
-}
-
-// AllRemediations returns the policies in comparison order.
-func AllRemediations() []Remediation {
-	return []Remediation{RemedyNone, RemedyReballoon, RemedyMigrate, RemedyKill}
+// ParseRemediation maps a remediation name to its Remediation.
+func ParseRemediation(name string) (Remediation, error) {
+	for i, n := range remediationNames {
+		if n == name {
+			return Remediation(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown remediation %q (valid: %s)", name, strings.Join(remediationNames[:], ", "))
 }
 
 // HostSpec sizes one host.

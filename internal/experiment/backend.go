@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vswapsim/internal/hyper"
+	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
 	"vswapsim/internal/swapback"
 	"vswapsim/internal/workload"
@@ -11,7 +12,7 @@ import (
 
 // backendSchemes are the two schemes the tier comparison contrasts: the
 // paper's uncooperative-swap baseline and full VSwapper.
-var backendSchemes = []Scheme{Baseline, VSwapper}
+var backendSchemes = []scenario.Scheme{scenario.Baseline, scenario.VSwapper}
 
 // backendCounters are the per-cell counters the second table surfaces,
 // in column order. hostswap.* counts all swap traffic on every tier;

@@ -19,7 +19,7 @@ import (
 type cell struct {
 	// Coordinates. A grid sets the axes it has and leaves the rest zero.
 	tier   swapback.Kind
-	scheme Scheme
+	scheme scenario.Scheme
 	policy cluster.Remediation
 	size   int // controlled guest allocation [MB] (sweeps)
 	guests int // guest count (fleet and cluster cells)
@@ -136,8 +136,8 @@ func evalAssertions(sc *scenario.Scenario, rep *Report, cells []cell) {
 	passed, skipped := 0, 0
 	for _, a := range sc.Assertions {
 		tier, guests := cells[0].tier, largest
-		if a.Backend != "" {
-			tier, _ = swapback.ParseKind(a.Backend) // validation admits declared backends only
+		if a.Backend != nil {
+			tier = *a.Backend
 		}
 		if a.Guests != 0 {
 			guests = a.Guests

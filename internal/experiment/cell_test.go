@@ -141,8 +141,8 @@ assertions:
     guests: 4
 `,
 			cells: []cell{
-				{scheme: Baseline, guests: 2, runtime: 9 * sim.Second},
-				{scheme: VSwapper, guests: 2, runtime: 4 * sim.Second},
+				{scheme: scenario.Baseline, guests: 2, runtime: 9 * sim.Second},
+				{scheme: scenario.VSwapper, guests: 2, runtime: 4 * sim.Second},
 			},
 			want: []string{
 				"assertion skipped (guests 4 not in this run): " +
@@ -177,8 +177,8 @@ assertions:
     value: 0
 `,
 			cells: []cell{
-				{tier: swapback.Zswap, scheme: Baseline, met: map[string]int64{"swapback.fast.store.pages": 7}},
-				{tier: swapback.HDD, scheme: Baseline},
+				{tier: swapback.Zswap, scheme: scenario.Baseline, met: map[string]int64{"swapback.fast.store.pages": 7}},
+				{tier: swapback.HDD, scheme: scenario.Baseline},
 			},
 			want: []string{"assertions: 2/2 passed"},
 		},

@@ -8,7 +8,6 @@ import (
 	"vswapsim/internal/metrics"
 	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
-	"vswapsim/internal/swapback"
 )
 
 // This file is the cluster cell: one multi-host scheduler run (ROADMAP
@@ -19,10 +18,10 @@ import (
 // p95/p99 unit latency and kill counts.
 
 // runCluster executes one cluster cell sized by cs (MB figures
-// pre-scale). The cell measures the fleet's latency quantiles and
-// counters. seed, when nonzero, overrides o.Seed so fan-out cells get
-// independent derived streams.
-func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uint64, cs scenario.ClusterSpec, tier swapback.Kind) cell {
+// pre-scale) on o's swap tier. The cell measures the fleet's latency
+// quantiles and counters. seed, when nonzero, overrides o.Seed so fan-out
+// cells get independent derived streams.
+func runCluster(o Options, s scenario.Scheme, remedy cluster.Remediation, n int, seed uint64, cs scenario.ClusterSpec) cell {
 	o = o.normalized()
 	release := o.acquire()
 	defer release()
@@ -31,16 +30,7 @@ func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uin
 	}
 	label := fmt.Sprintf("cluster/%s/%s/guests%d/seed%016x", s, remedy, n, seed)
 
-	// The -swapback flag still overrides the cell's tier; tier (SSD for
-	// clusterN) only applies when the option is left at its zero value
-	// (HDD).
-	sb := o.Swapback
-	if sb == swapback.HDD {
-		sb = tier
-	}
-	packing := clusterPackingByName(cs.Packing)
-
-	out := cell{tier: sb, scheme: s, policy: remedy, guests: n}
+	out := cell{tier: o.Swapback, scheme: s, policy: remedy, guests: n}
 	var cl *cluster.Cluster
 	st := &cellState{}
 	out.failed = o.runShielded(label, seed, st, func() {
@@ -74,21 +64,21 @@ func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uin
 			UnitCompute:       sim.Duration(cs.UnitComputeMS) * sim.Millisecond,
 			Stagger:           sim.Duration(cs.StaggerMS) * sim.Millisecond,
 			GuestDiskBlocks:   int64(o.mb(cs.DiskMB)) << 20 / 4096,
-			Packing:           packing,
+			Packing:           cs.Packing,
 			Remediation:       remedy,
 			MaxCommitFactor:   cs.MaxCommitFactor,
 			SampleInterval:    sim.Duration(cs.SampleSec) * sim.Second,
 			PressureThreshold: cs.Threshold,
 			Cooldown:          sim.Duration(cs.CooldownSec) * sim.Second,
-			Mapper:            s.mapper(),
-			Preventer:         s.preventer(),
-			Balloon:           s.balloon(),
-			Swapback:          sb,
+			Mapper:            s.Mapper(),
+			Preventer:         s.Preventer(),
+			Balloon:           s.Balloon(),
+			Swapback:          o.Swapback,
 			SwapPolicy:        o.SwapPolicy,
 			Faults:            o.Faults,
 			AuditEvery:        o.AuditEvery,
 			Spec: fmt.Sprintf("scheme=%s remediation=%s packing=%s guests=%d hosts=%d",
-				s, remedy, packing, n, len(hosts)),
+				s, remedy, cs.Packing, n, len(hosts)),
 		})
 		st.m, st.auditTail = cl.Hosts[0].M, cl.AuditHistory
 		cl.Run()
@@ -110,18 +100,6 @@ func runCluster(o Options, s Scheme, remedy cluster.Remediation, n int, seed uin
 	out.guestP95, out.guestP99 = cl.GuestP95(), cl.GuestP99()
 	out.met = cl.Met.Snapshot()
 	out.killed = int(out.met[metrics.ClusterKills])
-	return out
-}
-
-// clusterGrid fans the counts × remediations grid out on the worker
-// pool, row-major (counts outer), each cell on its own derived seed.
-func clusterGrid(o Options, id string, s Scheme, counts []int, remedies []cluster.Remediation, cs scenario.ClusterSpec, tier swapback.Kind) []cell {
-	o = o.normalized()
-	out := make([]cell, len(counts)*len(remedies))
-	o.forEach(len(out), func(i int) {
-		n, r := counts[i/len(remedies)], remedies[i%len(remedies)]
-		out[i] = runCluster(o, s, r, n, sim.DeriveSeed(o.Seed, id, s.String(), r.String(), strconv.Itoa(n)), cs, tier)
-	})
 	return out
 }
 
@@ -149,6 +127,7 @@ func clusterLatency(c cell) string {
 // cluster: fleet-wide p95/p99 unit latency plus kill and migration
 // counts, per guest count. Its hosts, guests, monitor tuning, policies
 // and SSD tier are cluster.yaml's; the entry adds the 16-guest row.
+// A -swapback set away from its default replaces the file's tier.
 func ClusterN(o Options) *Report {
 	o = o.normalized()
 	counts := []int{16, 32}
@@ -161,24 +140,22 @@ func ClusterN(o Options) *Report {
 		PaperNote: "beyond the paper: VSwapper at cluster scale — fleet p95/p99 unit latency per OOM-avoidance policy",
 	}
 	sc := clusterScenario()
-	_, tab := clusterPolicies(o, rep.ID, sc, counts, scenarioKinds(sc, o)[0])
+	_, tab := clusterPolicies(o.withTier(sc), rep.ID, sc, counts)
 	rep.Tables = append(rep.Tables, tab)
 	return rep
 }
 
 // clusterPolicies runs sc's cluster stanza at each guest count with one
-// column per declared remediation policy, each cell on a seed derived
-// from id. It returns the grid (row-major, counts outer) and its table.
-func clusterPolicies(o Options, id string, sc *scenario.Scenario, counts []int, tier swapback.Kind) ([]cell, *Table) {
-	names := sc.Cluster.Remediations
-	remedies := make([]cluster.Remediation, len(names))
-	for i, name := range names {
-		r, ok := cluster.RemediationNames[name]
-		if !ok {
-			panic("experiment: invalid scenario remediation " + name) // validation rejects
-		}
-		remedies[i] = r
-	}
-	grid := clusterGrid(o, id, schemeByName[sc.Schemes[0].Name], counts, remedies, sc.Cluster, tier)
+// column per declared remediation policy, fanned out on the worker pool,
+// each cell on a seed derived from id. It returns the grid (row-major,
+// counts outer) and its table.
+func clusterPolicies(o Options, id string, sc *scenario.Scenario, counts []int) ([]cell, *Table) {
+	o = o.normalized()
+	s, remedies := sc.Schemes[0].Scheme, sc.Cluster.Remediations
+	grid := make([]cell, len(counts)*len(remedies))
+	o.forEach(len(grid), func(i int) {
+		n, r := counts[i/len(remedies)], remedies[i%len(remedies)]
+		grid[i] = runCluster(o, s, r, n, sim.DeriveSeed(o.Seed, id, s.String(), r.String(), strconv.Itoa(n)), sc.Cluster)
+	})
 	return grid, pivot(sc.TableTitle, "guests", grid, cell.guestsLabel, cell.policyLabel, clusterLatency)
 }

@@ -5,9 +5,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"vswapsim/internal/cluster"
-	"vswapsim/internal/scenario"
 )
 
 // TestClusterParallelEquivalence extends the repo-wide determinism
@@ -43,7 +40,7 @@ func TestClusterScenarioMatchesYAML(t *testing.T) {
 	if len(rep.Tables) != 1 {
 		t.Fatalf("cluster scenario produced %d tables, want 1", len(rep.Tables))
 	}
-	for _, r := range cluster.AllRemediations() {
+	for _, r := range clusterScenario().Cluster.Remediations {
 		found := false
 		for _, col := range rep.Tables[0].Columns {
 			if col == r.String() {
@@ -81,52 +78,6 @@ func TestFailuresCarryAuditTail(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestClusterPolicyNamesAgree pins the two sides of the policy-name
-// contract: the scenario package's validation lists (used in error
-// messages and docs) and the cluster package's canonical maps accept
-// exactly the same spellings, and AllRemediations orders them the way
-// the comparison tables do.
-func TestClusterPolicyNamesAgree(t *testing.T) {
-	if len(scenario.ClusterPackings) != len(cluster.PackingNames) {
-		t.Errorf("scenario lists %d packings, cluster accepts %d",
-			len(scenario.ClusterPackings), len(cluster.PackingNames))
-	}
-	for _, n := range scenario.ClusterPackings {
-		p, ok := cluster.PackingNames[n]
-		if !ok {
-			t.Errorf("scenario packing %q unknown to the cluster package", n)
-			continue
-		}
-		if p.String() != n {
-			t.Errorf("packing %q round-trips to %q", n, p.String())
-		}
-	}
-	if len(scenario.ClusterRemediations) != len(cluster.RemediationNames) {
-		t.Errorf("scenario lists %d remediations, cluster accepts %d",
-			len(scenario.ClusterRemediations), len(cluster.RemediationNames))
-	}
-	for _, n := range scenario.ClusterRemediations {
-		r, ok := cluster.RemediationNames[n]
-		if !ok {
-			t.Errorf("scenario remediation %q unknown to the cluster package", n)
-			continue
-		}
-		if r.String() != n {
-			t.Errorf("remediation %q round-trips to %q", n, r.String())
-		}
-	}
-	all := cluster.AllRemediations()
-	if len(all) != len(cluster.RemediationNames) {
-		t.Errorf("AllRemediations returns %d policies, map has %d", len(all), len(cluster.RemediationNames))
-	}
-	for i, r := range all {
-		if scenario.ClusterRemediations[i] != r.String() {
-			t.Errorf("comparison order [%d]: scenario %q, cluster %q",
-				i, scenario.ClusterRemediations[i], r)
-		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // controller. The cell measures the mean guest runtime and how many
 // guests were OOM-killed. seed, when nonzero, overrides o.Seed so fan-out
 // cells get independent derived streams.
-func runDynamic(o Options, scheme Scheme, n int, seed uint64, f scenario.Fleet, w scenario.Workload) cell {
+func runDynamic(o Options, scheme scenario.Scheme, n int, seed uint64, f scenario.Fleet, w scenario.Workload) cell {
 	o = o.normalized()
 	release := o.acquire()
 	defer release()
@@ -53,13 +53,13 @@ func runDynamic(o Options, scheme Scheme, n int, seed uint64, f scenario.Fleet, 
 				MemPages:   o.pages(f.MemoryMB),
 				VCPUs:      f.VCPUs,
 				DiskBlocks: int64(o.mb(f.DiskMB)) << 20 / 4096,
-				Mapper:     scheme.mapper(),
-				Preventer:  scheme.preventer(),
+				Mapper:     scheme.Mapper(),
+				Preventer:  scheme.Preventer(),
 				GuestAPF:   true,
 			})
 		}
 		var mgr *balloon.Manager
-		if scheme.balloon() {
+		if scheme.Balloon() {
 			mgr = balloon.New(m, balloon.Config{})
 		}
 
@@ -114,7 +114,7 @@ func fleetRuntime(c cell) string {
 // dynamicGrid runs the counts × schemes grid of runDynamic calls on the
 // worker pool, returning its cells row-major (counts outer). Each cell's
 // seed derives from (id, scheme, guest count).
-func dynamicGrid(o Options, id string, counts []int, schemes []Scheme, f scenario.Fleet, w scenario.Workload) []cell {
+func dynamicGrid(o Options, id string, counts []int, schemes []scenario.Scheme, f scenario.Fleet, w scenario.Workload) []cell {
 	o = o.normalized()
 	out := make([]cell, len(counts)*len(schemes))
 	o.forEach(len(out), func(i int) {
@@ -137,11 +137,11 @@ func Fig4(o Options) *Report {
 		Title:     "Average completion of ten phased MapReduce guests (Fig. 4)",
 		PaperNote: "baseline 153s, balloon+base 167s, vswapper 88s, balloon+vswapper 97s",
 	}
-	paper := map[Scheme]string{
-		Baseline: "153", BalloonBase: "167", VSwapper: "88", BalloonVSwapper: "97",
+	paper := map[scenario.Scheme]string{
+		scenario.Baseline: "153", scenario.BalloonBase: "167", scenario.VSwapper: "88", scenario.BalloonVSwapper: "97",
 	}
 	tab := &Table{Title: "avg runtime [sec]", Columns: []string{"config", "runtime", "paper"}}
-	schemes := []Scheme{Baseline, BalloonBase, VSwapper, BalloonVSwapper}
+	schemes := []scenario.Scheme{scenario.Baseline, scenario.BalloonBase, scenario.VSwapper, scenario.BalloonVSwapper}
 	sc := fig14Scenario()
 	for _, c := range dynamicGrid(o, "fig4", []int{n}, schemes, sc.Fleet, sc.Workload) {
 		tab.Add(c.scheme.String(), c.show("%s", fleetRuntime(c)), paper[c.scheme])

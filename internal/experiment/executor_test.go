@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
 )
 
@@ -108,7 +109,7 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 // grid in the registry never collide — with each other or with the base
 // seed the non-sweep experiments run on.
 func TestDerivedCellSeedsUnique(t *testing.T) {
-	allSchemes := []Scheme{Baseline, BalloonBase, MapperOnly, VSwapper, BalloonVSwapper}
+	allSchemes := []scenario.Scheme{scenario.Baseline, scenario.BalloonBase, scenario.MapperOnly, scenario.VSwapper, scenario.BalloonVSwapper}
 	fullSizes := sweepSizes(Options{}.normalized())
 	quickSizes := sweepSizes(Options{Quick: true}.normalized())
 	union := func(lists ...[]int) []int {

@@ -14,47 +14,10 @@ import (
 	"vswapsim/internal/fault/audit"
 	"vswapsim/internal/guest"
 	"vswapsim/internal/hyper"
+	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
 	"vswapsim/internal/workload"
 )
-
-// Scheme is one of the five configurations evaluated in the paper (§5).
-type Scheme int
-
-const (
-	// Baseline relies solely on uncooperative host swapping.
-	Baseline Scheme = iota
-	// BalloonBase employs ballooning, falling back on baseline swapping.
-	BalloonBase
-	// MapperOnly is VSwapper without the False Reads Preventer.
-	MapperOnly
-	// VSwapper is the Swap Mapper plus the Preventer.
-	VSwapper
-	// BalloonVSwapper combines ballooning with VSwapper.
-	BalloonVSwapper
-)
-
-func (s Scheme) String() string {
-	switch s {
-	case Baseline:
-		return "baseline"
-	case BalloonBase:
-		return "balloon+base"
-	case MapperOnly:
-		return "mapper"
-	case VSwapper:
-		return "vswapper"
-	case BalloonVSwapper:
-		return "balloon+vswap"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
-}
-
-// mapper/preventer/balloon report which components a scheme enables.
-func (s Scheme) mapper() bool    { return s == MapperOnly || s == VSwapper || s == BalloonVSwapper }
-func (s Scheme) preventer() bool { return s == VSwapper || s == BalloonVSwapper }
-func (s Scheme) balloon() bool   { return s == BalloonBase || s == BalloonVSwapper }
 
 // canceled reports whether the invocation's context has been canceled.
 func (o Options) canceled() bool { return o.Ctx != nil && o.Ctx.Err() != nil }
@@ -237,7 +200,7 @@ func mins(d sim.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()/60) }
 // runCfg describes one single-guest controlled-memory run (paper §5.1).
 type runCfg struct {
 	opts   Options
-	scheme Scheme
+	scheme scenario.Scheme
 	// seed, when nonzero, overrides opts.Seed for this run's machine.
 	// Fan-out jobs set it to sim.DeriveSeed(opts.Seed, id, scheme, size)
 	// so each cell is an independent, scheduling-order-free stream.
@@ -307,8 +270,8 @@ func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) ce
 			LimitPages: o.pages(rc.actualMB),
 			VCPUs:      rc.vcpus,
 			DiskBlocks: int64(o.mb(20*1024)) << 20 / 4096,
-			Mapper:     rc.scheme.mapper(),
-			Preventer:  rc.scheme.preventer(),
+			Mapper:     rc.scheme.Mapper(),
+			Preventer:  rc.scheme.Preventer(),
 			GuestAPF:   true,
 			Guest:      &gcfg,
 		}
@@ -322,7 +285,7 @@ func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) ce
 
 		m.Env.Go("driver", func(p *sim.Proc) {
 			vm.Boot(p)
-			if rc.scheme.balloon() && vmc.LimitPages > 0 {
+			if rc.scheme.Balloon() && vmc.LimitPages > 0 {
 				target := vmc.MemPages - vmc.LimitPages + o.pages(rc.balloonMarginMB)
 				vm.OS.SetBalloonTarget(target)
 				for vm.OS.BalloonPages() < vm.OS.BalloonTarget() {

@@ -3,10 +3,10 @@ package experiment
 import (
 	"fmt"
 
-	"vswapsim/internal/disk"
-
 	"vswapsim/internal/core"
+	"vswapsim/internal/disk"
 	"vswapsim/internal/hyper"
+	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
 	"vswapsim/internal/workload"
 )
@@ -37,7 +37,7 @@ func Overhead(o Options) *Report {
 	}
 	for _, w := range bodies {
 		var runs [2]cell
-		for i, s := range []Scheme{Baseline, VSwapper} {
+		for i, s := range []scenario.Scheme{scenario.Baseline, scenario.VSwapper} {
 			runs[i] = runSingle(runCfg{
 				opts: o, scheme: s,
 				guestMB:  512,
@@ -83,7 +83,7 @@ func Windows(o Options) *Report {
 	}
 	for _, c := range cases {
 		row := []string{c.name}
-		for _, s := range []Scheme{Baseline, VSwapper} {
+		for _, s := range []scenario.Scheme{scenario.Baseline, scenario.VSwapper} {
 			out := runSingle(runCfg{
 				opts: o, scheme: s,
 				guestMB:  2048,
@@ -127,7 +127,7 @@ func Ablations(o Options) *Report {
 	} {
 		k := k
 		out := runSingle(runCfg{
-			opts: o, scheme: VSwapper,
+			opts: o, scheme: scenario.VSwapper,
 			guestMB: 512, actualMB: 100,
 			warmup: true,
 			vmTweak: func(c *hyper.VMConfig) {
@@ -150,16 +150,16 @@ func Ablations(o Options) *Report {
 		Columns: []string{"config", "swap cluster", "file RA max", "runtime [s]"},
 	}
 	for _, k := range []struct {
-		scheme  Scheme
+		scheme  scenario.Scheme
 		cluster int
 		ramax   int
 	}{
-		{Baseline, 1, 32},
-		{Baseline, 8, 32},
-		{Baseline, 32, 32},
-		{VSwapper, 8, 8},
-		{VSwapper, 8, 32},
-		{VSwapper, 8, 128},
+		{scenario.Baseline, 1, 32},
+		{scenario.Baseline, 8, 32},
+		{scenario.Baseline, 32, 32},
+		{scenario.VSwapper, 8, 8},
+		{scenario.VSwapper, 8, 32},
+		{scenario.VSwapper, 8, 128},
 	} {
 		k := k
 		out := runSingle(runCfg{
@@ -186,7 +186,7 @@ func Ablations(o Options) *Report {
 	for _, db := range []bool{false, true} {
 		db := db
 		out := runSingle(runCfg{
-			opts: o, scheme: Baseline,
+			opts: o, scheme: scenario.Baseline,
 			guestMB: 512, actualMB: 100,
 			warmup: true,
 			hostTweak: func(c *hyper.MachineConfig) {
@@ -208,11 +208,11 @@ func Ablations(o Options) *Report {
 		Columns: []string{"config", "disk", "runtime [s]", "swap write sectors"},
 	}
 	for _, k := range []struct {
-		scheme Scheme
+		scheme scenario.Scheme
 		ssd    bool
 	}{
-		{Baseline, false}, {Baseline, true},
-		{VSwapper, false}, {VSwapper, true},
+		{scenario.Baseline, false}, {scenario.Baseline, true},
+		{scenario.VSwapper, false}, {scenario.VSwapper, true},
 	} {
 		k := k
 		out := runSingle(runCfg{
@@ -245,7 +245,7 @@ func Ablations(o Options) *Report {
 	for _, unaligned := range []bool{false, true} {
 		unaligned := unaligned
 		out := runSingle(runCfg{
-			opts: o, scheme: VSwapper,
+			opts: o, scheme: scenario.VSwapper,
 			guestMB: 512, actualMB: 100,
 			warmup: true,
 			vmTweak: func(c *hyper.VMConfig) {

@@ -3,6 +3,7 @@ package experiment
 import (
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/metrics"
+	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
 	"vswapsim/internal/workload"
 )
@@ -20,7 +21,7 @@ func Fig10(o Options) *Report {
 		Title:   "alloc+access phase",
 		Columns: []string{"config", "runtime [sec]", "disk ops [1000s]", "false reads"},
 	}
-	for _, s := range []Scheme{Baseline, MapperOnly, VSwapper, BalloonBase} {
+	for _, s := range []scenario.Scheme{scenario.Baseline, scenario.MapperOnly, scenario.VSwapper, scenario.BalloonBase} {
 		var m *hyper.Machine
 		var allocSnap, d map[string]int64
 		out := runSingle(runCfg{

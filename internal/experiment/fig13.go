@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vswapsim/internal/hyper"
+	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
 	"vswapsim/internal/workload"
 )
@@ -13,7 +14,7 @@ import (
 // survives but kills Eclipse below 448 MB.
 func Fig13(o Options) *Report {
 	o = o.normalized()
-	schemes := []Scheme{Baseline, MapperOnly, VSwapper, BalloonBase}
+	schemes := []scenario.Scheme{scenario.Baseline, scenario.MapperOnly, scenario.VSwapper, scenario.BalloonBase}
 	sizes := []int{512, 448, 384, 320, 256}
 	if o.Quick {
 		sizes = []int{512, 384, 256}
@@ -54,7 +55,7 @@ func Fig15(o Options) *Report {
 		iters = 3
 	}
 	runSingle(runCfg{
-		opts: o, scheme: VSwapper,
+		opts: o, scheme: scenario.VSwapper,
 		guestMB: 512, actualMB: 320,
 		warmup: true,
 	}, func(vm *hyper.VM, p *sim.Proc) *workload.Job {

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"vswapsim/internal/cluster"
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
@@ -13,23 +12,12 @@ import (
 
 // This file compiles a validated scenario.Scenario onto the experiment
 // machinery: runSingle for controlled-memory runs, dynamicGrid for
-// phased fleets and clusterGrid for multi-host policy grids, the same
+// phased fleets and clusterPolicies for multi-host policy grids, the same
 // cells the hand-coded figures use. The scenario name keys every cell's
 // seed derivation. The registry's fig3, fig9, fig14 and fleetN entries
 // are scenario files run through here (see registry.go), so
 // `vswapsim run scenarios/fig3.yaml` and `vswapsim -run fig3` reach one
 // definition.
-
-// schemeByName maps scenario scheme identifiers onto Scheme values. It
-// must agree with Scheme.String and scenario.SchemeNames (enforced by
-// TestSchemeNamesAgree).
-var schemeByName = map[string]Scheme{
-	"baseline":      Baseline,
-	"balloon+base":  BalloonBase,
-	"mapper":        MapperOnly,
-	"vswapper":      VSwapper,
-	"balloon+vswap": BalloonVSwapper,
-}
 
 // FromScenario compiles a validated scenario into a runnable Experiment.
 func FromScenario(sc *scenario.Scenario) Experiment {
@@ -72,36 +60,11 @@ func scenarioIters(o Options, w scenario.Workload) int {
 	return w.Iterations
 }
 
-// scenarioKinds resolves which backend tiers the scenario runs against:
-// the declared backend list, or the invocation's -swapback (default hdd)
-// when the scenario declares none.
-func scenarioKinds(sc *scenario.Scenario, o Options) []swapback.Kind {
-	if len(sc.Backends) == 0 {
-		return []swapback.Kind{o.Swapback}
-	}
-	kinds := make([]swapback.Kind, len(sc.Backends))
-	for i, name := range sc.Backends {
-		k, err := swapback.ParseKind(name)
-		if err != nil {
-			panic("experiment: invalid scenario backend " + name) // validation rejects
-		}
-		kinds[i] = k
-	}
-	return kinds
-}
-
 func runScenario(sc *scenario.Scenario, o Options) *Report {
-	o = o.normalized().withScenario(sc)
+	o = o.normalized().withScenario(sc).withTier(sc)
 	// Timeline injection stays live unless an explicit fault plan replaced
 	// the scenario's own (see ForScenario).
 	timelineFaults := o.Faults == sc.Faults
-	if sc.Policy != "" {
-		p, err := swapback.ParsePolicy(sc.Policy)
-		if err != nil {
-			panic("experiment: invalid scenario policy " + sc.Policy) // validation rejects
-		}
-		o.SwapPolicy = p
-	}
 	rep := &Report{ID: sc.Name, Title: sc.Title, PaperNote: sc.PaperNote}
 	switch sc.Mode {
 	case scenario.ModeDynamic:
@@ -138,20 +101,24 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 	// Panels reproduce the Fig. 9 shape: counter panels sample one shared
 	// Met.Diff per iteration, the runtime panel reads the cell's iterations.
 	iters := scenarioIters(o, sc.Workload)
-	panelData := make([]map[string][]string, len(sc.Panels))
+	panelData := make([]map[scenario.Scheme][]string, len(sc.Panels))
 	for i := range panelData {
-		panelData[i] = make(map[string][]string)
+		panelData[i] = make(map[scenario.Scheme][]string)
 	}
 
 	// Schemes run serially with the invocation seed, exactly like the
 	// hand-coded single-guest figures. With more than one declared backend
 	// the whole scheme grid repeats per tier (panels and timelines are
 	// rejected by validation there), each tier on its own derived seed so
-	// the tiers' streams stay independent; a single backend keeps the
-	// invocation seed so a scenario equals the -swapback CLI form exactly.
-	// Timeline notes go straight into the report, in run order.
-	kinds := scenarioKinds(sc, o)
+	// the tiers' streams stay independent; a single backend is o's tier
+	// (see withTier) and keeps the invocation seed, so a scenario equals
+	// the -swapback CLI form exactly. Timeline notes go straight into the
+	// report, in run order.
+	kinds := sc.Backends
 	multi := len(kinds) > 1
+	if !multi {
+		kinds = []swapback.Kind{o.Swapback}
+	}
 	var cells []cell
 	for _, k := range kinds {
 		ko := o
@@ -160,10 +127,10 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 			ko.Seed = sim.DeriveSeed(o.Seed, "swapback", k.String())
 		}
 		for _, ref := range sc.Schemes {
-			ref := ref
+			s := ref.Scheme
 			var lastSnap map[string]int64
 			c := runSingle(runCfg{
-				opts: ko, scheme: schemeByName[ref.Name],
+				opts: ko, scheme: s,
 				guestMB:         sc.Fleet.MemoryMB,
 				actualMB:        sc.Fleet.ActualMB,
 				hostMB:          sc.Fleet.HostMB,
@@ -179,8 +146,8 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 						d := vm.M.Met.Diff(lastSnap)
 						lastSnap = vm.M.Met.Snapshot()
 						for i, pn := range sc.Panels {
-							if pn.Source == "counter" {
-								panelData[i][ref.Name] = append(panelData[i][ref.Name],
+							if pn.Counter != "" {
+								panelData[i][s] = append(panelData[i][s],
 									fmt.Sprintf("%.1f", float64(d[pn.Counter])/pn.Per))
 							}
 						}
@@ -188,14 +155,14 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 				}
 				job := scenarioJob(ko, sc.Workload, vm, after)
 				if len(sc.Timeline) > 0 {
-					runTimeline(sc, ko, vm, job, timelineFaults, ref.Name, &rep.Notes)
+					runTimeline(sc, ko, vm, job, timelineFaults, s.String(), &rep.Notes)
 				}
 				return job
 			})
 			for i, pn := range sc.Panels {
-				if pn.Source == "runtime" {
+				if pn.Counter == "" {
 					for _, it := range c.iters {
-						panelData[i][ref.Name] = append(panelData[i][ref.Name], secs(it))
+						panelData[i][s] = append(panelData[i][s], secs(it))
 					}
 				}
 			}
@@ -231,13 +198,13 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 	for i, pn := range sc.Panels {
 		tab := &Table{Title: pn.Title, Columns: []string{"iteration"}}
 		for _, ref := range sc.Schemes {
-			tab.Columns = append(tab.Columns, ref.Name)
+			tab.Columns = append(tab.Columns, ref.Scheme.String())
 		}
 		for it := 0; it < iters; it++ {
 			row := []string{fmt.Sprintf("%d", it+1)}
 			for _, ref := range sc.Schemes {
-				if it < len(panelData[i][ref.Name]) {
-					row = append(row, panelData[i][ref.Name][it])
+				if col := panelData[i][ref.Scheme]; it < len(col) {
+					row = append(row, col[it])
 				} else {
 					row = append(row, "-")
 				}
@@ -296,16 +263,13 @@ func runTimeline(sc *scenario.Scenario, o Options, vm *hyper.VM, job *workload.J
 // ---- dynamic mode ----
 
 func runScenarioDynamic(sc *scenario.Scenario, o Options, rep *Report) {
-	// Dynamic mode fans out per (count, scheme) already; validation caps it
-	// at one declared backend, which simply replaces the invocation tier.
-	o.Swapback = scenarioKinds(sc, o)[0]
 	counts := sc.Fleet.Counts
 	if o.Quick && len(sc.Fleet.QuickCounts) > 0 {
 		counts = sc.Fleet.QuickCounts
 	}
-	schemes := make([]Scheme, len(sc.Schemes))
+	schemes := make([]scenario.Scheme, len(sc.Schemes))
 	for i, ref := range sc.Schemes {
-		schemes[i] = schemeByName[ref.Name]
+		schemes[i] = ref.Scheme
 	}
 	cells := dynamicGrid(o, sc.Name, counts, schemes, sc.Fleet, sc.Workload)
 	rep.Tables = append(rep.Tables,
@@ -319,19 +283,7 @@ func runScenarioDynamic(sc *scenario.Scenario, o Options, rep *Report) {
 // uses: one guest count, the stanza's remediation policies as columns,
 // each cell on its own derived seed.
 func runScenarioCluster(sc *scenario.Scenario, o Options, rep *Report) {
-	// A declared backend replaces the invocation tier (at most one,
-	// enforced by validation); no declaration keeps the CLI -swapback.
-	o.Swapback = scenarioKinds(sc, o)[0]
-	grid, tab := clusterPolicies(o, sc.Name, sc, []int{sc.Cluster.Guests}, o.Swapback)
+	grid, tab := clusterPolicies(o, sc.Name, sc, []int{sc.Cluster.Guests})
 	rep.Tables = append(rep.Tables, tab)
 	evalAssertions(sc, rep, grid)
-}
-
-// clusterPackingByName resolves a validated packing identifier.
-func clusterPackingByName(name string) cluster.Packing {
-	p, ok := cluster.PackingNames[name]
-	if !ok {
-		panic("experiment: invalid scenario packing " + name) // validation rejects
-	}
-	return p
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,6 +11,8 @@ import (
 
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/scenario"
+	"vswapsim/internal/swapback"
+	"vswapsim/scenarios"
 )
 
 const scenarioGoldenFile = "testdata/golden_scenarios.json"
@@ -82,36 +85,40 @@ func TestScenarioGoldens(t *testing.T) {
 	}
 }
 
-// TestSchemeNamesAgree pins the two sides of the scheme-name contract:
-// every simulator Scheme is reachable from YAML under exactly its
-// String() name, and scenario.SchemeNames (used in validation errors and
-// docs) lists exactly that set.
-func TestSchemeNamesAgree(t *testing.T) {
-	all := []Scheme{Baseline, BalloonBase, MapperOnly, VSwapper, BalloonVSwapper}
-	if len(schemeByName) != len(all) {
-		t.Errorf("schemeByName has %d entries, want %d", len(schemeByName), len(all))
+// TestDeclaredTierEqualsFlags: a file's single declared backend and
+// policy run exactly like the same file without them under the matching
+// -swapback and -swappolicy (tables, notes and run records), and the
+// declared policy visibly applies: its run records differ from the
+// backend's alone.
+func TestDeclaredTierEqualsFlags(t *testing.T) {
+	text, err := scenarios.FS.ReadFile("fig3.yaml")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range all {
-		got, ok := schemeByName[s.String()]
-		if !ok {
-			t.Errorf("scheme %q not reachable from YAML", s.String())
-			continue
+	declare := func(lines string) *scenario.Scenario {
+		doc := strings.Replace(string(text), "\nmode: single\n", "\nmode: single\n"+lines, 1)
+		sc, err := scenario.Parse([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got != s {
-			t.Errorf("schemeByName[%q] = %v, want %v", s.String(), got, s)
-		}
+		return sc
 	}
-	names := map[string]bool{}
-	for _, n := range scenario.SchemeNames {
-		names[n] = true
-		if _, ok := schemeByName[n]; !ok {
-			t.Errorf("scenario.SchemeNames lists %q, unknown to the compiler", n)
+	report := func(sc *scenario.Scenario, o Options) []byte {
+		fetch := o.EnableRunLog()
+		data, err := json.Marshal(BuildJSON(FromScenario(sc).Run(o), fetch(), nil))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return data
 	}
-	for n := range schemeByName {
-		if !names[n] {
-			t.Errorf("compiler accepts scheme %q missing from scenario.SchemeNames", n)
-		}
+	declared := report(declare("backend: zswap\npolicy: hotfirst\n"), goldenOpts())
+	flags := goldenOpts()
+	flags.Swapback, flags.SwapPolicy = swapback.Zswap, swapback.PolicyHot
+	if !bytes.Equal(declared, report(declare(""), flags)) {
+		t.Error("backend: zswap and policy: hotfirst report differently from -swapback zswap -swappolicy hotfirst")
+	}
+	if bytes.Equal(declared, report(declare("backend: zswap\n"), goldenOpts())) {
+		t.Error("policy: hotfirst left the zswap runs as writeback ran them")
 	}
 }
 

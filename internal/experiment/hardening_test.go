@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"vswapsim/internal/hyper"
+	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
 	"vswapsim/internal/workload"
 )
@@ -64,7 +65,7 @@ func hardeningFixture() Experiment {
 			results := make([]string, len(cells))
 			o.forEach(len(cells), func(i int) {
 				r := runSingle(runCfg{
-					opts: o, scheme: Baseline,
+					opts: o, scheme: scenario.Baseline,
 					seed: sim.DeriveSeed(o.Seed, "hardfix", cells[i].name),
 					// actual (clamped to the 8MB floor = 2048 pages) is well
 					// under the failing cells' 4096-page touch set, forcing

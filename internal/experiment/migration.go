@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"vswapsim/internal/hyper"
+	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
 	"vswapsim/internal/workload"
 )
@@ -24,7 +25,7 @@ func Migration(o Options) *Report {
 		Columns: []string{"config", "strategy", "wire MB", "downtime [s]",
 			"mapping-only pages", "skipped pages"},
 	}
-	for _, s := range []Scheme{Baseline, VSwapper} {
+	for _, s := range []scenario.Scheme{scenario.Baseline, scenario.VSwapper} {
 		var naive, mapped hyper.MigrationResult
 		out := runSingle(runCfg{
 			opts: o, scheme: s,

@@ -176,15 +176,18 @@ func (o Options) Key() string {
 
 // ForScenario applies a scenario's declarations to o. A scenario that
 // declares its own backend tiers or tiering policy owns that axis, so a
-// non-default Swapback or SwapPolicy is a conflict, not a precedence
-// rule. The scenario's top-level faults: and audit_every: fill in where o
-// leaves them unset; an explicit fault plan replaces the scenario's whole
-// fault configuration, inject_faults timeline events included.
+// non-default Swapback or SwapPolicy is a conflict. The scenario's
+// top-level faults: and audit_every: fill in where o leaves them unset;
+// an explicit fault plan replaces the scenario's whole fault
+// configuration, inject_faults timeline events included. The declared
+// tier and policy stay out of the returned options, which name the
+// invocation in documents and replay commands: the run applies them
+// (see withTier).
 func (o Options) ForScenario(sc *scenario.Scenario) (Options, error) {
 	if o.Swapback != swapback.HDD && len(sc.Backends) > 0 {
 		return o, errors.New("swapback conflicts with the scenario's backend declaration")
 	}
-	if o.SwapPolicy != swapback.PolicyWriteback && sc.Policy != "" {
+	if o.SwapPolicy != swapback.PolicyWriteback && sc.Policy != nil {
 		return o, errors.New("swappolicy conflicts with the scenario's policy declaration")
 	}
 	return o.withScenario(sc), nil
@@ -199,6 +202,21 @@ func (o Options) withScenario(sc *scenario.Scenario) Options {
 	}
 	if o.AuditEvery == 0 {
 		o.AuditEvery = sc.AuditEvery
+	}
+	return o
+}
+
+// withTier applies a scenario's single declared backend tier and its
+// tiering policy under the rule faults: and audit_every: follow: an
+// option set away from its default wins, otherwise the declaration
+// applies. A list of tiers is a grid axis the single-mode compiler fans
+// out instead.
+func (o Options) withTier(sc *scenario.Scenario) Options {
+	if len(sc.Backends) == 1 && o.Swapback == swapback.HDD {
+		o.Swapback = sc.Backends[0]
+	}
+	if sc.Policy != nil && o.SwapPolicy == swapback.PolicyWriteback {
+		o.SwapPolicy = *sc.Policy
 	}
 	return o
 }

@@ -125,13 +125,15 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 // TestForScenario: declared backends and policies conflict with explicit
-// tiers; declared faults and audit stride fill in only where unset.
+// tiers and stay out of the returned options; declared faults and audit
+// stride fill in only where unset.
 func TestForScenario(t *testing.T) {
+	hot := swapback.PolicyHot
 	declared := &scenario.Scenario{
 		Faults:     fault.MustParse("disk-lat:0.05"),
 		AuditEvery: 4096,
-		Backends:   []string{"hdd", "ssd"},
-		Policy:     "hotfirst",
+		Backends:   []swapback.Kind{swapback.SSD},
+		Policy:     &hot,
 	}
 	o, err := Options{}.ForScenario(declared)
 	if err != nil {
@@ -139,6 +141,9 @@ func TestForScenario(t *testing.T) {
 	}
 	if o.Faults != declared.Faults || o.AuditEvery != 4096 {
 		t.Fatalf("scenario faults/audit not folded in: %q/%d", o.Faults, o.AuditEvery)
+	}
+	if o.Swapback != swapback.HDD || o.SwapPolicy != swapback.PolicyWriteback {
+		t.Fatalf("declared tier folded into the invocation's options: %s/%s", o.Swapback, o.SwapPolicy)
 	}
 	explicit := Options{Faults: fault.MustParse("swapin-fail:0.1"), AuditEvery: 7}
 	if o, _ := explicit.ForScenario(declared); o.Faults != explicit.Faults || o.AuditEvery != 7 {
@@ -152,6 +157,36 @@ func TestForScenario(t *testing.T) {
 	}
 	if _, err := (Options{Swapback: swapback.SSD, SwapPolicy: swapback.PolicyFlat}).ForScenario(&scenario.Scenario{}); err != nil {
 		t.Errorf("explicit tiers rejected against a scenario that declares none: %v", err)
+	}
+}
+
+// TestWithTier pins the one rule for a declared tier and policy, the
+// rule faults: and audit_every: follow: an option set away from its
+// default wins, otherwise the declaration applies. clusterN runs
+// cluster.yaml's SSD tier by default and the invocation's zswap when
+// asked; a declared list of tiers is left to the single-mode grid.
+func TestWithTier(t *testing.T) {
+	sc := clusterScenario()
+	if got := (Options{}).withTier(sc).Swapback; got != swapback.SSD {
+		t.Errorf("default options run cluster.yaml on %s, want ssd", got)
+	}
+	if got := (Options{Swapback: swapback.Zswap}).withTier(sc).Swapback; got != swapback.Zswap {
+		t.Errorf("-swapback zswap runs cluster.yaml on %s, want zswap", got)
+	}
+	hot := swapback.PolicyHot
+	declared := &scenario.Scenario{Policy: &hot}
+	if got := (Options{}).withTier(declared).SwapPolicy; got != swapback.PolicyHot {
+		t.Errorf("default options run a hotfirst declaration under %s", got)
+	}
+	if got := (Options{SwapPolicy: swapback.PolicyFlat}).withTier(declared).SwapPolicy; got != swapback.PolicyFlat {
+		t.Errorf("-swappolicy flat runs a hotfirst declaration under %s", got)
+	}
+	if got := (Options{}).withTier(&scenario.Scenario{}); got.Swapback != swapback.HDD || got.SwapPolicy != swapback.PolicyWriteback {
+		t.Errorf("no declaration moved the defaults to %s/%s", got.Swapback, got.SwapPolicy)
+	}
+	axis := &scenario.Scenario{Backends: []swapback.Kind{swapback.SSD, swapback.Zswap}}
+	if got := (Options{}).withTier(axis).Swapback; got != swapback.HDD {
+		t.Errorf("a declared tier axis replaced the invocation tier with %s", got)
 	}
 }
 

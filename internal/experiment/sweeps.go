@@ -7,6 +7,7 @@ import (
 
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/metrics"
+	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
 	"vswapsim/internal/workload"
 )
@@ -24,7 +25,7 @@ func sweepSizes(o Options) []int {
 // the worker pool, scheme-major. id names the sweep in each cell's derived
 // seed, so a cell's result is a pure function of (Seed, id, scheme, size)
 // — identical whether the grid runs serially or in parallel, in any order.
-func runSweep(o Options, id string, schemes []Scheme, sizes []int,
+func runSweep(o Options, id string, schemes []scenario.Scheme, sizes []int,
 	body func(vm *hyper.VM, p *sim.Proc) *workload.Job) []cell {
 	o = o.normalized()
 	cells := make([]cell, len(schemes)*len(sizes))
@@ -70,7 +71,7 @@ type pbzipEntry struct {
 // one.
 func pbzipSweep(o Options) []cell {
 	o = o.normalized()
-	schemes := []Scheme{Baseline, MapperOnly, VSwapper, BalloonBase}
+	schemes := []scenario.Scheme{scenario.Baseline, scenario.MapperOnly, scenario.VSwapper, scenario.BalloonBase}
 	// Fig. 5's axis extends to 128 MB, where the paper's guest OOM-kills
 	// pbzip2 under the static balloon ("below 240MB" on their axis).
 	sizes := append(sweepSizes(o), 128)
@@ -141,7 +142,7 @@ func Fig11(o Options) *Report {
 // Fig12 reproduces the Kernbench sweep: runtime and Preventer remaps.
 func Fig12(o Options) *Report {
 	o = o.normalized()
-	schemes := []Scheme{Baseline, MapperOnly, VSwapper, BalloonBase}
+	schemes := []scenario.Scheme{scenario.Baseline, scenario.MapperOnly, scenario.VSwapper, scenario.BalloonBase}
 	sizes := sweepSizes(o)
 	files := 2800
 	if o.Quick {

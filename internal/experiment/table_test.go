@@ -3,6 +3,8 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"vswapsim/internal/scenario"
 )
 
 func TestTableCSV(t *testing.T) {
@@ -34,17 +36,17 @@ func TestReportString(t *testing.T) {
 
 func TestSchemeProperties(t *testing.T) {
 	cases := []struct {
-		s                          Scheme
+		s                          scenario.Scheme
 		mapper, preventer, balloon bool
 	}{
-		{Baseline, false, false, false},
-		{BalloonBase, false, false, true},
-		{MapperOnly, true, false, false},
-		{VSwapper, true, true, false},
-		{BalloonVSwapper, true, true, true},
+		{scenario.Baseline, false, false, false},
+		{scenario.BalloonBase, false, false, true},
+		{scenario.MapperOnly, true, false, false},
+		{scenario.VSwapper, true, true, false},
+		{scenario.BalloonVSwapper, true, true, true},
 	}
 	for _, c := range cases {
-		if c.s.mapper() != c.mapper || c.s.preventer() != c.preventer || c.s.balloon() != c.balloon {
+		if c.s.Mapper() != c.mapper || c.s.Preventer() != c.preventer || c.s.Balloon() != c.balloon {
 			t.Fatalf("scheme %v has wrong component set", c.s)
 		}
 		if c.s.String() == "" || strings.Contains(c.s.String(), "Scheme(") {

@@ -9,6 +9,7 @@ import (
 	"vswapsim/internal/hostmm"
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/metrics"
+	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
 	"vswapsim/internal/workload"
 )
@@ -66,7 +67,7 @@ func Table2(o Options) *Report {
 	}
 	// The guest may use 440 MB but only ~350 MB is guaranteed under host
 	// pressure — model the pressured steady state.
-	run := func(name string, scheme Scheme) {
+	run := func(name string, scheme scenario.Scheme) {
 		out := runSingle(runCfg{
 			opts: o, scheme: scheme,
 			guestMB:  440,
@@ -82,9 +83,9 @@ func Table2(o Options) *Report {
 			out.show("%d", out.met[metrics.SwapWriteSectors]),
 			out.show("%d", out.met[metrics.HostMajorFaults]))
 	}
-	run("balloon enabled", BalloonBase)
-	run("balloon disabled", Baseline)
-	run("vswapper (KVM)", VSwapper)
+	run("balloon enabled", scenario.BalloonBase)
+	run("balloon disabled", scenario.Baseline)
+	run("vswapper (KVM)", scenario.VSwapper)
 	rep.Tables = append(rep.Tables, tab)
 	return rep
 }

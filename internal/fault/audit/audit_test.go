@@ -14,6 +14,10 @@ import (
 
 const mib = 1 << 20
 
+// afterRun is an audit stride no test run reaches: tests that only need
+// a finished run attach with it and make their own Check and Final calls.
+const afterRun = 1 << 30
+
 // runScenario builds a 32 MiB-believed guest limited to 8 MiB actual with
 // the given fault plan, attaches an auditor at the given stride, reads a
 // 16 MiB file twice (enough pressure to exercise swap-out, swap-in and
@@ -101,7 +105,7 @@ func TestDetachStopsChecking(t *testing.T) {
 // returns the resulting Check error.
 func corrupt(t *testing.T, f func(pg *hostmm.Page)) error {
 	t.Helper()
-	m, a := runScenario(t, "", 0)
+	m, a := runScenario(t, "", afterRun)
 	if err := a.Final(); err != nil {
 		t.Fatalf("pre-corruption audit failed: %v", err)
 	}
@@ -132,7 +136,7 @@ func TestCheckCatchesEPTOnNonResident(t *testing.T) {
 }
 
 func TestCheckCatchesBackwardsCounter(t *testing.T) {
-	m, a := runScenario(t, "", 0)
+	m, a := runScenario(t, "", afterRun)
 	if err := a.Final(); err != nil {
 		t.Fatalf("clean audit failed: %v", err)
 	}
@@ -147,7 +151,7 @@ func TestCheckCatchesBackwardsCounter(t *testing.T) {
 }
 
 func TestFirstErrorSticks(t *testing.T) {
-	m, a := runScenario(t, "", 0)
+	m, a := runScenario(t, "", afterRun)
 	m.Met.Add(metrics.HostSwapOuts, 10)
 	if err := a.Final(); err != nil {
 		t.Fatalf("unexpected: %v", err)
@@ -168,7 +172,7 @@ func TestFirstErrorSticks(t *testing.T) {
 // crash-diagnostics records — and the ring keeps only the most recent
 // entries, newest last.
 func TestHistoryRecordsRecentChecks(t *testing.T) {
-	m, a := runScenario(t, "", 0)
+	m, a := runScenario(t, "", afterRun)
 	for i := 0; i < histCap+3; i++ {
 		if err := a.Check(); err != nil {
 			t.Fatalf("check %d failed: %v", i, err)

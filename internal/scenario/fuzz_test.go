@@ -1,17 +1,32 @@
 package scenario
 
 import (
-	"strings"
+	"fmt"
+	"slices"
 	"testing"
+
+	"vswapsim/internal/cluster"
+	"vswapsim/internal/swapback"
 )
+
+// known fails the test unless v is a value of its vocabulary: its name
+// parses back to it.
+func known[T comparable](t *testing.T, v T, parse func(string) (T, error)) {
+	t.Helper()
+	name := fmt.Sprint(v)
+	if got, err := parse(name); err != nil || got != v {
+		t.Fatalf("accepted scenario holds %s, outside its vocabulary", name)
+	}
+}
 
 // FuzzScenarioParse checks the scenario parser's core contract on
 // arbitrary input: it never panics, every rejection is a positioned
 // *ParseError (line >= 1, col >= 1), and every accepted document obeys
-// the invariants the compiler in internal/experiment relies on — a
-// declared mode, at least one scheme with a known name, and a workload
-// kind the executor can build (or, in cluster mode, a validated
-// remediation list in place of a workload).
+// the invariants the compiler in internal/experiment relies on, read off
+// the typed values: a declared mode, at least one scheme, every decoded
+// name a value of its vocabulary, and a workload kind the executor can
+// build (or, in cluster mode, a remediation list in place of a
+// workload).
 func FuzzScenarioParse(f *testing.F) {
 	seeds := []string{
 		validSingle,
@@ -60,23 +75,29 @@ func FuzzScenarioParse(f *testing.F) {
 		if len(sc.Schemes) == 0 {
 			t.Fatal("accepted scenario has no schemes")
 		}
-		known := strings.Join(SchemeNames, " ")
 		for _, s := range sc.Schemes {
-			if !strings.Contains(known, s.Name) {
-				t.Fatalf("accepted scenario has unknown scheme %q", s.Name)
+			known(t, s.Scheme, parseScheme)
+		}
+		for _, k := range sc.Backends {
+			known(t, k, parseBackend)
+		}
+		if sc.Policy != nil {
+			known(t, *sc.Policy, swapback.ParsePolicy)
+		}
+		for _, a := range sc.Assertions {
+			if a.Backend != nil && !slices.Contains(sc.Backends, *a.Backend) {
+				t.Fatalf("accepted assertion %s reads an undeclared backend", a)
 			}
 		}
 		if sc.Mode == ModeCluster {
 			// Cluster scenarios carry no workload stanza; the executor
-			// instead needs a sized fleet and a validated policy list.
+			// instead needs a sized fleet and a policy list.
 			if len(sc.Cluster.Remediations) == 0 {
 				t.Fatal("accepted cluster scenario has no remediations")
 			}
-			knownRem := strings.Join(ClusterRemediations, " ")
+			known(t, sc.Cluster.Packing, cluster.ParsePacking)
 			for _, r := range sc.Cluster.Remediations {
-				if !strings.Contains(knownRem, r) {
-					t.Fatalf("accepted cluster scenario has unknown remediation %q", r)
-				}
+				known(t, r, cluster.ParseRemediation)
 			}
 			if len(sc.Cluster.HostList) == 0 && sc.Cluster.Hosts < 1 {
 				t.Fatal("accepted cluster scenario has no hosts")

@@ -3,10 +3,12 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
+	"vswapsim/internal/cluster"
 	"vswapsim/internal/fault"
 	"vswapsim/internal/swapback"
 )
@@ -23,9 +25,45 @@ const (
 	ModeCluster = "cluster" // a multi-host scheduler cell per remediation policy
 )
 
-// SchemeNames are the valid scheme identifiers, matching
-// experiment.Scheme.String() exactly (enforced by a cross-package test).
-var SchemeNames = []string{"baseline", "balloon+base", "mapper", "vswapper", "balloon+vswap"}
+// Scheme is one of the five configurations evaluated in the paper (§5).
+type Scheme int
+
+const (
+	// Baseline relies solely on uncooperative host swapping.
+	Baseline Scheme = iota
+	// BalloonBase employs ballooning, falling back on baseline swapping.
+	BalloonBase
+	// MapperOnly is VSwapper without the False Reads Preventer.
+	MapperOnly
+	// VSwapper is the Swap Mapper plus the Preventer.
+	VSwapper
+	// BalloonVSwapper combines ballooning with VSwapper.
+	BalloonVSwapper
+)
+
+var schemeNames = [...]string{"baseline", "balloon+base", "mapper", "vswapper", "balloon+vswap"}
+
+func (s Scheme) String() string {
+	if s >= 0 && int(s) < len(schemeNames) {
+		return schemeNames[s]
+	}
+	return fmt.Sprintf("Scheme(%d)", int(s))
+}
+
+// parseScheme maps a scheme name to its Scheme.
+func parseScheme(name string) (Scheme, error) {
+	for i, n := range schemeNames {
+		if n == name {
+			return Scheme(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scheme %q (valid: %s)", name, strings.Join(schemeNames[:], ", "))
+}
+
+// Mapper, Preventer and Balloon report which components a scheme enables.
+func (s Scheme) Mapper() bool    { return s == MapperOnly || s == VSwapper || s == BalloonVSwapper }
+func (s Scheme) Preventer() bool { return s == VSwapper || s == BalloonVSwapper }
+func (s Scheme) Balloon() bool   { return s == BalloonBase || s == BalloonVSwapper }
 
 // Workload kinds.
 const (
@@ -56,14 +94,6 @@ const (
 	MetricGuestP99 = "guest_p99_ms"
 )
 
-// ClusterPackings and ClusterRemediations are the valid cluster-mode
-// policy identifiers, matching cluster.PackingNames/RemediationNames
-// exactly (enforced by a cross-package test, like SchemeNames).
-var (
-	ClusterPackings     = []string{"first-fit", "worst-fit", "balanced-pressure"}
-	ClusterRemediations = []string{"none", "reballoon", "migrate", "kill"}
-)
-
 // Ops are the assertion comparison operators.
 var Ops = []string{"==", "!=", "<", "<=", ">", ">="}
 
@@ -90,11 +120,12 @@ type Scenario struct {
 	// top-level `backend:` field, scalar or sequence). Empty means "use the
 	// CLI's -swapback" (the default hdd tier when the flag is absent). More
 	// than one backend fans the single-mode grid out per tier; declaring
-	// backends conflicts with a non-default CLI -swapback/-swappolicy.
-	Backends []string
-	// Policy names the tiering policy (`policy:`); empty means the CLI's
-	// -swappolicy (default writeback).
-	Policy string
+	// backends conflicts with a non-default CLI -swapback.
+	Backends []swapback.Kind
+	// Policy is the declared tiering policy (`policy:`); nil means the
+	// CLI's -swappolicy (default writeback), and declaring one conflicts
+	// with a non-default -swappolicy.
+	Policy *swapback.Policy
 
 	Fleet      Fleet
 	Cluster    ClusterSpec
@@ -131,8 +162,8 @@ type ClusterSpec struct {
 	StaggerMS     int
 	DiskMB        int
 
-	Packing      string
-	Remediations []string // the comparison axis (assertion "schemes")
+	Packing      cluster.Packing
+	Remediations []cluster.Remediation // the comparison axis (assertion "schemes")
 
 	Threshold       float64
 	SampleSec       int
@@ -149,8 +180,8 @@ type ClusterHost struct {
 // SchemeRef is one compared configuration, optionally with the paper's
 // reference value (rendered as a "paper" column).
 type SchemeRef struct {
-	Name  string
-	Paper string
+	Scheme Scheme
+	Paper  string
 }
 
 // Fleet sizes the guests. All sizes are paper-sized megabytes; the CLI's
@@ -189,11 +220,11 @@ type Workload struct {
 }
 
 // Panel is one per-iteration output table (the Fig. 9 shape): either the
-// workload's per-iteration runtimes or a counter delta per iteration.
+// workload's per-iteration runtimes (the runtime panel, no Counter) or a
+// counter delta per iteration.
 type Panel struct {
 	Title   string
-	Source  string  // "runtime" | "counter"
-	Counter string  // counter name when Source == "counter"
+	Counter string  // counter name of a counter panel; "" for the runtime panel
 	Per     float64 // divisor applied before formatting (default 1)
 }
 
@@ -228,9 +259,9 @@ type Assertion struct {
 	Right string
 
 	// Backend selects which declared backend's grid the assertion reads
-	// (multi-backend single mode; "" = the first declared backend). Only
+	// (multi-backend single mode; nil = the first declared backend). Only
 	// valid when the scenario declares a backend list.
-	Backend string
+	Backend *swapback.Kind
 
 	// Guests selects the dynamic-mode cell (0 = the largest count).
 	Guests int
@@ -242,8 +273,8 @@ func (a Assertion) Threshold() bool { return a.Scheme != "" }
 // String renders the assertion for failure messages.
 func (a Assertion) String() string {
 	c := a.Counter
-	if a.Backend != "" {
-		c += "@" + a.Backend
+	if a.Backend != nil {
+		c += "@" + a.Backend.String()
 	}
 	if a.Threshold() {
 		return fmt.Sprintf("%s[%s] %s %g", c, a.Scheme, a.Op, a.Value)
@@ -558,13 +589,14 @@ func (d *decoder) scenario(root *node) *Scenario {
 	}
 	sc.FaultSpec, sc.Faults = o.faultPlan("faults")
 	sc.AuditEvery = o.intField("audit_every", 0, 0, 1<<30)
-	sc.Backends = d.backends(o.get("backend"))
-	sc.Policy = o.str("policy")
-	if d.err == nil && sc.Policy != "" {
-		if _, err := swapback.ParsePolicy(sc.Policy); err != nil {
+	sc.Backends = nameList(d, o.get("backend"), "backend", "backend", parseBackend)
+	if name := o.str("policy"); name != "" {
+		p, err := swapback.ParsePolicy(name)
+		if err != nil {
 			d.fail(o.keyPos("policy"), "unknown policy %q (valid: %s)",
-				sc.Policy, strings.Join(swapback.PolicyNames(), ", "))
+				name, strings.Join(swapback.PolicyNames(), ", "))
 		}
+		sc.Policy = &p
 	}
 
 	if sc.Mode == ModeCluster {
@@ -608,44 +640,60 @@ func (d *decoder) scenario(root *node) *Scenario {
 	return sc
 }
 
-// backends decodes the top-level backend field: one backend name or a
-// sequence of distinct names, each validated against the swapback tiers.
-func (d *decoder) backends(n *node) []string {
+// parseBackend is swapback.ParseKind without its empty-name default,
+// worded for scenario files.
+func parseBackend(name string) (swapback.Kind, error) {
+	if k, err := swapback.ParseKind(name); err == nil && name != "" {
+		return k, nil
+	}
+	return 0, fmt.Errorf("unknown backend %q (valid: %s)", name, strings.Join(swapback.KindNames(), ", "))
+}
+
+// parsed decodes a name at a position with its vocabulary's parser, whose
+// error (it lists the valid names) becomes the decode failure.
+func parsed[T any](d *decoder, at pos, name string, parse func(string) (T, error)) (T, bool) {
+	v, err := parse(name)
+	if err != nil {
+		d.fail(at, "%v", err)
+	}
+	return v, err == nil
+}
+
+// nameList decodes a field that holds one name or a sequence of distinct
+// names of one vocabulary. what names the field in errors, noun one of
+// its values.
+func nameList[T comparable](d *decoder, n *node, what, noun string, parse func(string) (T, error)) []T {
 	if n == nil || d.err != nil {
 		return nil
 	}
-	var items []*node
+	items := []*node{n}
 	switch n.kind {
 	case scalarNode:
-		items = []*node{n}
 	case seqNode:
 		if len(n.items) == 0 {
-			d.fail(n.pos, "backend must not be an empty sequence")
+			d.fail(n.pos, "%s must not be empty", what)
 			return nil
 		}
 		items = n.items
 	default:
-		d.fail(n.pos, "backend must be a backend name or a sequence of names, got %s", n.kind)
+		d.fail(n.pos, "%s must be a %s name or a sequence of names, got %s", what, noun, n.kind)
 		return nil
 	}
-	seen := map[string]bool{}
-	var out []string
+	var out []T
 	for _, it := range items {
 		if it.kind != scalarNode {
-			d.fail(it.pos, "elements of backend must be backend names")
+			d.fail(it.pos, "elements of %s must be %s names", what, noun)
 			return nil
 		}
-		if _, err := swapback.ParseKind(it.scalar); err != nil || it.scalar == "" {
-			d.fail(it.pos, "unknown backend %q (valid: %s)",
-				it.scalar, strings.Join(swapback.KindNames(), ", "))
+		v, ok := parsed(d, it.pos, it.scalar, parse)
+		if !ok {
 			return nil
 		}
-		if seen[it.scalar] {
-			d.fail(it.pos, "duplicate backend %q", it.scalar)
+		if slices.Contains(out, v) {
+			d.fail(it.pos, "duplicate %s %q", noun, it.scalar)
 			return nil
 		}
-		seen[it.scalar] = true
-		out = append(out, it.scalar)
+		out = append(out, v)
 	}
 	return out
 }
@@ -759,52 +807,15 @@ func (d *decoder) clusterSpec(n *node) ClusterSpec {
 		d.fail(o.keyPos("disk_mb"), "disk_mb (%d) must exceed guest_mb (%d): the guest swap area lives on the disk image", cs.DiskMB, cs.GuestMB)
 	}
 
-	cs.Packing = "balanced-pressure"
+	cs.Packing = cluster.BalancedPressure
 	if pn := o.get("packing"); pn != nil {
-		if p, at, ok := o.scalar(pn, "packing"); ok {
-			if !nameIn(p, ClusterPackings) {
-				d.fail(at, "unknown packing %q (valid: %s)", p, strings.Join(ClusterPackings, ", "))
-			} else {
-				cs.Packing = p
-			}
+		if name, at, ok := o.scalar(pn, "packing"); ok {
+			cs.Packing, _ = parsed(d, at, name, cluster.ParsePacking)
 		}
 	}
-
 	// remediation: one policy or the comparison sequence.
-	rn := o.require("remediation")
-	var items []*node
-	switch {
-	case rn == nil || d.err != nil:
-	case rn.kind == scalarNode:
-		items = []*node{rn}
-	case rn.kind == seqNode:
-		if len(rn.items) == 0 {
-			d.fail(rn.pos, "field %q in cluster must not be empty", "remediation")
-		}
-		items = rn.items
-	default:
-		d.fail(rn.pos, "field %q in cluster must be a policy name or a sequence of names, got %s", "remediation", rn.kind)
-	}
-	seenRemedy := map[string]bool{}
-	for _, it := range items {
-		if d.err != nil {
-			break
-		}
-		if it.kind != scalarNode {
-			d.fail(it.pos, "elements of %q in cluster must be policy names", "remediation")
-			break
-		}
-		if !nameIn(it.scalar, ClusterRemediations) {
-			d.fail(it.pos, "unknown remediation %q (valid: %s)", it.scalar, strings.Join(ClusterRemediations, ", "))
-			break
-		}
-		if seenRemedy[it.scalar] {
-			d.fail(it.pos, "duplicate remediation %q", it.scalar)
-			break
-		}
-		seenRemedy[it.scalar] = true
-		cs.Remediations = append(cs.Remediations, it.scalar)
-	}
+	cs.Remediations = nameList(d, o.require("remediation"), `field "remediation" in cluster`,
+		"remediation", cluster.ParseRemediation)
 
 	if tn := o.get("threshold"); tn != nil {
 		if v, at, ok := o.scalar(tn, "threshold"); ok {
@@ -826,15 +837,6 @@ func (d *decoder) clusterSpec(n *node) ClusterSpec {
 	return cs
 }
 
-func nameIn(name string, valid []string) bool {
-	for _, v := range valid {
-		if v == name {
-			return true
-		}
-	}
-	return false
-}
-
 func (d *decoder) schemes(n *node, mode string) []SchemeRef {
 	if n == nil || d.err != nil {
 		return nil
@@ -847,17 +849,17 @@ func (d *decoder) schemes(n *node, mode string) []SchemeRef {
 		d.fail(n.pos, "schemes must list at least one scheme")
 		return nil
 	}
-	seen := map[string]bool{}
 	var out []SchemeRef
 	for _, it := range n.items {
 		var ref SchemeRef
+		var name string
 		var at pos
 		switch it.kind {
 		case scalarNode:
-			ref.Name, at = it.scalar, it.pos
+			name, at = it.scalar, it.pos
 		case mapNode:
 			so := d.obj(it, "scheme")
-			ref.Name = so.reqStr("name")
+			name = so.reqStr("name")
 			ref.Paper = so.str("paper")
 			so.finish()
 			at = so.keyPos("name")
@@ -868,31 +870,23 @@ func (d *decoder) schemes(n *node, mode string) []SchemeRef {
 		if d.err != nil {
 			return nil
 		}
-		if !validScheme(ref.Name) {
-			d.fail(at, "unknown scheme %q (valid: %s)", ref.Name, strings.Join(SchemeNames, ", "))
+		var ok bool
+		if ref.Scheme, ok = parsed(d, at, name, parseScheme); !ok {
 			return nil
 		}
-		if seen[ref.Name] {
-			d.fail(at, "duplicate scheme %q", ref.Name)
-			return nil
+		for _, prev := range out {
+			if prev.Scheme == ref.Scheme {
+				d.fail(at, "duplicate scheme %q", name)
+				return nil
+			}
 		}
-		seen[ref.Name] = true
 		if mode != ModeSingle && ref.Paper != "" {
-			d.fail(at, "scheme %q: paper reference values are only supported in single mode", ref.Name)
+			d.fail(at, "scheme %q: paper reference values are only supported in single mode", name)
 			return nil
 		}
 		out = append(out, ref)
 	}
 	return out
-}
-
-func validScheme(name string) bool {
-	for _, s := range SchemeNames {
-		if s == name {
-			return true
-		}
-	}
-	return false
 }
 
 func (d *decoder) workload(n *node, ctx, mode string) Workload {
@@ -941,14 +935,13 @@ func (d *decoder) panels(n *node, sc *Scenario) []Panel {
 		o := d.obj(it, "panel")
 		var p Panel
 		p.Title = o.reqStr("title")
-		p.Source = o.reqStr("source")
-		switch p.Source {
+		switch source := o.reqStr("source"); source {
 		case "runtime":
 			o.get("counter") // mark known so the unknown-field hint stays stable
 			o.get("per")
 			if d.err == nil && it.kind == mapNode {
 				if cn, ok := it.vals["counter"]; ok {
-					d.fail(cn.pos, "panel source %q does not take a counter", p.Source)
+					d.fail(cn.pos, "panel source %q does not take a counter", source)
 				}
 			}
 		case "counter":
@@ -961,7 +954,7 @@ func (d *decoder) panels(n *node, sc *Scenario) []Panel {
 			p.Per, _ = o.floatField("per", 1, 1e-9, 1e12)
 		default:
 			if d.err == nil {
-				d.fail(o.keyPos("source"), "panel source must be \"runtime\" or \"counter\", got %q", p.Source)
+				d.fail(o.keyPos("source"), "panel source must be \"runtime\" or \"counter\", got %q", source)
 			}
 			return nil
 		}
@@ -1047,11 +1040,11 @@ func (d *decoder) assertions(n *node, sc *Scenario) []Assertion {
 	if sc.Mode == ModeCluster {
 		axisNoun, axisWhere = "remediation", "the cluster remediation list"
 		for _, r := range sc.Cluster.Remediations {
-			declared[r] = true
+			declared[r.String()] = true
 		}
 	} else {
 		for _, s := range sc.Schemes {
-			declared[s.Name] = true
+			declared[s.Scheme.String()] = true
 		}
 	}
 	maxCount := 0
@@ -1070,8 +1063,9 @@ func (d *decoder) assertions(n *node, sc *Scenario) []Assertion {
 		a.Value, _ = o.floatField("value", 0, -1e18, 1e18)
 		a.Left = o.str("left")
 		a.Right = o.str("right")
+		var backend string
 		if len(sc.Backends) > 0 {
-			a.Backend = o.str("backend")
+			backend = o.str("backend")
 		}
 		if sc.Mode == ModeDynamic {
 			a.Guests = o.intField("guests", 0, 1, 1<<20)
@@ -1113,15 +1107,14 @@ func (d *decoder) assertions(n *node, sc *Scenario) []Assertion {
 				return nil
 			}
 		}
-		if a.Backend != "" {
-			found := false
-			for _, b := range sc.Backends {
-				if b == a.Backend {
-					found = true
+		if backend != "" {
+			for i, k := range sc.Backends {
+				if k.String() == backend {
+					a.Backend = &sc.Backends[i]
 				}
 			}
-			if !found {
-				d.fail(o.keyPos("backend"), "assertion references backend %q not declared in backend", a.Backend)
+			if a.Backend == nil {
+				d.fail(o.keyPos("backend"), "assertion references backend %q not declared in backend", backend)
 				return nil
 			}
 		}

@@ -2,10 +2,14 @@ package scenario
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vswapsim/internal/cluster"
+	"vswapsim/internal/swapback"
 )
 
 // validSingle is a minimal well-formed single-mode scenario used as the
@@ -36,7 +40,7 @@ func TestParseValidSingle(t *testing.T) {
 	if sc.Fleet.MemoryMB != 512 || sc.Fleet.ActualMB != 100 || !sc.Fleet.Warmup {
 		t.Fatalf("fleet %+v", sc.Fleet)
 	}
-	if len(sc.Schemes) != 2 || sc.Schemes[0].Name != "baseline" || sc.Schemes[1].Name != "vswapper" {
+	if len(sc.Schemes) != 2 || sc.Schemes[0].Scheme != Baseline || sc.Schemes[1].Scheme != VSwapper {
 		t.Fatalf("schemes %+v", sc.Schemes)
 	}
 	if sc.Workload.Kind != KindSeqRead || sc.Workload.FileMB != 200 {
@@ -44,6 +48,86 @@ func TestParseValidSingle(t *testing.T) {
 	}
 	if sc.TableTitle != "runtime [sec]" {
 		t.Fatalf("table title %q", sc.TableTitle)
+	}
+}
+
+// vocabulary lists a vocabulary as its owner defines it: the name of
+// every value from zero up that the owner's parser reads back.
+func vocabulary[T ~int | ~uint8](parse func(string) (T, error)) []string {
+	var names []string
+	for v := T(0); ; v++ {
+		if got, err := parse(fmt.Sprint(v)); err != nil || got != v {
+			return names
+		}
+		names = append(names, fmt.Sprint(v))
+	}
+}
+
+// TestVocabularyRoundTrip: every name of each vocabulary a scenario
+// spells decodes from a minimal document into the value whose String is
+// that name, and an unknown name fails with the message listing the
+// owner's names, at the line and column of the name (of the key, for
+// policy).
+func TestVocabularyRoundTrip(t *testing.T) {
+	single := func(line string) func(string) string {
+		return func(name string) string {
+			return strings.Replace(validSingle, "mode: single\n", "mode: single\n"+line+name+"\n", 1)
+		}
+	}
+	clusterDoc := func(packing, remedy string) string {
+		return "scenario: c\ntitle: t\nmode: cluster\ncluster:\n  hosts: 2\n  host_mb: 512\n" +
+			"  guests: 4\n  guest_mb: 128\n  packing: " + packing + "\n  remediation: " + remedy +
+			"\nschemes: [vswapper]\ntable:\n  title: t\n"
+	}
+	cases := []struct {
+		vocab     string
+		names     []string
+		doc       func(name string) string
+		decoded   func(sc *Scenario) fmt.Stringer
+		msg       string // for the name "bogus"
+		line, col int
+	}{
+		{"scheme", vocabulary(parseScheme),
+			func(name string) string {
+				return strings.Replace(validSingle, "[baseline, vswapper]", "["+name+"]", 1)
+			},
+			func(sc *Scenario) fmt.Stringer { return sc.Schemes[0].Scheme },
+			`unknown scheme "bogus" (valid: baseline, balloon+base, mapper, vswapper, balloon+vswap)`, 8, 11},
+		{"backend", vocabulary(swapback.ParseKind), single("backend: "),
+			func(sc *Scenario) fmt.Stringer { return sc.Backends[0] },
+			`unknown backend "bogus" (valid: hdd, remote, ssd, zswap)`, 4, 10},
+		{"policy", vocabulary(swapback.ParsePolicy), single("policy: "),
+			func(sc *Scenario) fmt.Stringer { return *sc.Policy },
+			`unknown policy "bogus" (valid: flat, hotfirst, writeback)`, 4, 1},
+		{"packing", vocabulary(cluster.ParsePacking),
+			func(name string) string { return clusterDoc(name, "none") },
+			func(sc *Scenario) fmt.Stringer { return sc.Cluster.Packing },
+			`unknown packing "bogus" (valid: first-fit, worst-fit, balanced-pressure)`, 9, 12},
+		{"remediation", vocabulary(cluster.ParseRemediation),
+			func(name string) string { return clusterDoc("first-fit", name) },
+			func(sc *Scenario) fmt.Stringer { return sc.Cluster.Remediations[0] },
+			`unknown remediation "bogus" (valid: none, reballoon, migrate, kill)`, 10, 16},
+	}
+	for _, c := range cases {
+		t.Run(c.vocab, func(t *testing.T) {
+			if len(c.names) < 3 {
+				t.Fatalf("owner lists %v", c.names)
+			}
+			for _, name := range c.names {
+				sc, err := Parse([]byte(c.doc(name)))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := c.decoded(sc).String(); got != name {
+					t.Errorf("%s decodes to %s", name, got)
+				}
+			}
+			_, err := Parse([]byte(c.doc("bogus")))
+			var pe *ParseError
+			if !errors.As(err, &pe) || pe.Msg != c.msg || pe.Line != c.line || pe.Col != c.col {
+				t.Errorf("unknown %s: got %v, want %d:%d: %s", c.vocab, err, c.line, c.col, c.msg)
+			}
+		})
 	}
 }
 
@@ -133,10 +217,10 @@ func TestParseValidCluster(t *testing.T) {
 	}
 	// disk_mb defaults to 4x guest_mb; packing defaults to the pressure
 	// packer.
-	if cs.DiskMB != 4*cs.GuestMB || cs.Packing != "balanced-pressure" {
+	if cs.DiskMB != 4*cs.GuestMB || cs.Packing != cluster.BalancedPressure {
 		t.Fatalf("cluster defaults %+v", cs)
 	}
-	if len(cs.Remediations) != 3 || cs.Remediations[1] != "migrate" {
+	if len(cs.Remediations) != 3 || cs.Remediations[1] != cluster.RemedyMigrate {
 		t.Fatalf("remediations %+v", cs.Remediations)
 	}
 	if cs.Threshold != 0.2 {
@@ -173,7 +257,7 @@ table:
 		cs.HostList[1].Name != "small" || cs.HostList[1].MemMB != 512 {
 		t.Fatalf("host list %+v", cs.HostList)
 	}
-	if len(cs.Remediations) != 1 || cs.Remediations[0] != "migrate" {
+	if len(cs.Remediations) != 1 || cs.Remediations[0] != cluster.RemedyMigrate {
 		t.Fatalf("scalar remediation %+v", cs.Remediations)
 	}
 }

@@ -4,9 +4,16 @@
 // fault-plan arming, migration probes) and assertions over the resulting
 // metrics. Parsing is strict — unknown fields, duplicate keys, tabs in
 // indentation and out-of-range values are rejected with line/column
-// positions — and the parsed Scenario compiles onto the exact experiment
-// machinery the hand-coded figures use (see internal/experiment), so a
-// YAML-defined figure reproduces its Go counterpart byte-for-byte.
+// positions — and the parsed Scenario compiles onto the experiment
+// machinery the hand-coded figures use (see internal/experiment). The
+// checked-in files for fig3, fig9, fig14 and fleetN are those registry
+// entries; they have no Go counterpart.
+//
+// The package owns the scheme vocabulary (Scheme, the paper's five
+// configurations), and the decoder turns every name a file spells into
+// the type that runs it: schemes, swap backends and policies
+// (internal/swapback), cluster packings and remediations
+// (internal/cluster). A name is parsed once, here.
 //
 // This file is the YAML-subset parser. The repository is stdlib-only, so
 // rather than importing a YAML library it implements the small block
