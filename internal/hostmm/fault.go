@@ -20,7 +20,7 @@ const (
 // first reference). ID is the GFN for guest pages.
 func (m *Manager) NewPage(cg *Cgroup, id int) *Page {
 	if len(m.pageSlab) == 0 {
-		m.pageSlab = make([]Page, 8192)
+		m.pageSlab = make([]Page, 1024)
 	}
 	pg := &m.pageSlab[0]
 	m.pageSlab = m.pageSlab[1:]
@@ -413,8 +413,7 @@ func (m *Manager) COWBreak(p *sim.Proc, pg *Page, ctx Ctx) {
 	if pg.list != nil {
 		pg.list.remove(pg)
 	}
-	src := &Page{Owner: pg.Owner, ID: pg.ID, SwapSlot: -1, State: Untouched}
-	pg.Owner.lazy.pushFront(src)
+	pg.Owner.lazy++
 
 	pg.State = ResidentAnon
 	pg.Dirty = true

@@ -21,7 +21,7 @@ type rig struct {
 	img  *File
 }
 
-func newRig(t *testing.T, poolFrames, cgLimit int) *rig {
+func newRig(t testing.TB, poolFrames, cgLimit int) *rig {
 	t.Helper()
 	env := sim.NewEnv(1)
 	met := metrics.NewSet()
@@ -298,7 +298,7 @@ func TestCOWBreak(t *testing.T) {
 	if r.img.MappingAt(7) != nil {
 		t.Fatal("mapping not removed")
 	}
-	if r.cg.lazy.size != 1 {
+	if r.cg.lazy != 1 {
 		t.Fatal("lazy source entry missing")
 	}
 	if r.met.Get(metrics.HostCOWBreaks) != 1 {

@@ -136,7 +136,8 @@ type Manager struct {
 
 	// pageSlab amortizes Page allocation: guests have hundreds of
 	// thousands of lazily-created pages and individual allocations cost
-	// real GC time at fig14 scale.
+	// real GC time at fig14 scale. A slab holds 1024 pages (128 KiB), so
+	// the unused tail of a run's last slab stays small.
 	pageSlab []Page
 	// signalPool recycles fault-serialization signals.
 	signalPool []*sim.Signal
@@ -166,6 +167,7 @@ type hotMetrics struct {
 	silentSwapWrites, timeReclaimScan           *metrics.Counter
 	balloonInflate, balloonDeflate              *metrics.Counter
 	faultSwapInRetries, faultSwapInPoisoned     *metrics.Counter
+	mapperEstablish, mapperInvalidate           *metrics.Counter
 	histFaultMinor, histFaultMajor, histBackoff *metrics.Histogram
 }
 
@@ -193,6 +195,8 @@ func newHotMetrics(met *metrics.Set) hotMetrics {
 		balloonDeflate:      met.Counter(metrics.BalloonDeflatePages),
 		faultSwapInRetries:  met.Counter(metrics.FaultSwapInRetries),
 		faultSwapInPoisoned: met.Counter(metrics.FaultSwapInPoisoned),
+		mapperEstablish:     met.Counter(metrics.MapperEstablish),
+		mapperInvalidate:    met.Counter(metrics.MapperInvalidate),
 		histFaultMinor:      met.Histogram(metrics.HistFaultMinor),
 		histFaultMajor:      met.Histogram(metrics.HistFaultMajor),
 		histBackoff:         met.Histogram(metrics.HistFaultBackoff),
@@ -281,11 +285,12 @@ type Cgroup struct {
 	inactiveAnon pageList
 	activeFile   pageList
 	inactiveFile pageList
-	// lazy holds COW source pages VSwapper dropped from the host page
+	// lazy counts COW source pages VSwapper dropped from the host page
 	// cache; reclaim frees them on sight but still "scans" them, which
 	// reproduces the paper's observation that VSwapper can double reclaim
-	// traversal lengths under low pressure (§5.3, Fig. 11c).
-	lazy pageList
+	// traversal lengths under low pressure (§5.3, Fig. 11c). Nothing else
+	// refers to a source, so a count stands for them.
+	lazy int
 }
 
 // NewCgroup registers a new control group.
@@ -295,7 +300,6 @@ func (m *Manager) NewCgroup(name string, limitPages int) *Cgroup {
 	cg.inactiveAnon.name = name + "/inactive-anon"
 	cg.activeFile.name = name + "/active-file"
 	cg.inactiveFile.name = name + "/inactive-file"
-	cg.lazy.name = name + "/lazy"
 	m.cgroups = append(m.cgroups, cg)
 	return cg
 }
@@ -307,20 +311,9 @@ func (cg *Cgroup) Resident() int { return cg.resident }
 // DMA-held); a cgroup cannot be torn down while any remain.
 func (cg *Cgroup) Pinned() int { return cg.pinned }
 
-// DrainLazy discards every lazily-freed COW source still queued on the
-// cgroup (they hold no frames), leaving the lazy list empty. Used when a
-// guest is being torn down: the audit requires the cgroup's lists to end
-// empty, and lazy entries are reachable only through this list.
-func (m *Manager) DrainLazy(cg *Cgroup) {
-	for {
-		pg := cg.lazy.back()
-		if pg == nil {
-			return
-		}
-		cg.lazy.remove(pg)
-		pg.State = Untouched
-	}
-}
+// DrainLazy discards every lazily-freed COW source still counted on the
+// cgroup (they hold no frames). Used when a guest is being torn down.
+func (m *Manager) DrainLazy(cg *Cgroup) { cg.lazy = 0 }
 
 // AnonPages and FilePages report LRU sizes (for tests and introspection).
 func (cg *Cgroup) AnonPages() int { return cg.activeAnon.size + cg.inactiveAnon.size }
@@ -391,7 +384,7 @@ func (m *Manager) chargeFrames(p *sim.Proc, cg *Cgroup, n int) {
 		}
 		if attempt > 1_000_000 {
 			panic(fmt.Sprintf("hostmm: reclaim cannot satisfy %d pages for %s (resident=%d pinned=%d anonA=%d anonI=%d fileA=%d fileI=%d lazy=%d poolFree=%d)",
-				n, cg.Name, cg.resident, cg.pinned, cg.activeAnon.size, cg.inactiveAnon.size, cg.activeFile.size, cg.inactiveFile.size, cg.lazy.size, m.Pool.Free()))
+				n, cg.Name, cg.resident, cg.pinned, cg.activeAnon.size, cg.inactiveAnon.size, cg.activeFile.size, cg.inactiveFile.size, cg.lazy, m.Pool.Free()))
 		}
 		victim := cg
 		if !(cg.Limit > 0 && cg.resident+n > cg.Limit) {
@@ -428,24 +421,16 @@ func (m *Manager) largestCgroup() *Cgroup {
 // scan CPU time to p and queueing swap writes asynchronously, as Linux
 // writeback does.
 func (m *Manager) reclaim(p *sim.Proc, cg *Cgroup, target int) int {
-	freed := 0
-	scanned := 0
 	// Slots to write, coalesced at the end. Reclaim never blocks while
 	// appending (all sleeps happen after submission), so one manager-level
 	// scratch buffer is safe to reuse across every pass.
 	swapWrites := m.swapWritesScratch[:0]
 
 	// Drop lazily-freed COW sources first: free, but they cost scan work.
-	for freed < target {
-		pg := cg.lazy.back()
-		if pg == nil {
-			break
-		}
-		scanned++
-		cg.lazy.remove(pg)
-		pg.State = Untouched
-		freed++ // no frame held; still counts as progress for the scan
-	}
+	// No frame is held; each still counts as progress for the scan.
+	freed := max(min(target, cg.lazy), 0)
+	scanned := freed
+	cg.lazy -= freed
 
 	rounds := 0
 	for freed < target {

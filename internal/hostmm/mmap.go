@@ -35,7 +35,7 @@ func (m *Manager) MapOver(p *sim.Proc, pg *Page, ref BlockRef) {
 	pg.TruthClean = true
 	ref.File.AddMapping(pg)
 	pg.Owner.inactiveFile.pushFront(pg)
-	m.Met.Inc(metrics.MapperEstablish)
+	m.c.mapperEstablish.Inc()
 }
 
 // AdoptAsNamed converts a resident anonymous page whose content is known
@@ -60,7 +60,7 @@ func (m *Manager) AdoptAsNamed(pg *Page, ref BlockRef) {
 	pg.TruthClean = true
 	ref.File.AddMapping(pg)
 	pg.Owner.inactiveFile.pushFront(pg)
-	m.Met.Inc(metrics.MapperEstablish)
+	m.c.mapperEstablish.Inc()
 }
 
 // InvalidateBlock implements the paper's new open-flag semantics: before
@@ -122,7 +122,7 @@ func (m *Manager) InvalidateBlock(p *sim.Proc, f *File, block int64) {
 		default:
 			panic(fmt.Sprintf("hostmm: mapping chain holds %s page", pg.State))
 		}
-		m.Met.Inc(metrics.MapperInvalidate)
+		m.c.mapperInvalidate.Inc()
 	})
 }
 

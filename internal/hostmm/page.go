@@ -83,7 +83,9 @@ func (b BlockRef) Valid() bool { return b.File != nil }
 
 // Page is the host's view of one page of a QEMU process: either one guest
 // frame (identified by GFN) or a page of QEMU's own executable. Pages are
-// created lazily on first touch.
+// created lazily on first touch. The fields a resident touch and a reclaim
+// scan read fill the first 64-byte cache line, and the padding keeps slab
+// entries line-aligned (TestPageLayout pins both).
 type Page struct {
 	Owner *Cgroup
 	// ID is the GFN for guest pages; QEMU-internal pages use negative IDs.
@@ -103,20 +105,22 @@ type Page struct {
 	// it (the analogue of the Linux page lock).
 	Pinned bool
 
+	// TruthClean/TruthBlock are simulator ground truth (metrics only):
+	// whether the page's actual content equals a disk block, and which.
+	// The host cannot see these; they power the "silent write" counters.
+	TruthClean bool
+
+	list       *pageList
+	prev, next *Page
+	// SwapSlot is the host swap slot holding the content (-1 if none).
+	SwapSlot int64
 	// fault serializes concurrent fault-ins of the same page: while
 	// non-nil, one process is bringing the page in and others wait.
 	fault *sim.Signal
 
-	// SwapSlot is the host swap slot holding the content (-1 if none).
-	SwapSlot int64
 	// Backing is the file block backing a named page.
-	Backing BlockRef
-
-	// TruthBlock/TruthClean are simulator ground truth (metrics only):
-	// whether the page's actual content equals a disk block. The host
-	// cannot see these; they power the "silent write" counters.
+	Backing    BlockRef
 	TruthBlock BlockRef
-	TruthClean bool
 
 	// Emu is the Preventer's buffer while State == Emulated. It is an
 	// opaque pointer so that hostmm need not know the Preventer's layout.
@@ -127,8 +131,7 @@ type Page struct {
 	// older named page still exists).
 	nextMapping *Page
 
-	list       *pageList
-	prev, next *Page
+	_ [8]byte
 }
 
 // key is a stable per-page identity (cgroup registration order + page ID)

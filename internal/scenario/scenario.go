@@ -421,11 +421,15 @@ func (o *obj) scalar(n *node, key string) (string, pos, bool) {
 
 // str reads an optional string field ("" when absent).
 func (o *obj) str(key string) string {
-	v, _, ok := o.scalar(o.get(key), key)
-	if !ok {
-		return ""
-	}
+	v, _ := o.optStr(key)
 	return v
+}
+
+// optStr reads an optional string field and whether it is present, so
+// that an empty value is not mistaken for an absent one.
+func (o *obj) optStr(key string) (string, bool) {
+	v, _, ok := o.scalar(o.get(key), key)
+	return v, ok
 }
 
 // reqStr reads a required, non-empty string field.
@@ -590,13 +594,10 @@ func (d *decoder) scenario(root *node) *Scenario {
 	sc.FaultSpec, sc.Faults = o.faultPlan("faults")
 	sc.AuditEvery = o.intField("audit_every", 0, 0, 1<<30)
 	sc.Backends = nameList(d, o.get("backend"), "backend", "backend", parseBackend)
-	if name := o.str("policy"); name != "" {
-		p, err := swapback.ParsePolicy(name)
-		if err != nil {
-			d.fail(o.keyPos("policy"), "unknown policy %q (valid: %s)",
-				name, strings.Join(swapback.PolicyNames(), ", "))
+	if name, ok := o.optStr("policy"); ok {
+		if p, ok := parsed(d, o.keyPos("policy"), name, parsePolicy); ok {
+			sc.Policy = &p
 		}
-		sc.Policy = &p
 	}
 
 	if sc.Mode == ModeCluster {
@@ -647,6 +648,15 @@ func parseBackend(name string) (swapback.Kind, error) {
 		return k, nil
 	}
 	return 0, fmt.Errorf("unknown backend %q (valid: %s)", name, strings.Join(swapback.KindNames(), ", "))
+}
+
+// parsePolicy is swapback.ParsePolicy without its empty-name default,
+// worded for scenario files.
+func parsePolicy(name string) (swapback.Policy, error) {
+	if p, err := swapback.ParsePolicy(name); err == nil && name != "" {
+		return p, nil
+	}
+	return 0, fmt.Errorf("unknown policy %q (valid: %s)", name, strings.Join(swapback.PolicyNames(), ", "))
 }
 
 // parsed decodes a name at a position with its vocabulary's parser, whose
@@ -1064,8 +1074,9 @@ func (d *decoder) assertions(n *node, sc *Scenario) []Assertion {
 		a.Left = o.str("left")
 		a.Right = o.str("right")
 		var backend string
+		var hasBackend bool
 		if len(sc.Backends) > 0 {
-			backend = o.str("backend")
+			backend, hasBackend = o.optStr("backend")
 		}
 		if sc.Mode == ModeDynamic {
 			a.Guests = o.intField("guests", 0, 1, 1<<20)
@@ -1101,13 +1112,13 @@ func (d *decoder) assertions(n *node, sc *Scenario) []Assertion {
 			d.fail(at, "assertion needs either scheme+value or left+right")
 			return nil
 		}
-		for _, s := range []string{a.Scheme, a.Left, a.Right} {
-			if s != "" && !declared[s] {
+		for _, key := range []string{"scheme", "left", "right"} {
+			if s, set := o.optStr(key); set && !declared[s] {
 				d.fail(at, "assertion references %s %q not declared in %s", axisNoun, s, axisWhere)
 				return nil
 			}
 		}
-		if backend != "" {
+		if hasBackend {
 			for i, k := range sc.Backends {
 				if k.String() == backend {
 					a.Backend = &sc.Backends[i]

@@ -543,24 +543,41 @@ func TestValidateMalformed(t *testing.T) {
 			10, "cluster mode compares remediation policies under exactly one scheme",
 		},
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := Parse([]byte(c.doc))
-			if err == nil {
-				t.Fatalf("Parse succeeded, want error containing %q", c.wantMsg)
-			}
-			var pe *ParseError
-			if !errors.As(err, &pe) {
-				t.Fatalf("error is %T, want *ParseError: %v", err, err)
-			}
-			if pe.Line != c.wantLine {
-				t.Errorf("error at line %d, want %d: %v", pe.Line, c.wantLine, err)
-			}
-			if !strings.Contains(pe.Msg, c.wantMsg) {
-				t.Errorf("error %q does not name the offense %q", pe.Msg, c.wantMsg)
-			}
-		})
+	// check parses doc and wants a ParseError naming msg at line (and at
+	// col, unless col is 0).
+	check := func(t *testing.T, doc string, line, col int, msg string) {
+		t.Helper()
+		_, err := Parse([]byte(doc))
+		if err == nil {
+			t.Fatalf("Parse succeeded, want error containing %q", msg)
+		}
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Fatalf("error is %T, want *ParseError: %v", err, err)
+		}
+		if pe.Line != line || (col != 0 && pe.Col != col) {
+			t.Errorf("error at %d:%d, want line %d col %d: %v", pe.Line, pe.Col, line, col, err)
+		}
+		if !strings.Contains(pe.Msg, msg) {
+			t.Errorf("error %q does not name the offense %q", pe.Msg, msg)
+		}
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { check(t, c.doc, c.wantLine, 0, c.wantMsg) })
+	}
+	// A present but empty name is an unknown name, not an absent one.
+	t.Run("empty policy", func(t *testing.T) {
+		check(t, "scenario: x\ntitle: t\nmode: single\npolicy: \"\"\nfleet:\n  memory_mb: 512\n  actual_mb: 100\nschemes: [baseline]\nworkload:\n  kind: seqread\n  file_mb: 200\ntable:\n  title: t\n",
+			4, 1, `unknown policy "" (valid: flat, hotfirst, writeback)`)
+	})
+	t.Run("empty assertion backend", func(t *testing.T) {
+		check(t, "scenario: x\ntitle: t\nmode: single\nbackend: [hdd, ssd]\nfleet:\n  memory_mb: 512\n  actual_mb: 100\nschemes: [baseline]\nworkload:\n  kind: seqread\n  file_mb: 200\ntable:\n  title: t\nassertions:\n  - counter: disk.ops\n    scheme: baseline\n    backend: \"\"\n    op: \"==\"\n    value: 0\n",
+			17, 5, `assertion references backend "" not declared in backend`)
+	})
+	t.Run("empty assertion scheme", func(t *testing.T) {
+		check(t, "scenario: x\ntitle: t\nmode: single\nfleet:\n  memory_mb: 512\n  actual_mb: 100\nschemes: [baseline, vswapper]\nworkload:\n  kind: seqread\n  file_mb: 200\ntable:\n  title: t\nassertions:\n  - counter: disk.ops\n    scheme: \"\"\n    op: \"<\"\n    left: baseline\n    right: vswapper\n",
+			14, 5, `assertion references scheme "" not declared in schemes`)
+	})
 }
 
 func TestLoadFillsFile(t *testing.T) {
