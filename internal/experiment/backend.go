@@ -1,18 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-
-	"vswapsim/internal/hyper"
-	"vswapsim/internal/scenario"
-	"vswapsim/internal/sim"
-	"vswapsim/internal/swapback"
-	"vswapsim/internal/workload"
-)
-
-// backendSchemes are the two schemes the tier comparison contrasts: the
-// paper's uncooperative-swap baseline and full VSwapper.
-var backendSchemes = []scenario.Scheme{scenario.Baseline, scenario.VSwapper}
+import "fmt"
 
 // backendCounters are the per-cell counters the second table surfaces,
 // in column order. hostswap.* counts all swap traffic on every tier;
@@ -25,46 +13,35 @@ var backendCounters = []string{
 	"swapback.remote.tail.events",
 }
 
-// BackendN sweeps every swap-backend tier under the Fig. 3 workload
-// (200 MB sequential read, 512 MB guest on 100 MB): the paper's premise
-// is that host swap is catastrophically slow, so this quantifies how much
-// of VSwapper's win survives when the swap device is an SSD, compressed
-// RAM, or a network-attached tier instead of a rotating disk.
+// BackendN renders the tier grid of backends.yaml, the Fig. 3 read (200
+// MB sequential read, 512 MB guest on 100 MB) under baseline and VSwapper
+// per swap-backend tier: the paper's premise is that host swap is
+// catastrophically slow, so this quantifies how much of VSwapper's win
+// survives when the swap device is an SSD, compressed RAM, or a
+// network-attached tier instead of a rotating disk. It reads the file's
+// cells, so backendN and backends.yaml simulate them once per invocation.
 func BackendN(o Options) *Report {
-	o = o.normalized()
-	kinds := swapback.AllKinds()
+	sc := backendsScenario()
 	rep := &Report{
 		ID:        "backendN",
 		Title:     "VSwapper vs baseline across swap-backend tiers (hdd/ssd/zswap/remote)",
 		PaperNote: "beyond the paper: §2.1's slow-swap premise re-measured per storage tier",
+		cells:     singleCells(sc, scenarioOpts(sc, o)),
 	}
-
-	cells := make([]cell, len(kinds)*len(backendSchemes))
-	o.forEach(len(cells), func(i int) {
-		k, s := kinds[i/len(backendSchemes)], backendSchemes[i%len(backendSchemes)]
-		ko := o
-		ko.Swapback = k
-		cells[i] = runSingle(runCfg{
-			opts: ko, scheme: s,
-			seed:    sim.DeriveSeed(o.Seed, "backendN", k.String(), s.String()),
-			guestMB: 512, actualMB: 100,
-			warmup: true,
-		}, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
-			return workload.SeqRead(vm, workload.SeqReadConfig{FileMB: o.mb(200)})
-		})
-	})
 
 	rt := &Table{
 		Title:   "200MB read runtime by swap tier [sec]",
 		Columns: []string{"backend", "baseline", "vswapper", "speedup"},
 	}
-	for ki, k := range kinds {
-		base, vsw := cells[ki*len(backendSchemes)], cells[ki*len(backendSchemes)+1]
+	// The file declares the schemes [baseline, vswapper], so each tier's
+	// cells are a pair.
+	for i := 0; i+1 < len(rep.cells); i += 2 {
+		base, vsw := rep.cells[i], rep.cells[i+1]
 		speedup := "-"
-		if !base.failed && !vsw.failed && vsw.runtime > 0 {
+		if !base.failed() && !vsw.failed() && vsw.runtime > 0 {
 			speedup = fmt.Sprintf("%.2fx", base.runtime.Seconds()/vsw.runtime.Seconds())
 		}
-		rt.Add(k.String(), runtimeSecs(base), runtimeSecs(vsw), speedup)
+		rt.Add(base.tier.String(), runtimeSecs(base), runtimeSecs(vsw), speedup)
 	}
 	rep.Tables = append(rep.Tables, rt)
 
@@ -72,7 +49,7 @@ func BackendN(o Options) *Report {
 		Title:   "swap traffic by tier and scheme",
 		Columns: append([]string{"backend", "scheme"}, backendCounters...),
 	}
-	for _, c := range cells {
+	for _, c := range rep.cells {
 		row := []string{c.tier.String(), c.scheme.String()}
 		for _, name := range backendCounters {
 			row = append(row, c.show("%d", c.met[name]))

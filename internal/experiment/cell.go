@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"vswapsim/internal/cluster"
 	"vswapsim/internal/scenario"
@@ -10,12 +11,14 @@ import (
 	"vswapsim/internal/swapback"
 )
 
-// cell is one simulated grid point: where it sits in its grid, whether it
-// failed, and what it measured. runSingle, runDynamic and runCluster each
-// return one, a grid is a slice of them, pivot renders grid tables from
-// them and evalAssertions checks scenario assertions against them. A cell
-// holds no machine or VM, so a finished cell's simulator state is garbage
-// as soon as its runner returns.
+// cell is one simulated grid point and the unit of simulation, sharing
+// and records: where it sits in its grid, what it measured, and the run
+// or failure records it produced. runSingle, runDynamic and runCluster
+// each return one, a grid is a slice of them, pivot renders grid tables
+// from them, evalAssertions checks scenario assertions against them, and
+// a Report keeps the cells its tables read until RunAll takes the
+// document's records from them. A cell holds no machine or VM, so a finished
+// cell's simulator state is garbage as soon as its runner returns.
 type cell struct {
 	// Coordinates. A grid sets the axes it has and leaves the rest zero.
 	tier   swapback.Kind
@@ -24,10 +27,12 @@ type cell struct {
 	size   int // controlled guest allocation [MB] (sweeps)
 	guests int // guest count (fleet and cluster cells)
 
-	// failed marks a cell that was killed by the watchdog, panicked, or
-	// was canceled. Its table cells read "failed", and every assertion
+	// failure records a cell that was killed by the watchdog, panicked,
+	// or was canceled. Its table cells read "failed", and every assertion
 	// that reads it fails.
-	failed bool
+	failure *FailureRecord
+	// runs holds one record per simulated machine of a completed cell.
+	runs []RunRecord
 
 	// runtime is the measured job's runtime, or a fleet's mean guest
 	// runtime; killed counts OOM-killed guests (0 or 1 for one guest).
@@ -37,6 +42,62 @@ type cell struct {
 	met     map[string]int64 // counter deltas over the measured body, or a cluster's fleet counters
 	// Cluster latency quantiles [ns], per workload unit and per guest.
 	unitP95, unitP99, guestP95, guestP99 int64
+	// A single-mode scenario cell's samples, one column per panel, and
+	// its timeline notes, so every document that reads it renders them.
+	panels [][]string
+	notes  []string
+}
+
+// failed reports whether the cell did not complete.
+func (c cell) failed() bool { return c.failure != nil }
+
+// cellMemo is one invocation's cells: normalized creates it beside the
+// run-slot limiter, so the experiments of one RunAll share it and it goes
+// when the invocation returns. Entries are single-flight, so documents
+// that read one cell simulate it once, even when the parallel executor
+// runs them concurrently, and hold the same records.
+type cellMemo struct {
+	mu      sync.Mutex
+	entries map[cellKey]*memoEntry
+}
+
+type memoEntry struct {
+	done chan struct{} // closed once c is filled
+	c    cell
+}
+
+// cellKey names a cell within one invocation: its definition (a sweep id,
+// or a scenario's source digest), its seed and grid coordinates, and the
+// options' Key, which a grid computes once for all of its cells.
+type cellKey struct {
+	def    string
+	seed   uint64
+	tier   swapback.Kind
+	scheme scenario.Scheme
+	point  int // a sweep's guest allocation [MB], or a fleet's guest count
+	opts   string
+}
+
+// shared returns the cell run builds, simulated once per invocation for
+// its key. A key without a definition is never shared.
+func (o Options) shared(k cellKey, run func() cell) cell {
+	if k.def == "" {
+		return run()
+	}
+	o.memo.mu.Lock()
+	e, ok := o.memo.entries[k]
+	if !ok {
+		e = &memoEntry{done: make(chan struct{})}
+		o.memo.entries[k] = e
+	}
+	o.memo.mu.Unlock()
+	if ok {
+		<-e.done
+		return e.c
+	}
+	defer close(e.done) // waiters read the zero cell if run panics
+	e.c = run()
+	return e.c
 }
 
 // value reads one assertion metric off the cell: a pseudo-metric, or a
@@ -62,7 +123,7 @@ func (c cell) value(metric string) float64 {
 
 // show formats a measured table cell; a failed cell reads "failed".
 func (c cell) show(format string, args ...any) string {
-	if c.failed {
+	if c.failed() {
 		return "failed"
 	}
 	return fmt.Sprintf(format, args...)
@@ -72,7 +133,7 @@ func (c cell) show(format string, args ...any) string {
 // the way the paper annotates crashed balloon runs.
 func (c cell) runtimeOrKilled(unit func(sim.Duration) string) string {
 	switch {
-	case c.failed:
+	case c.failed():
 		return "failed"
 	case c.killed > 0:
 		return "killed"
@@ -152,7 +213,7 @@ func evalAssertions(sc *scenario.Scenario, rep *Report, cells []cell) {
 			for _, c := range cells {
 				if c.tier == tier && c.guests == guests && axis(c) == name {
 					read = append(read, c)
-					failed = failed || c.failed
+					failed = failed || c.failed()
 					break
 				}
 			}

@@ -33,7 +33,7 @@ func runCluster(o Options, s scenario.Scheme, remedy cluster.Remediation, n int,
 	out := cell{tier: o.Swapback, scheme: s, policy: remedy, guests: n}
 	var cl *cluster.Cluster
 	st := &cellState{}
-	out.failed = o.runShielded(label, seed, st, func() {
+	out.failure = o.runShielded(label, seed, st, func() {
 		env := sim.NewEnv(seed)
 		env.SetBudget(o.cellBudget())
 		var hosts []cluster.HostSpec
@@ -86,16 +86,14 @@ func runCluster(o Options, s scenario.Scheme, remedy cluster.Remediation, n int,
 			panic(fmt.Sprintf("experiment: cluster invariant violation (replay with seed=%d faults=%q; cell seed %#x): %v",
 				o.Seed, o.Faults.String(), seed, err))
 		}
-	}) != nil
-	if out.failed {
+	})
+	if out.failed() {
 		return out
 	}
-	if o.runlog != nil {
-		for _, h := range cl.Hosts {
-			o.runlog.add(RunRecord{Label: label + "/" + h.Name, Report: h.M.Report()})
-		}
-		o.runlog.add(RunRecord{Label: label + "/fleet", Report: cl.FleetReport()})
+	for _, h := range cl.Hosts {
+		out.runs = append(out.runs, RunRecord{Label: label + "/" + h.Name, Report: h.M.Report()})
 	}
+	out.runs = append(out.runs, RunRecord{Label: label + "/fleet", Report: cl.FleetReport()})
 	out.unitP95, out.unitP99 = cl.UnitP95(), cl.UnitP99()
 	out.guestP95, out.guestP99 = cl.GuestP95(), cl.GuestP99()
 	out.met = cl.Met.Snapshot()
@@ -140,7 +138,8 @@ func ClusterN(o Options) *Report {
 		PaperNote: "beyond the paper: VSwapper at cluster scale — fleet p95/p99 unit latency per OOM-avoidance policy",
 	}
 	sc := clusterScenario()
-	_, tab := clusterPolicies(o.withTier(sc), rep.ID, sc, counts)
+	var tab *Table
+	rep.cells, tab = clusterPolicies(o.withTier(sc), rep.ID, sc, counts)
 	rep.Tables = append(rep.Tables, tab)
 	return rep
 }

@@ -31,7 +31,7 @@ func runDynamic(o Options, scheme scenario.Scheme, n int, seed uint64, f scenari
 	var total sim.Duration
 	killed := 0
 	st := &cellState{}
-	out.failed = o.runShielded(label, seed, st, func() {
+	out.failure = o.runShielded(label, seed, st, func() {
 		m := hyper.NewMachine(hyper.MachineConfig{
 			Seed:         seed,
 			HostMemPages: o.pages(f.HostMB),
@@ -91,13 +91,11 @@ func runDynamic(o Options, scheme scenario.Scheme, n int, seed uint64, f scenari
 		})
 		m.Run()
 		checkAudit()
-	}) != nil
-	if out.failed {
+	})
+	if out.failed() {
 		return out
 	}
-	if o.runlog != nil {
-		o.runlog.add(RunRecord{Label: label, Report: st.m.Report()})
-	}
+	out.runs = []RunRecord{{Label: label, Report: st.m.Report()}}
 	out.runtime, out.killed = total/sim.Duration(n), killed
 	return out
 }
@@ -111,39 +109,41 @@ func fleetRuntime(c cell) string {
 	return s
 }
 
-// dynamicGrid runs the counts × schemes grid of runDynamic calls on the
-// worker pool, returning its cells row-major (counts outer). Each cell's
-// seed derives from (id, scheme, guest count).
-func dynamicGrid(o Options, id string, counts []int, schemes []scenario.Scheme, f scenario.Fleet, w scenario.Workload) []cell {
+// dynamicGrid runs sc's guest counts × schemes grid of runDynamic calls
+// on the worker pool, returning its cells row-major (counts outer). Each
+// cell's seed derives from (sc.Name, scheme, guest count), and its memo
+// entry keys on the scenario's source, so every document of one
+// invocation that reads a cell of the file simulates it once.
+func dynamicGrid(o Options, sc *scenario.Scenario, counts []int) []cell {
 	o = o.normalized()
-	out := make([]cell, len(counts)*len(schemes))
+	out := make([]cell, len(counts)*len(sc.Schemes))
+	opts := o.Key()
 	o.forEach(len(out), func(i int) {
-		n, s := counts[i/len(schemes)], schemes[i%len(schemes)]
-		out[i] = runDynamic(o, s, n, sim.DeriveSeed(o.Seed, id, s.String(), strconv.Itoa(n)), f, w)
+		n, s := counts[i/len(sc.Schemes)], sc.Schemes[i%len(sc.Schemes)].Scheme
+		seed := sim.DeriveSeed(o.Seed, sc.Name, s.String(), strconv.Itoa(n))
+		out[i] = o.shared(cellKey{def: sc.Digest, seed: seed, scheme: s, point: n, opts: opts}, func() cell {
+			return runDynamic(o, s, n, seed, sc.Fleet, sc.Workload)
+		})
 	})
 	return out
 }
 
-// Fig4 is the paper's motivational preview of Fig. 14 at ten guests: the
-// same §5.2 guests, host and workload, so it sizes them from fig14.yaml.
+// Fig4 is the paper's preview of Fig. 14 at ten guests: it renders the
+// 10-guest row of fig14.yaml, which -quick runs too, so fig4 and fig14
+// read the same cells.
 func Fig4(o Options) *Report {
-	o = o.normalized()
-	n := 10
-	if o.Quick {
-		n = 4
-	}
+	sc := fig14Scenario()
 	rep := &Report{
 		ID:        "fig4",
 		Title:     "Average completion of ten phased MapReduce guests (Fig. 4)",
 		PaperNote: "baseline 153s, balloon+base 167s, vswapper 88s, balloon+vswapper 97s",
+		cells:     dynamicGrid(scenarioOpts(sc, o), sc, []int{10}),
 	}
 	paper := map[scenario.Scheme]string{
 		scenario.Baseline: "153", scenario.BalloonBase: "167", scenario.VSwapper: "88", scenario.BalloonVSwapper: "97",
 	}
 	tab := &Table{Title: "avg runtime [sec]", Columns: []string{"config", "runtime", "paper"}}
-	schemes := []scenario.Scheme{scenario.Baseline, scenario.BalloonBase, scenario.VSwapper, scenario.BalloonVSwapper}
-	sc := fig14Scenario()
-	for _, c := range dynamicGrid(o, "fig4", []int{n}, schemes, sc.Fleet, sc.Workload) {
+	for _, c := range rep.cells {
 		tab.Add(c.scheme.String(), c.show("%s", fleetRuntime(c)), paper[c.scheme])
 	}
 	rep.Tables = append(rep.Tables, tab)

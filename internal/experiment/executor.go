@@ -71,9 +71,9 @@ func (o Options) forEach(n int, job func(i int)) {
 }
 
 // RunResult couples an experiment's report with its wall-clock cost, the
-// per-machine run records the experiment produced, and the failure
-// records of any cells that were killed, panicked, or were canceled
-// (all in deterministic order; see json.go and failure.go).
+// per-machine run records of its report's cells, and the failure records
+// of any cells that were killed, panicked, or were canceled (all in
+// deterministic order; see Report.takeRecords).
 type RunResult struct {
 	Experiment Experiment
 	Report     *Report
@@ -101,23 +101,24 @@ func runExperimentShielded(e Experiment, o Options) (rep *Report) {
 			Message:  sanitizeMessage(fmt.Sprint(r)),
 			Stack:    sanitizeStack(debug.Stack()),
 		}
-		o.faillog.add(*rec)
 		rep = &Report{
 			ID:        e.ID,
 			Title:     e.Title,
 			PaperNote: e.PaperNote,
 			Notes:     []string{"experiment aborted: " + rec.Message},
+			cells:     []cell{{failure: rec}},
 		}
 	}()
 	return e.Run(o)
 }
 
 // RunAll executes the given experiments under one shared worker pool and
-// returns their results in input order. Reports are bit-identical to
-// running each experiment serially. If emit is non-nil it is called once
-// per result, always in input order, as soon as a result and all its
-// predecessors are available — so callers can stream output while later
-// experiments still run.
+// returns their results in input order. The experiments share one cell
+// memo, so a cell that several of them read is simulated once. Reports
+// are bit-identical to running each experiment alone and serially. If
+// emit is non-nil it is called once per result, always in input order,
+// as soon as a result and all its predecessors are available — so
+// callers can stream output while later experiments still run.
 func RunAll(exps []Experiment, o Options, emit func(RunResult)) []RunResult {
 	o = o.normalized()
 	out := make([]RunResult, len(exps))
@@ -126,15 +127,11 @@ func RunAll(exps []Experiment, o Options, emit func(RunResult)) []RunResult {
 	}
 	run := func(i int) RunResult {
 		start := time.Now()
-		// Each experiment collects into private run/failure logs so records
-		// from concurrently executing experiments cannot interleave.
-		oi := o
-		fetch := oi.EnableRunLog()
-		fetchFails := oi.EnableFailureLog()
-		rep := runExperimentShielded(exps[i], oi)
+		rep := runExperimentShielded(exps[i], o)
+		runs, fails := rep.takeRecords()
 		return RunResult{
 			Experiment: exps[i], Report: rep, Elapsed: time.Since(start),
-			Runs: fetch(), Failures: fetchFails(),
+			Runs: runs, Failures: fails,
 		}
 	}
 	if o.Parallel <= 1 || len(exps) <= 1 {

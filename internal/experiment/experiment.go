@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strings"
 
 	"vswapsim/internal/fault/audit"
@@ -141,6 +142,33 @@ type Report struct {
 	// fingerprinted); the CLI maps a nonzero count to exit code 1. Always
 	// zero for hand-coded experiments.
 	AssertionFailures int
+	// cells are the cells the tables read, in table order. RunAll takes
+	// the document's run and failure records from them, then releases
+	// them (see takeRecords).
+	cells []cell
+}
+
+// keep appends c to the cells the report reads and returns it.
+func (r *Report) keep(c cell) cell {
+	r.cells = append(r.cells, c)
+	return c
+}
+
+// takeRecords returns the run and failure records of the report's cells,
+// in cell order, stably sorted by label, and releases the cells: a
+// finished document holds its tables and records, not its cells' counter
+// maps, while it is serialized and served.
+func (r *Report) takeRecords() (runs []RunRecord, fails []FailureRecord) {
+	for _, c := range r.cells {
+		runs = append(runs, c.runs...)
+		if c.failed() {
+			fails = append(fails, *c.failure)
+		}
+	}
+	r.cells = nil
+	slices.SortStableFunc(runs, func(a, b RunRecord) int { return strings.Compare(a.Label, b.Label) })
+	slices.SortStableFunc(fails, func(a, b FailureRecord) int { return strings.Compare(a.Label, b.Label) })
+	return runs, fails
 }
 
 // String renders the full report.
@@ -220,8 +248,8 @@ type runCfg struct {
 // runSingle executes one controlled-memory scenario: boot, optional static
 // balloon, optional warm-up, then the measured body — all under the
 // run-hardening shield, so a watchdog kill or a panic in this cell
-// degrades to a failed cell and a FailureRecord instead of aborting the
-// sweep.
+// degrades to a failed cell carrying its FailureRecord instead of
+// aborting the sweep. A completed cell carries its machine's RunRecord.
 func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) cell {
 	o := rc.opts.normalized()
 	release := o.acquire()
@@ -244,7 +272,7 @@ func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) ce
 
 	out := cell{tier: o.Swapback, scheme: rc.scheme}
 	st := &cellState{}
-	out.failed = o.runShielded(label, rc.seed, st, func() {
+	out.failure = o.runShielded(label, rc.seed, st, func() {
 		mc := hyper.MachineConfig{
 			Seed:         rc.seed,
 			HostMemPages: o.pages(hostMB),
@@ -306,9 +334,9 @@ func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) ce
 		})
 		m.Run()
 		checkAudit()
-	}) != nil
-	if !out.failed && o.runlog != nil {
-		o.runlog.add(RunRecord{Label: label, Report: st.m.Report()})
+	})
+	if !out.failed() {
+		out.runs = []RunRecord{{Label: label, Report: st.m.Report()}}
 	}
 	return out
 }

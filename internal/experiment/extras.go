@@ -38,15 +38,15 @@ func Overhead(o Options) *Report {
 	for _, w := range bodies {
 		var runs [2]cell
 		for i, s := range []scenario.Scheme{scenario.Baseline, scenario.VSwapper} {
-			runs[i] = runSingle(runCfg{
+			runs[i] = rep.keep(runSingle(runCfg{
 				opts: o, scheme: s,
 				guestMB:  512,
 				actualMB: 512, // uncapped: no host swapping
-			}, w.body)
+			}, w.body))
 		}
 		base, vsw := runs[0], runs[1]
 		slowdown := "-"
-		if !base.failed && !vsw.failed {
+		if !base.failed() && !vsw.failed() {
 			slow := float64(vsw.runtime)/float64(base.runtime) - 1
 			slowdown = fmt.Sprintf("%+.1f%%", slow*100)
 		}
@@ -84,14 +84,14 @@ func Windows(o Options) *Report {
 	for _, c := range cases {
 		row := []string{c.name}
 		for _, s := range []scenario.Scheme{scenario.Baseline, scenario.VSwapper} {
-			out := runSingle(runCfg{
+			out := rep.keep(runSingle(runCfg{
 				opts: o, scheme: s,
 				guestMB:  2048,
 				actualMB: c.actualMB,
 				hostMB:   8192,
 				warmup:   true,
 				vmTweak:  noAPF,
-			}, c.body)
+			}, c.body))
 			row = append(row, out.show("%s", secs(out.runtime)))
 		}
 		tab.Add(append(row, c.paper)...)
@@ -126,7 +126,7 @@ func Ablations(o Options) *Report {
 		{sim.Millisecond, 128},
 	} {
 		k := k
-		out := runSingle(runCfg{
+		out := rep.keep(runSingle(runCfg{
 			opts: o, scheme: scenario.VSwapper,
 			guestMB: 512, actualMB: 100,
 			warmup: true,
@@ -135,7 +135,7 @@ func Ablations(o Options) *Report {
 			},
 		}, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
 			return workload.AllocTouch(vm, workload.AllocTouchConfig{SizeMB: o.mb(200)})
-		})
+		}))
 		prevTab.Add(k.deadline.String(), fmt.Sprintf("%d", k.max),
 			runtimeSecs(out),
 			out.show("%d", out.met["vswap.preventer.remaps"]),
@@ -162,7 +162,7 @@ func Ablations(o Options) *Report {
 		{scenario.VSwapper, 8, 128},
 	} {
 		k := k
-		out := runSingle(runCfg{
+		out := rep.keep(runSingle(runCfg{
 			opts: o, scheme: k.scheme,
 			guestMB: 512, actualMB: 100,
 			warmup: true,
@@ -172,7 +172,7 @@ func Ablations(o Options) *Report {
 			},
 		}, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
 			return workload.SeqRead(vm, workload.SeqReadConfig{FileMB: o.mb(200)})
-		})
+		}))
 		raTab.Add(k.scheme.String(), fmt.Sprintf("%d", k.cluster), fmt.Sprintf("%d", k.ramax),
 			runtimeSecs(out))
 	}
@@ -185,7 +185,7 @@ func Ablations(o Options) *Report {
 	}
 	for _, db := range []bool{false, true} {
 		db := db
-		out := runSingle(runCfg{
+		out := rep.keep(runSingle(runCfg{
 			opts: o, scheme: scenario.Baseline,
 			guestMB: 512, actualMB: 100,
 			warmup: true,
@@ -194,7 +194,7 @@ func Ablations(o Options) *Report {
 			},
 		}, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
 			return workload.SeqRead(vm, workload.SeqReadConfig{FileMB: o.mb(200), Iterations: 3})
-		})
+		}))
 		dbTab.Add(fmt.Sprintf("%v", db), runtimeSecs(out),
 			out.show("%d", out.met["hostswap.write.sectors"]))
 	}
@@ -215,7 +215,7 @@ func Ablations(o Options) *Report {
 		{scenario.VSwapper, false}, {scenario.VSwapper, true},
 	} {
 		k := k
-		out := runSingle(runCfg{
+		out := rep.keep(runSingle(runCfg{
 			opts: o, scheme: k.scheme,
 			guestMB: 512, actualMB: 100,
 			warmup: true,
@@ -226,7 +226,7 @@ func Ablations(o Options) *Report {
 			},
 		}, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
 			return workload.SeqRead(vm, workload.SeqReadConfig{FileMB: o.mb(200), Iterations: 3})
-		})
+		}))
 		name := "hdd"
 		if k.ssd {
 			name = "ssd"
@@ -244,7 +244,7 @@ func Ablations(o Options) *Report {
 	}
 	for _, unaligned := range []bool{false, true} {
 		unaligned := unaligned
-		out := runSingle(runCfg{
+		out := rep.keep(runSingle(runCfg{
 			opts: o, scheme: scenario.VSwapper,
 			guestMB: 512, actualMB: 100,
 			warmup: true,
@@ -253,7 +253,7 @@ func Ablations(o Options) *Report {
 			},
 		}, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
 			return workload.SeqRead(vm, workload.SeqReadConfig{FileMB: o.mb(200)})
-		})
+		}))
 		name := "4KiB sectors"
 		if unaligned {
 			name = "512B sectors (needs reformat)"

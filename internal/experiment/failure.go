@@ -11,11 +11,11 @@ import (
 )
 
 // This file is the panic-isolation half of the run-hardening layer. Every
-// simulation cell (runSingle, runDynamic and any test fixture routed
-// through runShielded) executes under a shield that recovers panics —
-// including the typed *sim.BudgetError a watchdog kill raises — and
-// converts them into structured FailureRecords. The sweep continues;
-// sibling cells are unaffected.
+// simulation cell (runSingle, runDynamic, runCluster and any test fixture
+// routed through runShielded) executes under a shield that recovers
+// panics — including the typed *sim.BudgetError a watchdog kill raises —
+// and converts them into structured FailureRecords, which the failed cell
+// carries. The sweep continues; sibling cells are unaffected.
 //
 // Determinism: a panic or an event-budget/stall kill is a pure function
 // of the cell's seed and configuration, so the same cell fails
@@ -63,17 +63,6 @@ type FailureRecord struct {
 	AuditTail []string                 `json:"audit_tail,omitempty"`
 }
 
-// EnableFailureLog arms failure collection on this Options value, like
-// EnableRunLog does for run records. It returns the fetch function; call
-// it after the experiment finishes to get the records in deterministic
-// order.
-func (o *Options) EnableFailureLog() func() []FailureRecord {
-	o.faillog = &recordLog[FailureRecord]{
-		key: func(r FailureRecord) (string, any) { return r.Label, r },
-	}
-	return o.faillog.sorted
-}
-
 // cellState carries the pieces of a running cell that failure capture
 // needs: the machine (for the trace-ring tail and event/clock position)
 // and the source of the recent audit states (a single machine's auditor,
@@ -87,14 +76,13 @@ type cellState struct {
 
 // runShielded executes one simulation cell under the hardening envelope:
 // a canceled run skips the cell, and a panic — including a watchdog's
-// *sim.BudgetError — is recovered, converted into a FailureRecord,
-// logged, and returned. A nil return means the cell completed.
+// *sim.BudgetError — is recovered, converted into a FailureRecord and
+// returned. A nil return means the cell completed.
 func (o Options) runShielded(label string, seed uint64, st *cellState, fn func()) (rec *FailureRecord) {
 	if o.canceled() {
 		rec = o.newFailure(label, seed, st)
 		rec.Kind = FailCanceled
 		rec.Message = "cell skipped: run canceled before it started"
-		o.faillog.add(*rec)
 		return rec
 	}
 	defer func() {
@@ -103,7 +91,6 @@ func (o Options) runShielded(label string, seed uint64, st *cellState, fn func()
 			return
 		}
 		rec = o.captureFailure(label, seed, st, r, debug.Stack())
-		o.faillog.add(*rec)
 		if rec.Kind == FailWatchdogWall {
 			// A wall-clock breach means real time is being lost on a cell
 			// that should long have finished; treat it as fatal and cancel

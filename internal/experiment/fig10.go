@@ -24,7 +24,7 @@ func Fig10(o Options) *Report {
 	for _, s := range []scenario.Scheme{scenario.Baseline, scenario.MapperOnly, scenario.VSwapper, scenario.BalloonBase} {
 		var m *hyper.Machine
 		var allocSnap, d map[string]int64
-		out := runSingle(runCfg{
+		out := rep.keep(runSingle(runCfg{
 			opts: o, scheme: s,
 			guestMB: 512, actualMB: 100,
 			warmup: true,
@@ -32,8 +32,8 @@ func Fig10(o Options) *Report {
 			workload.SeqRead(vm, workload.SeqReadConfig{FileMB: o.mb(200)}).Wait(p)
 			m, allocSnap = vm.M, vm.M.Met.Snapshot() // isolate the alloc phase
 			return workload.AllocTouch(vm, workload.AllocTouchConfig{SizeMB: o.mb(200)})
-		})
-		if !out.failed {
+		}))
+		if !out.failed() {
 			d = m.Met.Diff(allocSnap)
 		}
 		tab.Add(s.String(), runtimeSecs(out),

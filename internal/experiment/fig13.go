@@ -35,6 +35,7 @@ func Fig13(o Options) *Report {
 		ID:        "fig13",
 		Title:     "DaCapo Eclipse, 128MB Java heap, 512MB guest (Fig. 13)",
 		PaperNote: "balloon 1-4% faster while alive but kills Eclipse below 448MB; baseline 0.97-1.28x of vswapper; mapper within 1.00-1.08x",
+		cells:     cells,
 	}
 	rep.Tables = append(rep.Tables, sweepTable("runtime [sec]", cells, runtimeSecs))
 	return rep
@@ -54,7 +55,7 @@ func Fig15(o Options) *Report {
 	if o.Quick {
 		iters = 3
 	}
-	runSingle(runCfg{
+	c := runSingle(runCfg{
 		opts: o, scheme: scenario.VSwapper,
 		guestMB: 512, actualMB: 320,
 		warmup: true,
@@ -79,6 +80,7 @@ func Fig15(o Options) *Report {
 		ID:        "fig15",
 		Title:     "Mapper-tracked memory vs guest page cache over time (Fig. 15)",
 		PaperNote: "tracked size coincides with the guest page cache excluding dirty pages",
+		cells:     []cell{c},
 	}
 	tab := &Table{
 		Title:   "sizes [MB], sampled every 5s",

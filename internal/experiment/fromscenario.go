@@ -14,10 +14,13 @@ import (
 // machinery: runSingle for controlled-memory runs, dynamicGrid for
 // phased fleets and clusterPolicies for multi-host policy grids, the same
 // cells the hand-coded figures use. The scenario name keys every cell's
-// seed derivation. The registry's fig3, fig9, fig14 and fleetN entries
-// are scenario files run through here (see registry.go), so
-// `vswapsim run scenarios/fig3.yaml` and `vswapsim -run fig3` reach one
-// definition.
+// seed derivation, and the scenario's source digest keys its single-mode
+// and dynamic cells in the invocation's memo. The registry's fig3, fig9,
+// fig14 and fleetN entries are scenario files run through here, and fig4
+// and backendN render cells of fig14.yaml and backends.yaml (see
+// registry.go), so `vswapsim run scenarios/fig3.yaml` and
+// `vswapsim -run fig3` reach one definition, and a report that runs both
+// simulates their cells once.
 
 // FromScenario compiles a validated scenario into a runnable Experiment.
 func FromScenario(sc *scenario.Scenario) Experiment {
@@ -60,26 +63,53 @@ func scenarioIters(o Options, w scenario.Workload) int {
 	return w.Iterations
 }
 
+// scenarioOpts folds a scenario's declarations into o the way every grid
+// that reads the scenario's cells runs them, so that a registry view of a
+// file and the file itself key their cells alike.
+func scenarioOpts(sc *scenario.Scenario, o Options) Options {
+	return o.normalized().withScenario(sc).withTier(sc)
+}
+
 func runScenario(sc *scenario.Scenario, o Options) *Report {
-	o = o.normalized().withScenario(sc).withTier(sc)
-	// Timeline injection stays live unless an explicit fault plan replaced
-	// the scenario's own (see ForScenario).
-	timelineFaults := o.Faults == sc.Faults
+	o = scenarioOpts(sc, o)
 	rep := &Report{ID: sc.Name, Title: sc.Title, PaperNote: sc.PaperNote}
 	switch sc.Mode {
 	case scenario.ModeDynamic:
-		runScenarioDynamic(sc, o, rep)
+		counts := sc.Fleet.Counts
+		if o.Quick && len(sc.Fleet.QuickCounts) > 0 {
+			counts = sc.Fleet.QuickCounts
+		}
+		rep.cells = dynamicGrid(o, sc, counts)
+		rep.Tables = append(rep.Tables,
+			pivot(sc.TableTitle, "guests", rep.cells, cell.guestsLabel, cell.schemeLabel, fleetRuntime))
 	case scenario.ModeCluster:
-		runScenarioCluster(sc, o, rep)
+		// The cluster stanza runs on the grid clusterN uses: one guest
+		// count, the stanza's remediation policies as columns.
+		var tab *Table
+		rep.cells, tab = clusterPolicies(o, sc.Name, sc, []int{sc.Cluster.Guests})
+		rep.Tables = append(rep.Tables, tab)
 	default:
-		runScenarioSingle(sc, o, rep, timelineFaults)
+		rep.cells = singleCells(sc, o)
+		renderSingle(sc, o, rep)
 	}
+	evalAssertions(sc, rep, rep.cells)
 	return rep
 }
 
 // ---- single mode ----
 
-func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFaults bool) {
+// singleCells runs a single-mode scenario's grid: its schemes in order,
+// repeated per declared backend tier. Schemes run serially with the
+// invocation seed, exactly like the hand-coded single-guest figures. With
+// more than one declared backend (panels and timelines are rejected by
+// validation there) each tier runs on its own derived seed so the tiers'
+// streams stay independent; a single backend is o's tier (see withTier)
+// and keeps the invocation seed, so a scenario equals the -swapback CLI
+// form exactly.
+func singleCells(sc *scenario.Scenario, o Options) []cell {
+	// Timeline injection stays live unless an explicit fault plan replaced
+	// the scenario's own (see ForScenario).
+	timelineFaults := o.Faults == sc.Faults
 	// The timeline's inject_faults plan is built into every machine
 	// disarmed, then armed at its event time; a CLI -faults override
 	// drops the event (the machine already runs the CLI plan, always on).
@@ -97,23 +127,6 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 			mc.FaultsDisarmed = true
 		}
 	}
-
-	// Panels reproduce the Fig. 9 shape: counter panels sample one shared
-	// Met.Diff per iteration, the runtime panel reads the cell's iterations.
-	iters := scenarioIters(o, sc.Workload)
-	panelData := make([]map[scenario.Scheme][]string, len(sc.Panels))
-	for i := range panelData {
-		panelData[i] = make(map[scenario.Scheme][]string)
-	}
-
-	// Schemes run serially with the invocation seed, exactly like the
-	// hand-coded single-guest figures. With more than one declared backend
-	// the whole scheme grid repeats per tier (panels and timelines are
-	// rejected by validation there), each tier on its own derived seed so
-	// the tiers' streams stay independent; a single backend is o's tier
-	// (see withTier) and keeps the invocation seed, so a scenario equals
-	// the -swapback CLI form exactly. Timeline notes go straight into the
-	// report, in run order.
 	kinds := sc.Backends
 	multi := len(kinds) > 1
 	if !multi {
@@ -126,50 +139,67 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 		if multi {
 			ko.Seed = sim.DeriveSeed(o.Seed, "swapback", k.String())
 		}
+		opts := ko.Key()
 		for _, ref := range sc.Schemes {
 			s := ref.Scheme
-			var lastSnap map[string]int64
-			c := runSingle(runCfg{
-				opts: ko, scheme: s,
-				guestMB:         sc.Fleet.MemoryMB,
-				actualMB:        sc.Fleet.ActualMB,
-				hostMB:          sc.Fleet.HostMB,
-				vcpus:           sc.Fleet.VCPUs,
-				warmup:          sc.Fleet.Warmup,
-				balloonMarginMB: sc.Fleet.BalloonMarginMB,
-				hostTweak:       hostTweak,
-			}, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
-				var after func(int)
-				if len(sc.Panels) > 0 {
-					lastSnap = vm.M.Met.Snapshot()
-					after = func(int) {
-						d := vm.M.Met.Diff(lastSnap)
-						lastSnap = vm.M.Met.Snapshot()
-						for i, pn := range sc.Panels {
-							if pn.Counter != "" {
-								panelData[i][s] = append(panelData[i][s],
-									fmt.Sprintf("%.1f", float64(d[pn.Counter])/pn.Per))
-							}
-						}
-					}
-				}
-				job := scenarioJob(ko, sc.Workload, vm, after)
-				if len(sc.Timeline) > 0 {
-					runTimeline(sc, ko, vm, job, timelineFaults, s.String(), &rep.Notes)
-				}
-				return job
-			})
-			for i, pn := range sc.Panels {
-				if pn.Counter == "" {
-					for _, it := range c.iters {
-						panelData[i][s] = append(panelData[i][s], secs(it))
+			cells = append(cells, ko.shared(cellKey{def: sc.Digest, seed: ko.Seed, tier: k, scheme: s, opts: opts}, func() cell {
+				return singleCell(sc, ko, s, hostTweak, timelineFaults)
+			}))
+		}
+	}
+	return cells
+}
+
+// singleCell runs one scheme of a single-mode scenario. Its panels
+// reproduce the Fig. 9 shape: counter panels sample one shared Met.Diff
+// per iteration, the runtime panel reads the cell's iterations.
+func singleCell(sc *scenario.Scenario, o Options, s scenario.Scheme,
+	hostTweak func(*hyper.MachineConfig), timelineFaults bool) cell {
+	panels := make([][]string, len(sc.Panels))
+	var notes []string
+	c := runSingle(runCfg{
+		opts: o, scheme: s,
+		guestMB:         sc.Fleet.MemoryMB,
+		actualMB:        sc.Fleet.ActualMB,
+		hostMB:          sc.Fleet.HostMB,
+		vcpus:           sc.Fleet.VCPUs,
+		warmup:          sc.Fleet.Warmup,
+		balloonMarginMB: sc.Fleet.BalloonMarginMB,
+		hostTweak:       hostTweak,
+	}, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
+		var after func(int)
+		if len(sc.Panels) > 0 {
+			lastSnap := vm.M.Met.Snapshot()
+			after = func(int) {
+				d := vm.M.Met.Diff(lastSnap)
+				lastSnap = vm.M.Met.Snapshot()
+				for i, pn := range sc.Panels {
+					if pn.Counter != "" {
+						panels[i] = append(panels[i], fmt.Sprintf("%.1f", float64(d[pn.Counter])/pn.Per))
 					}
 				}
 			}
-			cells = append(cells, c)
+		}
+		job := scenarioJob(o, sc.Workload, vm, after)
+		if len(sc.Timeline) > 0 {
+			runTimeline(sc, o, vm, job, timelineFaults, s.String(), &notes)
+		}
+		return job
+	})
+	for i, pn := range sc.Panels {
+		if pn.Counter == "" {
+			for _, it := range c.iters {
+				panels[i] = append(panels[i], secs(it))
+			}
 		}
 	}
+	c.panels, c.notes = panels, notes
+	return c
+}
 
+// renderSingle renders a single-mode scenario's runtime table, its panels
+// and its cells' timeline notes, in run order.
+func renderSingle(sc *scenario.Scenario, o Options, rep *Report) {
 	if sc.TableTitle != "" {
 		withPaper := false
 		for _, ref := range sc.Schemes {
@@ -182,9 +212,9 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 			cols = append(cols, "paper")
 		}
 		tab := &Table{Title: sc.TableTitle, Columns: cols}
-		for i, c := range cells {
+		for i, c := range rep.cells {
 			name := c.scheme.String()
-			if multi {
+			if len(sc.Backends) > 1 {
 				name = c.tier.String() + "/" + name
 			}
 			row := []string{name, runtimeSecs(c)}
@@ -195,6 +225,8 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 		}
 		rep.Tables = append(rep.Tables, tab)
 	}
+	// Panels come with one tier only, so the cells are the schemes' columns.
+	iters := scenarioIters(o, sc.Workload)
 	for i, pn := range sc.Panels {
 		tab := &Table{Title: pn.Title, Columns: []string{"iteration"}}
 		for _, ref := range sc.Schemes {
@@ -202,8 +234,8 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 		}
 		for it := 0; it < iters; it++ {
 			row := []string{fmt.Sprintf("%d", it+1)}
-			for _, ref := range sc.Schemes {
-				if col := panelData[i][ref.Scheme]; it < len(col) {
+			for _, c := range rep.cells {
+				if col := c.panels[i]; it < len(col) {
 					row = append(row, col[it])
 				} else {
 					row = append(row, "-")
@@ -213,7 +245,9 @@ func runScenarioSingle(sc *scenario.Scenario, o Options, rep *Report, timelineFa
 		}
 		rep.Tables = append(rep.Tables, tab)
 	}
-	evalAssertions(sc, rep, cells)
+	for _, c := range rep.cells {
+		rep.Notes = append(rep.Notes, c.notes...)
+	}
 }
 
 // runTimeline starts the scenario's event schedule as a simulation
@@ -258,32 +292,4 @@ func runTimeline(sc *scenario.Scenario, o Options, vm *hyper.VM, job *workload.J
 			}
 		}
 	})
-}
-
-// ---- dynamic mode ----
-
-func runScenarioDynamic(sc *scenario.Scenario, o Options, rep *Report) {
-	counts := sc.Fleet.Counts
-	if o.Quick && len(sc.Fleet.QuickCounts) > 0 {
-		counts = sc.Fleet.QuickCounts
-	}
-	schemes := make([]scenario.Scheme, len(sc.Schemes))
-	for i, ref := range sc.Schemes {
-		schemes[i] = ref.Scheme
-	}
-	cells := dynamicGrid(o, sc.Name, counts, schemes, sc.Fleet, sc.Workload)
-	rep.Tables = append(rep.Tables,
-		pivot(sc.TableTitle, "guests", cells, cell.guestsLabel, cell.schemeLabel, fleetRuntime))
-	evalAssertions(sc, rep, cells)
-}
-
-// ---- cluster mode ----
-
-// runScenarioCluster compiles the cluster stanza onto the grid clusterN
-// uses: one guest count, the stanza's remediation policies as columns,
-// each cell on its own derived seed.
-func runScenarioCluster(sc *scenario.Scenario, o Options, rep *Report) {
-	grid, tab := clusterPolicies(o, sc.Name, sc, []int{sc.Cluster.Guests})
-	rep.Tables = append(rep.Tables, tab)
-	evalAssertions(sc, rep, grid)
 }

@@ -104,8 +104,8 @@ func TestDeclaredTierEqualsFlags(t *testing.T) {
 		return sc
 	}
 	report := func(sc *scenario.Scenario, o Options) []byte {
-		fetch := o.EnableRunLog()
-		data, err := json.Marshal(BuildJSON(FromScenario(sc).Run(o), fetch(), nil))
+		r := RunAll([]Experiment{FromScenario(sc)}, o, nil)[0]
+		data, err := json.Marshal(BuildJSON(r.Report, r.Runs, r.Failures))
 		if err != nil {
 			t.Fatal(err)
 		}

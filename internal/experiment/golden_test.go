@@ -33,9 +33,14 @@ func goldenOpts() Options {
 // configuration reads the passes instead of simulating:
 //   - the serial pass runs each document alone at Parallel 1, spreading
 //     the documents over GOMAXPROCS workers (two documents share no
-//     state, since the pbzip2 sweep memo lives on the invocation);
+//     state, since the cell memo lives on the invocation), so every
+//     document simulates all of its cells;
 //   - the parallel pass runs all of them in one RunAll at Parallel 4, so
-//     fig5 and fig11 share one single-flight sweep there.
+//     the documents that read one cell share it there: fig5 and fig11,
+//     fig3, fig9 and fig14 and their files, fig4 and fig14's files,
+//     fleetN and fleet.yaml, backendN and backends.yaml.
+// Comparing the passes thus also checks that a shared cell reads exactly
+// as the same cell simulated for its document alone.
 
 // goldenDoc is one golden document.
 type goldenDoc struct {

@@ -32,11 +32,11 @@ const fixtureMaxEvents = 400_000
 // livelocked (the simulated clock stops advancing), one panicking. Cells
 // run through the same runSingle/forEach machinery the real sweeps use.
 func hardeningFixture() Experiment {
-	type cell struct {
+	type fixtureCell struct {
 		name string
 		body func(vm *hyper.VM, p *sim.Proc) *workload.Job
 	}
-	cells := []cell{
+	cells := []fixtureCell{
 		{"healthy-a", func(vm *hyper.VM, p *sim.Proc) *workload.Job {
 			return workload.Warmup(vm, 256)
 		}},
@@ -62,9 +62,9 @@ func hardeningFixture() Experiment {
 		Title: "run-hardening fixture (test only)",
 		Run: func(o Options) *Report {
 			o = o.normalized()
-			results := make([]string, len(cells))
+			rep := &Report{ID: "hardfix", Title: "run-hardening fixture (test only)", cells: make([]cell, len(cells))}
 			o.forEach(len(cells), func(i int) {
-				r := runSingle(runCfg{
+				rep.cells[i] = runSingle(runCfg{
 					opts: o, scheme: scenario.Baseline,
 					seed: sim.DeriveSeed(o.Seed, "hardfix", cells[i].name),
 					// actual (clamped to the 8MB floor = 2048 pages) is well
@@ -72,16 +72,10 @@ func hardeningFixture() Experiment {
 					// host swapping and hence trace-ring content.
 					guestMB: 256, actualMB: 32, warmup: false,
 				}, cells[i].body)
-				if r.failed {
-					results[i] = "failed"
-				} else {
-					results[i] = "ok"
-				}
 			})
-			rep := &Report{ID: "hardfix", Title: "run-hardening fixture (test only)"}
 			tab := &Table{Title: "cells", Columns: []string{"cell", "outcome"}}
 			for i, c := range cells {
-				tab.Add(c.name, results[i])
+				tab.Add(c.name, rep.cells[i].show("ok"))
 			}
 			rep.Tables = append(rep.Tables, tab)
 			return rep

@@ -1,98 +1,23 @@
 package experiment
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"slices"
-	"strings"
-	"sync"
-
-	"vswapsim/internal/hyper"
-)
+import "vswapsim/internal/hyper"
 
 // This file is the machine-readable report path. Text tables (Report) stay
 // the human-facing output; JSONReport is the same content plus the
 // machine-level observability data (counters, latency histograms, phase
 // accounting, trace tails) that the tables do not surface.
 //
-// Determinism: run records are collected concurrently under the parallel
-// executor, so arrival order is scheduling-dependent. sorted() orders them
-// by (label, content hash); identical runs serialize identically, so the
-// final JSON bytes are bit-identical between serial and parallel execution.
+// Determinism: the records travel on the cells that produced them, and
+// RunAll lists a document's records in the order of its report's cells,
+// stably sorted by label (see Report.takeRecords). Neither depends on which
+// worker ran a cell or when, so the JSON bytes are bit-identical between
+// serial and parallel execution.
 
 // RunRecord couples one simulated machine's report with a label describing
 // which run of the experiment produced it.
 type RunRecord struct {
 	Label  string           `json:"label"`
 	Report *hyper.RunReport `json:"report"`
-}
-
-// recordLog accumulates records from concurrently executing cells: the
-// run log of RunRecords and the failure log of FailureRecords.
-type recordLog[T any] struct {
-	mu   sync.Mutex
-	recs []T
-	// key returns a record's label and the value whose serialized sha256
-	// orders records that share a label.
-	key func(T) (label string, content any)
-}
-
-// add appends records; a nil log drops them. Replay order (e.g. of a
-// memoized sweep's records) is free, because sorted re-orders everything.
-func (l *recordLog[T]) add(recs ...T) {
-	if l == nil || len(recs) == 0 {
-		return
-	}
-	l.mu.Lock()
-	l.recs = append(l.recs, recs...)
-	l.mu.Unlock()
-}
-
-// sorted returns the records in a scheduling-independent order: by label,
-// then by the sha256 of the serialized content (ties can only be records
-// with identical bytes, whose relative order is immaterial).
-func (l *recordLog[T]) sorted() []T {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	type keyed struct {
-		key string
-		rec T
-	}
-	ks := make([]keyed, len(l.recs))
-	for i, r := range l.recs {
-		ks[i].rec = r
-	}
-	l.mu.Unlock()
-	for i := range ks {
-		label, content := l.key(ks[i].rec)
-		data, err := json.Marshal(content)
-		if err != nil {
-			panic("experiment: record not serializable: " + err.Error())
-		}
-		sum := sha256.Sum256(data)
-		ks[i].key = label + "\x00" + hex.EncodeToString(sum[:])
-	}
-	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
-	recs := make([]T, len(ks))
-	for i, k := range ks {
-		recs[i] = k.rec
-	}
-	return recs
-}
-
-// EnableRunLog arms per-run report collection on this Options value: every
-// machine simulated under it contributes a RunRecord. It returns the fetch
-// function; call it after the experiment finishes to get the records in
-// deterministic order. Collection follows the Options value into nested
-// runs, so enable it before passing Options to Run/RunAll.
-func (o *Options) EnableRunLog() func() []RunRecord {
-	o.runlog = &recordLog[RunRecord]{
-		key: func(r RunRecord) (string, any) { return r.Label, r.Report },
-	}
-	return o.runlog.sorted
 }
 
 // JSONTable is a Table in serializable form.
@@ -104,7 +29,7 @@ type JSONTable struct {
 
 // JSONReport is the machine-readable form of one experiment's output:
 // the text report's identity, tables and notes, its fingerprint, and one
-// RunRecord per simulated machine (when collection was enabled).
+// RunRecord per simulated machine.
 type JSONReport struct {
 	ID          string      `json:"id"`
 	Title       string      `json:"title"`

@@ -9,17 +9,15 @@ import (
 
 const goldenReportFile = "testdata/golden_report_fig3.json"
 
-// jsonBytes runs one experiment with run-record collection and returns the
-// serialized JSONDocument.
+// jsonBytes runs one experiment and returns the serialized JSONDocument.
 func jsonBytes(t *testing.T, id string, o Options) []byte {
 	t.Helper()
 	e, err := ByID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetch := o.EnableRunLog()
-	rep := e.Run(o)
-	doc := BuildJSONDocument(o, []*JSONReport{BuildJSON(rep, fetch(), nil)})
+	r := RunAll([]Experiment{e}, o, nil)[0]
+	doc := BuildJSONDocument(o, []*JSONReport{BuildJSON(r.Report, r.Runs, r.Failures)})
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		t.Fatal(err)

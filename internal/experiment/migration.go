@@ -27,7 +27,7 @@ func Migration(o Options) *Report {
 	}
 	for _, s := range []scenario.Scheme{scenario.Baseline, scenario.VSwapper} {
 		var naive, mapped hyper.MigrationResult
-		out := runSingle(runCfg{
+		out := rep.keep(runSingle(runCfg{
 			opts: o, scheme: s,
 			guestMB: 512, actualMB: 256,
 			warmup: true,
@@ -38,7 +38,7 @@ func Migration(o Options) *Report {
 			naive = vm.Migrate(p, hyper.MigrationConfig{UseMappings: false})
 			mapped = vm.Migrate(p, hyper.MigrationConfig{UseMappings: true})
 			return j
-		})
+		}))
 		toMB := func(b int64) string { return out.show("%.1f", float64(b)/(1<<20)) }
 		tab.Add(s.String(), "content copy", toMB(naive.BytesSent), out.show("%s", secs(naive.Duration)),
 			"-", out.show("%d", naive.Plan.Skippable))

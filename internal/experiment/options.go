@@ -77,14 +77,8 @@ type Options struct {
 	// lim is the run-slot pool shared by everything derived from this
 	// Options value; normalized creates it once per top-level invocation.
 	lim *limiter
-	// pbzip is the invocation's pbzip2 sweep memo, created beside lim.
-	pbzip *pbzipMemo
-	// runlog, when armed via EnableRunLog, collects one RunRecord per
-	// simulated machine (see json.go).
-	runlog *recordLog[RunRecord]
-	// faillog, when armed via EnableFailureLog, collects one
-	// FailureRecord per failed cell (see failure.go).
-	faillog *recordLog[FailureRecord]
+	// memo is the invocation's cell memo, created beside lim.
+	memo *cellMemo
 }
 
 // The values a zero Seed or Scale stands for.
@@ -156,7 +150,7 @@ func (o Options) normalized() Options {
 	o = o.WithDefaults()
 	if o.lim == nil {
 		o.lim = newLimiter(o.Parallel)
-		o.pbzip = &pbzipMemo{entries: map[string]*pbzipEntry{}}
+		o.memo = &cellMemo{entries: map[cellKey]*memoEntry{}}
 	}
 	return o
 }
@@ -165,8 +159,9 @@ func (o Options) normalized() Options {
 // output bytes. Equal-meaning spellings encode alike: zero Seed/Scale as
 // their defaults, fault plans, tiers and policies in canonical form.
 // Parallel is left out because output is byte-identical at any
-// parallelism; Ctx and CancelRun only stop runs. The pbzip2 sweep memo
-// keys on it, and the serving daemon's cache key hashes it.
+// parallelism; Ctx and CancelRun only stop runs. The invocation's cell
+// memo keys every cell on it, and the serving daemon's cache key hashes
+// it.
 func (o Options) Key() string {
 	o = o.WithDefaults()
 	return fmt.Sprintf("seed=%d\x00scale=%g\x00quick=%t\x00tracering=%d\x00faults=%s\x00swapback=%s\x00swappolicy=%s\x00auditevery=%d\x00maxevents=%d\x00celltimeout=%d",

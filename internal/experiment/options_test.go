@@ -194,8 +194,8 @@ func TestWithTier(t *testing.T) {
 func memoOpts() Options { return Options{Seed: 42, Scale: 0.0625, Quick: true, Parallel: 1} }
 
 // TestPbzipMemoKeysOnBackend: in one invocation, fig5 and fig11 at hdd
-// share one sweep, and fig5 at ssd after them must give the fresh ssd
-// answer, not the memoized hdd sweep.
+// share one sweep's cells, and fig5 at ssd after them must give the fresh
+// ssd answer, not the memoized hdd cells.
 func TestPbzipMemoKeysOnBackend(t *testing.T) {
 	var exps []Experiment
 	for _, id := range []string{"fig5", "fig11"} {
@@ -210,15 +210,15 @@ func TestPbzipMemoKeysOnBackend(t *testing.T) {
 	hdd = hdd.normalized()
 	ssd := hdd // shares hdd's invocation and memo
 	ssd.Swapback = swapback.SSD
-	hddFP := RunAll(exps, hdd, nil)[0].Report.Fingerprint()
+	hddRun := RunAll(exps, hdd, nil)[0]
 	afterHDD := Fig5(ssd).Fingerprint()
-	if n := len(hdd.pbzip.entries); n != 2 {
-		t.Fatalf("the invocation's memo holds %d sweeps, want 2 (hdd, ssd)", n)
+	if n, want := len(hdd.memo.entries), 2*len(hddRun.Runs); n != want {
+		t.Fatalf("the invocation's memo holds %d cells, want %d (the hdd and the ssd sweep)", n, want)
 	}
 	fresh := memoOpts()
 	fresh.Swapback = swapback.SSD
 	freshFP := Fig5(fresh).Fingerprint()
-	if freshFP == hddFP {
+	if freshFP == hddRun.Report.Fingerprint() {
 		t.Fatal("the ssd and hdd sweeps coincide; the test cannot tell them apart")
 	}
 	if afterHDD != freshFP {

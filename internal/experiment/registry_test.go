@@ -1,6 +1,12 @@
 package experiment
 
-import "testing"
+import (
+	"encoding/json"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+)
 
 func TestByIDTable(t *testing.T) {
 	cases := []struct {
@@ -58,5 +64,88 @@ func TestRegistryIDsUnique(t *testing.T) {
 			t.Fatalf("duplicate registry id %q", e.ID)
 		}
 		seen[e.ID] = true
+	}
+}
+
+// TestViewsReadTheirFilesCells pins the registry entries that repeat a
+// scenario file's grid as views of that grid. The parallel golden pass is
+// one RunAll at the golden configuration over every registry entry and
+// every file. In it, fig4 prints fig14.yaml's 10-guest row, fleetN prints
+// fleet.yaml's tables and assertion notes, and backendN's runtimes are
+// backends.yaml's. Each view holds the very run records its file holds, as
+// do fig3, fig9 and fig14 beside their files and fig11 beside fig5, so
+// each shared cell was simulated once.
+func TestViewsReadTheirFilesCells(t *testing.T) {
+	docs, _, parallel := passes(t)
+	run := func(key string) goldenRun { return parallel.runs[docIndex(t, docs, key)] }
+
+	fig4, fig14 := run("fig4").Report.Tables[0], run("scenarios/fig14.yaml").Report.Tables[0]
+	var row10 []string
+	for _, r := range fig14.Rows {
+		if r[0] == "10" {
+			row10 = r
+		}
+	}
+	if row10 == nil || len(fig4.Rows) != len(fig14.Columns)-1 {
+		t.Fatalf("fig4 has %d rows for fig14's 10-guest row %v", len(fig4.Rows), row10)
+	}
+	for _, r := range fig4.Rows {
+		col := slices.Index(fig14.Columns, r[0])
+		if col < 0 || r[1] != row10[col] {
+			t.Errorf("fig4 %s = %q, fig14.yaml's 10-guest %s = %v", r[0], r[1], r[0], row10)
+		}
+	}
+
+	fleetN, fleet := run("fleetN").Report, run("scenarios/fleet.yaml").Report
+	if !reflect.DeepEqual(fleetN.Tables, fleet.Tables) || !reflect.DeepEqual(fleetN.Notes, fleet.Notes) {
+		t.Errorf("fleetN prints\n%s\nfleet.yaml prints\n%s", fleetN, fleet)
+	}
+
+	runtimes := map[string]string{}
+	for _, r := range run("scenarios/backends.yaml").Report.Tables[0].Rows {
+		runtimes[r[0]] = r[1]
+	}
+	for _, r := range run("backendN").Report.Tables[0].Rows {
+		if r[1] != runtimes[r[0]+"/baseline"] || r[2] != runtimes[r[0]+"/vswapper"] {
+			t.Errorf("backendN %s reads %s/%s, backends.yaml %v", r[0], r[1], r[2], runtimes)
+		}
+	}
+
+	for _, pair := range [][2]string{
+		{"fig4", "scenarios/fig14.yaml"},
+		{"fig14", "scenarios/fig14.yaml"},
+		{"fleetN", "scenarios/fleet.yaml"},
+		{"backendN", "scenarios/backends.yaml"},
+		{"fig3", "scenarios/fig3.yaml"},
+		{"fig9", "scenarios/fig9.yaml"},
+		{"fig11", "fig5"},
+	} {
+		view, file := run(pair[0]).Runs, run(pair[1]).Runs
+		if len(view) == 0 {
+			t.Errorf("%s has no run records", pair[0])
+		}
+		for _, v := range view {
+			i := slices.IndexFunc(file, func(f RunRecord) bool { return f.Label == v.Label })
+			if i < 0 || file[i].Report != v.Report {
+				t.Errorf("%s's run %s is not %s's: the cell was simulated twice", pair[0], v.Label, pair[1])
+			}
+		}
+	}
+
+	var doc JSONReport
+	if err := json.Unmarshal(run("fig4").json, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for _, s := range fig14Scenario().Schemes {
+		want = append(want, "dynamic/"+s.Scheme.String()+"/guests10/")
+	}
+	for _, r := range doc.Runs {
+		got = append(got, r.Label[:strings.LastIndex(r.Label, "/")+1])
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("fig4's JSON carries runs %v, want one each of %v", got, want)
 	}
 }

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/metrics"
@@ -22,22 +21,28 @@ func sweepSizes(o Options) []int {
 }
 
 // runSweep executes body across schemes × sizes, fanning the cells out on
-// the worker pool, scheme-major. id names the sweep in each cell's derived
-// seed, so a cell's result is a pure function of (Seed, id, scheme, size)
-// — identical whether the grid runs serially or in parallel, in any order.
+// the worker pool, scheme-major. id names the sweep, and so its body: it
+// keys each cell's derived seed, so a cell's result is a pure function of
+// (Seed, id, scheme, size) — identical whether the grid runs serially or
+// in parallel, in any order — and each cell's memo entry, so the
+// experiments of one invocation that read a sweep simulate it once.
 func runSweep(o Options, id string, schemes []scenario.Scheme, sizes []int,
 	body func(vm *hyper.VM, p *sim.Proc) *workload.Job) []cell {
 	o = o.normalized()
 	cells := make([]cell, len(schemes)*len(sizes))
+	opts := o.Key()
 	o.forEach(len(cells), func(i int) {
 		s, size := schemes[i/len(sizes)], sizes[i%len(sizes)]
-		cells[i] = runSingle(runCfg{
-			opts: o, scheme: s,
-			seed:    sim.DeriveSeed(o.Seed, id, s.String(), strconv.Itoa(size)),
-			guestMB: 512, actualMB: size,
-			warmup: true,
-		}, body)
-		cells[i].size = size
+		seed := sim.DeriveSeed(o.Seed, id, s.String(), strconv.Itoa(size))
+		cells[i] = o.shared(cellKey{def: id, seed: seed, scheme: s, point: size, opts: opts}, func() cell {
+			c := runSingle(runCfg{
+				opts: o, scheme: s, seed: seed,
+				guestMB: 512, actualMB: size,
+				warmup: true,
+			}, body)
+			c.size = size
+			return c
+		})
 	})
 	return cells
 }
@@ -48,61 +53,19 @@ func sweepTable(title string, cells []cell, measure func(cell) string) *Table {
 	return pivot(title, "guest mem [MB]", cells, cell.sizeLabel, cell.schemeLabel, measure)
 }
 
-// pbzipMemo memoizes the pbzip2 sweep shared by Figs. 5 and 11 for one
-// invocation: normalized creates it beside the run-slot limiter, so the
-// experiments of one RunAll share it and it goes when the invocation
-// returns. Entries are single-flight under Options.Key, so the two figures
-// cost one sweep even when the parallel executor generates them
-// concurrently, and a run under different knobs (a backend tier, a trace
-// ring) never reuses another's sweep.
-type pbzipMemo struct {
-	mu      sync.Mutex
-	entries map[string]*pbzipEntry
-}
-
-type pbzipEntry struct {
-	once  sync.Once
-	cells []cell
-	recs  []RunRecord
-	fails []FailureRecord
-}
-
-// pbzipSweep runs the pbzip2 sweep, or replays the invocation's memoized
-// one.
+// pbzipSweep runs the pbzip2 sweep Figs. 5 and 11 share.
 func pbzipSweep(o Options) []cell {
 	o = o.normalized()
 	schemes := []scenario.Scheme{scenario.Baseline, scenario.MapperOnly, scenario.VSwapper, scenario.BalloonBase}
 	// Fig. 5's axis extends to 128 MB, where the paper's guest OOM-kills
 	// pbzip2 under the static balloon ("below 240MB" on their axis).
 	sizes := append(sweepSizes(o), 128)
-	key := o.Key()
-	o.pbzip.mu.Lock()
-	e := o.pbzip.entries[key]
-	if e == nil {
-		e = &pbzipEntry{}
-		o.pbzip.entries[key] = e
-	}
-	o.pbzip.mu.Unlock()
-	e.once.Do(func() {
-		// The sweep is shared between Figs. 5 and 11, so its run records are
-		// captured once here and replayed into every caller's log below —
-		// whichever figure happens to trigger the sweep, both figures report
-		// the same runs, keeping parallel JSON output scheduling-independent.
-		oi := o
-		fetch := oi.EnableRunLog()
-		fetchFails := oi.EnableFailureLog()
-		e.cells = runSweep(oi, "pbzip", schemes, sizes, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
-			return workload.Pbzip2(vm, workload.Pbzip2Config{
-				InputMB:      o.mb(448),
-				WorkingPages: int(5120 * o.Scale), // keep footprint proportional
-			})
+	return runSweep(o, "pbzip", schemes, sizes, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
+		return workload.Pbzip2(vm, workload.Pbzip2Config{
+			InputMB:      o.mb(448),
+			WorkingPages: int(5120 * o.Scale), // keep footprint proportional
 		})
-		e.recs = fetch()
-		e.fails = fetchFails()
 	})
-	o.runlog.add(e.recs...)
-	o.faillog.add(e.fails...)
-	return e.cells
 }
 
 // Fig5 reproduces the pbzip2 runtime sweep with over-ballooning kills.
@@ -112,6 +75,7 @@ func Fig5(o Options) *Report {
 		ID:        "fig5",
 		Title:     "pbzip2 compressing the kernel tree, 512MB guest (Fig. 5)",
 		PaperNote: "baseline up to 1.66x slower than balloon; vswapper within 1.03-1.08x; balloon kills pbzip2 below 240MB",
+		cells:     cells,
 	}
 	rep.Tables = append(rep.Tables, sweepTable("runtime [sec]", cells, runtimeSecs))
 	return rep
@@ -124,6 +88,7 @@ func Fig11(o Options) *Report {
 		ID:        "fig11",
 		Title:     "pbzip2: disk operations, swap writes, pages scanned (Fig. 11)",
 		PaperNote: "(a) vswapper needs far fewer disk ops; (b) swap writes largely eliminated; (c) mapper doubles scan length under low pressure",
+		cells:     cells,
 	}
 	rep.Tables = append(rep.Tables,
 		sweepTable("(a) disk operations [1000s]", cells, func(c cell) string {
@@ -155,6 +120,7 @@ func Fig12(o Options) *Report {
 		ID:        "fig12",
 		Title:     "Kernbench kernel build, 512MB guest (Fig. 12)",
 		PaperNote: "~15%/5% slowdown at 192MB for baseline/balloon (matching the VMware white paper); preventer eliminates up to 80K false reads",
+		cells:     cells,
 	}
 	rep.Tables = append(rep.Tables,
 		sweepTable("(a) runtime [min]", cells, func(c cell) string { return c.runtimeOrKilled(mins) }),

@@ -68,7 +68,7 @@ func Table2(o Options) *Report {
 	// The guest may use 440 MB but only ~350 MB is guaranteed under host
 	// pressure — model the pressured steady state.
 	run := func(name string, scheme scenario.Scheme) {
-		out := runSingle(runCfg{
+		out := rep.keep(runSingle(runCfg{
 			opts: o, scheme: scheme,
 			guestMB:  440,
 			actualMB: 352,
@@ -76,7 +76,7 @@ func Table2(o Options) *Report {
 			warmup:   true,
 		}, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
 			return workload.SeqRead(vm, workload.SeqReadConfig{FileMB: o.mb(1024), FileName: "bigfile"})
-		})
+		}))
 		tab.Add(name,
 			runtimeSecs(out),
 			out.show("%d", out.met[metrics.SwapReadSectors]),

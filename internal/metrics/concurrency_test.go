@@ -3,8 +3,6 @@ package metrics
 import (
 	"sync"
 	"testing"
-
-	"vswapsim/internal/sim"
 )
 
 // TestSetsIsolatedAcrossGoroutines hammers two Sets from separate OS
@@ -29,7 +27,6 @@ func TestSetsIsolatedAcrossGoroutines(t *testing.T) {
 			for j := 0; j < iters; j++ {
 				s.Inc(DiskOps)
 				s.Add(SwapWriteSectors, int64(i+1))
-				s.Series("trace").Record(sim.Time(j), float64(i))
 			}
 			if d := s.Diff(snap); d[DiskOps] != iters {
 				t.Errorf("worker %d: diff %d, want %d", i, d[DiskOps], iters)
@@ -44,9 +41,6 @@ func TestSetsIsolatedAcrossGoroutines(t *testing.T) {
 		}
 		if got := s.Get(SwapWriteSectors); got != int64(iters*(i+1)) {
 			t.Fatalf("set %d: %s = %d, want %d", i, SwapWriteSectors, got, iters*(i+1))
-		}
-		if got := s.Series("trace").Len(); got != iters {
-			t.Fatalf("set %d: series len = %d, want %d", i, got, iters)
 		}
 	}
 }

@@ -1,4 +1,4 @@
-// Package metrics collects the counters and time series that the
+// Package metrics collects the counters and latency histograms that the
 // evaluation reports. Every layer of the simulator (disk, host MM, guest
 // OS, hypervisor, VSwapper) increments counters in a shared Set so that an
 // experiment can read, e.g., "host page faults while host code runs" the
@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"vswapsim/internal/sim"
 )
 
 // Counter names used across the simulator. Keeping them centralized makes
@@ -129,11 +127,10 @@ const (
 	TimeReclaimScan = "time.reclaim.scan.ns"
 )
 
-// Set is a bag of named counters plus optional time series and latency
-// histograms. The zero value is not usable; create one with NewSet.
+// Set is a bag of named counters plus optional latency histograms. The
+// zero value is not usable; create one with NewSet.
 type Set struct {
 	counters map[string]*Counter
-	series   map[string]*Series
 	hists    map[string]*Histogram
 }
 
@@ -141,7 +138,6 @@ type Set struct {
 func NewSet() *Set {
 	return &Set{
 		counters: make(map[string]*Counter),
-		series:   make(map[string]*Series),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -192,13 +188,6 @@ func (s *Set) Get(name string) int64 {
 	return 0
 }
 
-// Reset zeroes every counter but keeps time series intact.
-func (s *Set) Reset() {
-	for _, c := range s.counters {
-		c.v = 0
-	}
-}
-
 // Snapshot returns a copy of all counters, e.g. to diff across phases.
 func (s *Set) Snapshot() map[string]int64 {
 	out := make(map[string]int64, len(s.counters))
@@ -219,16 +208,6 @@ func (s *Set) Diff(since map[string]int64) map[string]int64 {
 	return out
 }
 
-// Series returns (creating if needed) the named time series.
-func (s *Set) Series(name string) *Series {
-	sr, ok := s.series[name]
-	if !ok {
-		sr = &Series{name: name}
-		s.series[name] = sr
-	}
-	return sr
-}
-
 // String renders the non-zero counters sorted by name, one per line.
 func (s *Set) String() string {
 	names := make([]string, 0, len(s.counters))
@@ -243,62 +222,4 @@ func (s *Set) String() string {
 		fmt.Fprintf(&b, "%-32s %12d\n", k, s.counters[k].v)
 	}
 	return b.String()
-}
-
-// Point is one sample in a time series.
-type Point struct {
-	At    sim.Time
-	Value float64
-}
-
-// Series is an append-only sequence of (time, value) samples, used for
-// figures plotted against time (Fig. 15) or iteration.
-type Series struct {
-	name   string
-	points []Point
-}
-
-// Name returns the series name.
-func (sr *Series) Name() string { return sr.name }
-
-// Record appends a sample.
-func (sr *Series) Record(at sim.Time, v float64) {
-	sr.points = append(sr.points, Point{At: at, Value: v})
-}
-
-// Points returns the recorded samples in order.
-func (sr *Series) Points() []Point { return sr.points }
-
-// Len returns the number of samples.
-func (sr *Series) Len() int { return len(sr.points) }
-
-// Last returns the most recent sample value, or 0 if empty.
-func (sr *Series) Last() float64 {
-	if len(sr.points) == 0 {
-		return 0
-	}
-	return sr.points[len(sr.points)-1].Value
-}
-
-// Max returns the largest sample value, or 0 if empty.
-func (sr *Series) Max() float64 {
-	m := 0.0
-	for _, p := range sr.points {
-		if p.Value > m {
-			m = p.Value
-		}
-	}
-	return m
-}
-
-// Mean returns the arithmetic mean of sample values, or 0 if empty.
-func (sr *Series) Mean() float64 {
-	if len(sr.points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range sr.points {
-		sum += p.Value
-	}
-	return sum / float64(len(sr.points))
 }

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"vswapsim/internal/sim"
 )
 
 func TestAddGet(t *testing.T) {
@@ -37,49 +35,6 @@ func TestSnapshotDiff(t *testing.T) {
 	snap[DiskOps] = 999
 	if s.Get(DiskOps) != 13 {
 		t.Fatal("mutating snapshot affected set")
-	}
-}
-
-func TestReset(t *testing.T) {
-	s := NewSet()
-	s.Add(DiskOps, 10)
-	s.Series("x").Record(0, 1)
-	s.Reset()
-	if s.Get(DiskOps) != 0 {
-		t.Fatal("counter not reset")
-	}
-	if s.Series("x").Len() != 1 {
-		t.Fatal("reset should not clear series")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	s := NewSet()
-	sr := s.Series("cache")
-	sr.Record(sim.Time(1*sim.Second), 100)
-	sr.Record(sim.Time(2*sim.Second), 300)
-	sr.Record(sim.Time(3*sim.Second), 200)
-	if sr.Len() != 3 {
-		t.Fatalf("len = %d", sr.Len())
-	}
-	if sr.Last() != 200 {
-		t.Fatalf("last = %v", sr.Last())
-	}
-	if sr.Max() != 300 {
-		t.Fatalf("max = %v", sr.Max())
-	}
-	if sr.Mean() != 200 {
-		t.Fatalf("mean = %v", sr.Mean())
-	}
-	if s.Series("cache") != sr {
-		t.Fatal("Series did not return same instance")
-	}
-}
-
-func TestEmptySeries(t *testing.T) {
-	sr := NewSet().Series("empty")
-	if sr.Last() != 0 || sr.Max() != 0 || sr.Mean() != 0 {
-		t.Fatal("empty series stats should be zero")
 	}
 }
 

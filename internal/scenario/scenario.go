@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"slices"
@@ -106,6 +108,10 @@ type Scenario struct {
 	Title     string
 	PaperNote string
 	Mode      string
+	// Digest is the hex SHA-256 of the source text Parse read. Scenarios
+	// with one digest define the same cells, so one invocation simulates
+	// them once; a scenario built in code has none and shares nothing.
+	Digest string
 
 	// FaultSpec/Faults is the always-armed baseline fault plan. The CLI's
 	// -faults flag, when non-empty, replaces the scenario's entire fault
@@ -328,6 +334,8 @@ func Parse(data []byte) (*Scenario, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	sum := sha256.Sum256(data)
+	sc.Digest = hex.EncodeToString(sum[:])
 	return sc, nil
 }
 

@@ -7,7 +7,8 @@
 // positions — and the parsed Scenario compiles onto the experiment
 // machinery the hand-coded figures use (see internal/experiment). The
 // checked-in files for fig3, fig9, fig14 and fleetN are those registry
-// entries; they have no Go counterpart.
+// entries; they have no Go counterpart. fig4 and backendN render cells
+// of fig14.yaml and backends.yaml.
 //
 // The package owns the scheme vocabulary (Scheme, the paper's five
 // configurations), and the decoder turns every name a file spells into
