@@ -68,49 +68,39 @@ const usageHeader = `Usage:
 Flags:
 `
 
-// cliConfig holds the parsed command line.
+// cliConfig holds the parsed command line: the server's configuration
+// and the two knobs of the process around it.
 type cliConfig struct {
 	addr         string
-	cacheDir     string
-	stateFile    string
-	workers      int
-	queueDepth   int
-	parallel     int
-	maxBody      int64
-	retryAfter   time.Duration
-	maxEvents    uint64
-	cellTimeout  time.Duration
-	heartbeat    time.Duration
-	writeTimeout time.Duration
 	drainTimeout time.Duration
-	diagDir      string
+	cfg          serve.Config
 }
 
 // newFlagSet registers every vswapsimd flag on a fresh FlagSet.
 func newFlagSet(c *cliConfig) *flag.FlagSet {
 	fs := flag.NewFlagSet("vswapsimd", flag.ContinueOnError)
 	fs.StringVar(&c.addr, "addr", "127.0.0.1:8080", "listen address")
-	fs.StringVar(&c.cacheDir, "cachedir", ".vswapsimd/cache",
+	fs.StringVar(&c.cfg.CacheDir, "cachedir", ".vswapsimd/cache",
 		"content-addressed result cache directory (delete it to flush; rebuilding the binary invalidates it)")
-	fs.StringVar(&c.stateFile, "statefile", ".vswapsimd/state.json",
+	fs.StringVar(&c.cfg.StatePath, "statefile", ".vswapsimd/state.json",
 		"queue-state file for restart recovery of jobs accepted but unfinished at shutdown (empty = no persistence)")
-	fs.IntVar(&c.workers, "workers", 2, "number of concurrent job workers")
-	fs.IntVar(&c.queueDepth, "queue", 16,
+	fs.IntVar(&c.cfg.Workers, "workers", serve.DefaultWorkers, "number of concurrent job workers")
+	fs.IntVar(&c.cfg.QueueDepth, "queue", serve.DefaultQueueDepth,
 		"bounded queue depth; a full queue rejects submissions with 429 + Retry-After")
-	fs.IntVar(&c.parallel, "parallel", 0,
+	fs.IntVar(&c.cfg.Parallel, "parallel", 0,
 		"per-job executor parallelism when the job does not set its own (0 = GOMAXPROCS)")
-	fs.Int64Var(&c.maxBody, "maxbody", 1<<20, "maximum request body size in bytes")
-	fs.DurationVar(&c.retryAfter, "retryafter", time.Second, "Retry-After hint returned with 429 responses")
-	fs.Uint64Var(&c.maxEvents, "maxevents", 0,
+	fs.Int64Var(&c.cfg.MaxBodyBytes, "maxbody", serve.DefaultMaxBodyBytes, "maximum request body size in bytes")
+	fs.DurationVar(&c.cfg.RetryAfter, "retryafter", serve.DefaultRetryAfter, "Retry-After hint returned with 429 responses")
+	fs.Uint64Var(&c.cfg.MaxEventsCap, "maxevents", 0,
 		"server-side ceiling on the per-job simulated-event budget (0 = no ceiling)")
-	fs.DurationVar(&c.cellTimeout, "celltimeout", 0,
+	fs.DurationVar(&c.cfg.CellTimeoutCap, "celltimeout", 0,
 		"server-side ceiling on the per-job wall-clock budget, e.g. 30s (0 = no ceiling)")
-	fs.DurationVar(&c.heartbeat, "heartbeat", 5*time.Second, "event-stream keepalive interval")
-	fs.DurationVar(&c.writeTimeout, "writetimeout", 10*time.Second,
+	fs.DurationVar(&c.cfg.Heartbeat, "heartbeat", serve.DefaultHeartbeat, "event-stream keepalive interval")
+	fs.DurationVar(&c.cfg.WriteTimeout, "writetimeout", serve.DefaultWriteTimeout,
 		"per-write deadline on event streams; a client slower than this is dropped")
 	fs.DurationVar(&c.drainTimeout, "draintimeout", 10*time.Second,
 		"how long a SIGINT/SIGTERM drain waits for in-flight jobs before canceling them")
-	fs.StringVar(&c.diagDir, "diagdir", "",
+	fs.StringVar(&c.cfg.DiagDir, "diagdir", "",
 		"write one replayable crash-diagnostics bundle (JSON) per failed cell into this directory")
 	fs.Usage = func() {
 		fmt.Fprint(fs.Output(), usageHeader)
@@ -127,46 +117,24 @@ func parseArgs(args []string) (cliConfig, error) {
 	if err := fs.Parse(args); err != nil {
 		return c, err
 	}
-	if fs.NArg() > 0 {
+	sc := c.cfg
+	switch {
+	case fs.NArg() > 0:
 		return c, fmt.Errorf("unexpected argument %q", fs.Arg(0))
-	}
-	if c.cacheDir == "" {
+	case sc.CacheDir == "":
 		return c, errors.New("-cachedir must not be empty")
-	}
-	if c.workers < 1 {
-		return c, fmt.Errorf("invalid -workers %d: must be >= 1", c.workers)
-	}
-	if c.queueDepth < 1 {
-		return c, fmt.Errorf("invalid -queue %d: must be >= 1", c.queueDepth)
-	}
-	if c.parallel < 0 {
-		return c, fmt.Errorf("invalid -parallel %d: must be >= 0 (0 = GOMAXPROCS)", c.parallel)
-	}
-	if c.maxBody < 1 {
-		return c, fmt.Errorf("invalid -maxbody %d: must be >= 1", c.maxBody)
-	}
-	if c.retryAfter < 0 || c.cellTimeout < 0 || c.heartbeat < 0 || c.writeTimeout < 0 || c.drainTimeout < 0 {
+	case sc.Workers < 1:
+		return c, fmt.Errorf("invalid -workers %d: must be >= 1", sc.Workers)
+	case sc.QueueDepth < 1:
+		return c, fmt.Errorf("invalid -queue %d: must be >= 1", sc.QueueDepth)
+	case sc.Parallel < 0:
+		return c, fmt.Errorf("invalid -parallel %d: must be >= 0 (0 = GOMAXPROCS)", sc.Parallel)
+	case sc.MaxBodyBytes < 1:
+		return c, fmt.Errorf("invalid -maxbody %d: must be >= 1", sc.MaxBodyBytes)
+	case sc.RetryAfter < 0 || sc.CellTimeoutCap < 0 || sc.Heartbeat < 0 || sc.WriteTimeout < 0 || c.drainTimeout < 0:
 		return c, errors.New("durations must be >= 0")
 	}
 	return c, nil
-}
-
-// serverConfig compiles the command line into a serve.Config.
-func (c cliConfig) serverConfig() serve.Config {
-	return serve.Config{
-		CacheDir:       c.cacheDir,
-		StatePath:      c.stateFile,
-		Workers:        c.workers,
-		QueueDepth:     c.queueDepth,
-		Parallel:       c.parallel,
-		MaxBodyBytes:   c.maxBody,
-		RetryAfter:     c.retryAfter,
-		MaxEventsCap:   c.maxEvents,
-		CellTimeoutCap: c.cellTimeout,
-		Heartbeat:      c.heartbeat,
-		WriteTimeout:   c.writeTimeout,
-		DiagDir:        c.diagDir,
-	}
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -182,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // serveDaemon runs the daemon until a signal drains it.
 func serveDaemon(c cliConfig, stdout, stderr io.Writer) int {
-	s, err := serve.New(c.serverConfig())
+	s, err := serve.New(c.cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "vswapsimd: %v\n", err)
 		return exitError
@@ -198,7 +166,7 @@ func serveDaemon(c cliConfig, stdout, stderr io.Writer) int {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpServer.Serve(ln) }()
 	fmt.Fprintf(stdout, "vswapsimd: listening on %s (cache %s, %d workers, queue %d)\n",
-		ln.Addr(), c.cacheDir, c.workers, c.queueDepth)
+		ln.Addr(), c.cfg.CacheDir, c.cfg.Workers, c.cfg.QueueDepth)
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -140,7 +140,7 @@ func TestServerConfigMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := c.serverConfig()
+	got := c.cfg
 	want := serve.Config{
 		CacheDir: "/tmp/c", StatePath: "/tmp/s", Workers: 3, QueueDepth: 9,
 		Parallel: 2, MaxBodyBytes: 2048,
@@ -151,7 +151,7 @@ func TestServerConfigMapping(t *testing.T) {
 	}
 	// Config carries a func field (Runner), so compare via reflection.
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("serverConfig mismatch:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("parsed config mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 

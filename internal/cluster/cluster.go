@@ -16,13 +16,10 @@ import (
 	"strings"
 
 	"vswapsim/internal/balloon"
-	"vswapsim/internal/fault"
-	"vswapsim/internal/fault/audit"
 	"vswapsim/internal/guest"
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/metrics"
 	"vswapsim/internal/sim"
-	"vswapsim/internal/swapback"
 )
 
 // Packing selects the admission-time placement policy.
@@ -103,7 +100,8 @@ type HostSpec struct {
 // Config assembles one cluster cell. All sizes are in pages and simulated
 // durations — the experiment layer applies its MB scaling before building
 // one. The zero value is not valid; Guests, GuestMemPages, Hosts and Env
-// are required.
+// are required. The cell's owner attaches any auditor or trace ring to
+// the built hosts' machines.
 type Config struct {
 	// Seed drives every derived stream (per-host machines, per-guest
 	// working sets); the cell is a pure function of it.
@@ -160,14 +158,11 @@ type Config struct {
 	Preventer bool
 	Balloon   bool
 
-	// Host plumbing shared with single-machine runs.
-	Swapback   swapback.Kind
-	SwapPolicy swapback.Policy
-	Faults     fault.Plan
-
-	// AuditEvery attaches the machine-level invariant auditor (one
-	// audit.Group over all hosts) every N shared-loop events; 0 disables.
-	AuditEvery int
+	// Host is the template every host machine is built from (swap tier,
+	// tiering policy, fault plan, host MM knobs). New copies it per host
+	// and sets the copy's Seed (derived from Seed and the host name), Env
+	// and HostMemPages.
+	Host hyper.MachineConfig
 	// Spec is the human-readable replay spec embedded in invariant-
 	// violation panics alongside the seed.
 	Spec string
@@ -296,7 +291,6 @@ type Cluster struct {
 
 	unitHist  *metrics.Histogram
 	guestHist *metrics.Histogram
-	aud       *audit.Group
 	mono      map[string]int64
 	remaining int
 	stopped   bool
@@ -335,29 +329,18 @@ func New(cfg Config) *Cluster {
 	c.unitHist = c.Met.Histogram(metrics.HistClusterUnit)
 	c.guestHist = c.Met.Histogram(metrics.HistClusterGuest)
 
-	labels := make([]string, len(cfg.Hosts))
-	machines := make([]*hyper.Machine, len(cfg.Hosts))
 	for i, hs := range cfg.Hosts {
-		m := hyper.NewMachine(hyper.MachineConfig{
-			Seed:         sim.DeriveSeed(cfg.Seed, "host", hs.Name),
-			Env:          cfg.Env,
-			HostMemPages: hs.MemPages,
-			Swapback:     cfg.Swapback,
-			SwapPolicy:   cfg.SwapPolicy,
-			Faults:       cfg.Faults,
-		})
+		mc := cfg.Host
+		mc.Seed = sim.DeriveSeed(cfg.Seed, "host", hs.Name)
+		mc.Env = cfg.Env
+		mc.HostMemPages = hs.MemPages
 		c.Hosts = append(c.Hosts, &Host{
 			Idx:      i,
 			Name:     hs.Name,
-			M:        m,
+			M:        hyper.NewMachine(mc),
 			MemPages: hs.MemPages,
 			bound:    int(cfg.MaxCommitFactor * float64(hs.MemPages)),
 		})
-		labels[i] = hs.Name
-		machines[i] = m
-	}
-	if cfg.AuditEvery > 0 {
-		c.aud = audit.AttachGroup(cfg.Env, machines, labels, cfg.AuditEvery)
 	}
 
 	span := cfg.WSMaxPct - cfg.WSMinPct + 1
@@ -475,28 +458,6 @@ func (c *Cluster) finish() {
 		}
 		h.M.Shutdown()
 	}
-}
-
-// Final runs the end-of-run invariant checks (cluster-level and, when
-// attached, the machine-level audit group) and returns the first
-// violation, or nil.
-func (c *Cluster) Final() error {
-	if err := c.Check(); err != nil {
-		return err
-	}
-	if c.aud != nil {
-		return c.aud.Final()
-	}
-	return nil
-}
-
-// AuditHistory exposes the audit group's recent check lines for failure
-// diagnostics (nil when auditing is off).
-func (c *Cluster) AuditHistory() []string {
-	if c.aud == nil {
-		return nil
-	}
-	return c.aud.History()
 }
 
 // UnitP95 and UnitP99 report the fleet-wide per-unit workload latency

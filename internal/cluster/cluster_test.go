@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vswapsim/internal/hyper"
 	"vswapsim/internal/metrics"
 	"vswapsim/internal/sim"
 	"vswapsim/internal/swapback"
@@ -57,7 +58,7 @@ func propConfig(idx int, seed uint64, env *sim.Env) Config {
 		Cooldown:          sim.Second,
 		Mapper:            r.Intn(2) == 1,
 		Preventer:         true,
-		Swapback:          swapback.SSD,
+		Host:              hyper.MachineConfig{Swapback: swapback.SSD},
 	}
 	cfg.Spec = fmt.Sprintf("prop hosts=%d guests=%d guest_pages=%d units=%d ws=[%d,%d] phase=%d packing=%s remediation=%s",
 		hosts, guests, guestPages, cfg.Units, cfg.WSMinPct, cfg.WSMaxPct, cfg.PhaseUnits, cfg.Packing, cfg.Remediation)
@@ -79,7 +80,7 @@ func runProp(t *testing.T, idx int, seed uint64) *Cluster {
 func checkProperties(t *testing.T, c *Cluster, seed uint64) {
 	t.Helper()
 	at := fmt.Sprintf("(replay with seed=%#x spec=%q)", seed, c.Cfg.Spec)
-	if err := c.Final(); err != nil {
+	if err := c.Check(); err != nil {
 		t.Fatalf("final invariants %s: %v", at, err)
 	}
 

@@ -3,8 +3,9 @@ package cluster
 import "fmt"
 
 // This file is the cluster-level invariant checker, run by the monitor on
-// every sample and once more at Final. It asserts the scheduler's global
-// properties — the ones the 50-seed property sweep exercises:
+// every sample and once more by the caller after Run. It asserts the
+// scheduler's global properties — the ones the 50-seed property sweep
+// exercises:
 //
 //   - guest conservation: every guest is placed exactly once per
 //     incarnation (placements == 1 + migrations), is resident on at most

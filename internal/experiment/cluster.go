@@ -5,26 +5,26 @@ import (
 	"strconv"
 
 	"vswapsim/internal/cluster"
+	"vswapsim/internal/hyper"
 	"vswapsim/internal/metrics"
 	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
 )
 
 // This file is the cluster cell: one multi-host scheduler run (ROADMAP
-// item 4) executed under the standard hardening envelope. A cell builds
-// one shared sim.Env, N hyper machines on it, and the internal/cluster
+// item 4) executed under the cell envelope (runCell). A cell builds N
+// hyper machines on the cell's one sim.Env and the internal/cluster
 // scheduler/monitor; the fan-out axis is the remediation policy, so
 // clusterN and the cluster: scenario mode compare policies on fleet-wide
 // p95/p99 unit latency and kill counts.
 
 // runCluster executes one cluster cell sized by cs (MB figures
 // pre-scale) on o's swap tier. The cell measures the fleet's latency
-// quantiles and counters. seed, when nonzero, overrides o.Seed so fan-out
-// cells get independent derived streams.
+// quantiles and counters, and adds a /fleet record to its hosts'. seed,
+// when nonzero, overrides o.Seed so fan-out cells get independent derived
+// streams.
 func runCluster(o Options, s scenario.Scheme, remedy cluster.Remediation, n int, seed uint64, cs scenario.ClusterSpec) cell {
 	o = o.normalized()
-	release := o.acquire()
-	defer release()
 	if seed == 0 {
 		seed = o.Seed
 	}
@@ -32,10 +32,7 @@ func runCluster(o Options, s scenario.Scheme, remedy cluster.Remediation, n int,
 
 	out := cell{tier: o.Swapback, scheme: s, policy: remedy, guests: n}
 	var cl *cluster.Cluster
-	st := &cellState{}
-	out.failure = o.runShielded(label, seed, st, func() {
-		env := sim.NewEnv(seed)
-		env.SetBudget(o.cellBudget())
+	out.runs, out.failure = o.runCell(label, seed, func(mc hyper.MachineConfig) ([]cellHost, func() error) {
 		var hosts []cluster.HostSpec
 		if len(cs.HostList) > 0 {
 			hosts = make([]cluster.HostSpec, len(cs.HostList))
@@ -53,7 +50,8 @@ func runCluster(o Options, s scenario.Scheme, remedy cluster.Remediation, n int,
 		}
 		cl = cluster.New(cluster.Config{
 			Seed:              seed,
-			Env:               env,
+			Env:               mc.Env,
+			Host:              mc,
 			Hosts:             hosts,
 			Guests:            n,
 			GuestMemPages:     o.pages(cs.GuestMB),
@@ -73,25 +71,20 @@ func runCluster(o Options, s scenario.Scheme, remedy cluster.Remediation, n int,
 			Mapper:            s.Mapper(),
 			Preventer:         s.Preventer(),
 			Balloon:           s.Balloon(),
-			Swapback:          o.Swapback,
-			SwapPolicy:        o.SwapPolicy,
-			Faults:            o.Faults,
-			AuditEvery:        o.AuditEvery,
 			Spec: fmt.Sprintf("scheme=%s remediation=%s packing=%s guests=%d hosts=%d",
 				s, remedy, cs.Packing, n, len(hosts)),
 		})
-		st.m, st.auditTail = cl.Hosts[0].M, cl.AuditHistory
-		cl.Run()
-		if err := cl.Final(); err != nil {
-			panic(fmt.Sprintf("experiment: cluster invariant violation (replay with seed=%d faults=%q; cell seed %#x): %v",
-				o.Seed, o.Faults.String(), seed, err))
+		built := make([]cellHost, len(cl.Hosts))
+		for i, h := range cl.Hosts {
+			built[i] = cellHost{name: h.Name, m: h.M}
+		}
+		return built, func() error {
+			cl.Run()
+			return cl.Check()
 		}
 	})
 	if out.failed() {
 		return out
-	}
-	for _, h := range cl.Hosts {
-		out.runs = append(out.runs, RunRecord{Label: label + "/" + h.Name, Report: h.M.Report()})
 	}
 	out.runs = append(out.runs, RunRecord{Label: label + "/fleet", Report: cl.FleetReport()})
 	out.unitP95, out.unitP99 = cl.UnitP95(), cl.UnitP99()

@@ -20,8 +20,6 @@ import (
 // cells get independent derived streams.
 func runDynamic(o Options, scheme scenario.Scheme, n int, seed uint64, f scenario.Fleet, w scenario.Workload) cell {
 	o = o.normalized()
-	release := o.acquire()
-	defer release()
 	if seed == 0 {
 		seed = o.Seed
 	}
@@ -30,22 +28,9 @@ func runDynamic(o Options, scheme scenario.Scheme, n int, seed uint64, f scenari
 	out := cell{tier: o.Swapback, scheme: scheme, guests: n}
 	var total sim.Duration
 	killed := 0
-	st := &cellState{}
-	out.failure = o.runShielded(label, seed, st, func() {
-		m := hyper.NewMachine(hyper.MachineConfig{
-			Seed:         seed,
-			HostMemPages: o.pages(f.HostMB),
-			Faults:       o.Faults,
-			Swapback:     o.Swapback,
-			SwapPolicy:   o.SwapPolicy,
-			Budget:       o.cellBudget(),
-		})
-		st.m = m
-		var checkAudit func()
-		st.auditTail, checkAudit = o.attachAuditor(m, seed)
-		if o.TraceRing > 0 {
-			m.EnableTrace(o.TraceRing)
-		}
+	out.runs, out.failure = o.runCell(label, seed, func(mc hyper.MachineConfig) ([]cellHost, func() error) {
+		mc.HostMemPages = o.pages(f.HostMB)
+		m := hyper.NewMachine(mc)
 		vms := make([]*hyper.VM, n)
 		for i := range vms {
 			vms[i] = m.NewVM(hyper.VMConfig{
@@ -63,40 +48,40 @@ func runDynamic(o Options, scheme scenario.Scheme, n int, seed uint64, f scenari
 			mgr = balloon.New(m, balloon.Config{})
 		}
 
-		m.Env.Go("driver", func(p *sim.Proc) {
-			for _, vm := range vms {
-				vm.Boot(p)
-			}
-			if mgr != nil {
-				mgr.Start()
-			}
-			jobs := make([]*workload.Job, n)
-			for i, vm := range vms {
-				jobs[i] = scenarioJob(o, w, vm, nil)
-				if i < n-1 {
-					p.Sleep(sim.Duration(f.StaggerSec) * sim.Second)
+		return []cellHost{{m: m}}, func() error {
+			m.Env.Go("driver", func(p *sim.Proc) {
+				for _, vm := range vms {
+					vm.Boot(p)
 				}
-			}
-			for _, j := range jobs {
-				r := j.Wait(p)
-				total += r.Runtime()
-				if r.Killed {
-					killed++
+				if mgr != nil {
+					mgr.Start()
 				}
-			}
-			if mgr != nil {
-				mgr.Stop()
-			}
-			m.Shutdown()
-		})
-		m.Run()
-		checkAudit()
+				jobs := make([]*workload.Job, n)
+				for i, vm := range vms {
+					jobs[i] = scenarioJob(o, w, vm, nil)
+					if i < n-1 {
+						p.Sleep(sim.Duration(f.StaggerSec) * sim.Second)
+					}
+				}
+				for _, j := range jobs {
+					r := j.Wait(p)
+					total += r.Runtime()
+					if r.Killed {
+						killed++
+					}
+				}
+				if mgr != nil {
+					mgr.Stop()
+				}
+				m.Shutdown()
+			})
+			m.Run()
+			return nil
+		}
 	})
-	if out.failed() {
-		return out
+	if !out.failed() {
+		out.runtime, out.killed = total/sim.Duration(n), killed
 	}
-	out.runs = []RunRecord{{Label: label, Report: st.m.Report()}}
-	out.runtime, out.killed = total/sim.Duration(n), killed
 	return out
 }
 

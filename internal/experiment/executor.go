@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -25,7 +24,7 @@ import (
 // down an entire invocation (registry fan-out and the sweeps inside each
 // experiment draw from the same slot pool), so total CPU-bound
 // concurrency stays at Parallel regardless of nesting. Only leaf runs
-// (runSingle, runDynamic) hold slots; coordinators that merely wait on
+// (cells, see runCell) hold slots; coordinators that merely wait on
 // children never do, which is what makes the nesting deadlock-free.
 type limiter struct {
 	sem chan struct{}
@@ -92,15 +91,7 @@ func runExperimentShielded(e Experiment, o Options) (rep *Report) {
 		if r == nil {
 			return
 		}
-		rec := &FailureRecord{
-			Label:    "experiment/" + e.ID,
-			Seed:     o.Seed,
-			BaseSeed: o.Seed,
-			Faults:   o.Faults.String(),
-			Kind:     FailPanic,
-			Message:  sanitizeMessage(fmt.Sprint(r)),
-			Stack:    sanitizeStack(debug.Stack()),
-		}
+		rec := o.captureFailure("experiment/"+e.ID, o.Seed, nil, r, debug.Stack())
 		rep = &Report{
 			ID:        e.ID,
 			Title:     e.Title,
@@ -118,28 +109,14 @@ func runExperimentShielded(e Experiment, o Options) (rep *Report) {
 // are bit-identical to running each experiment alone and serially. If
 // emit is non-nil it is called once per result, always in input order,
 // as soon as a result and all its predecessors are available — so
-// callers can stream output while later experiments still run.
+// callers can stream output while later experiments still run. At
+// Parallel 1 the experiments run inline in order, each emitted as it
+// finishes.
 func RunAll(exps []Experiment, o Options, emit func(RunResult)) []RunResult {
 	o = o.normalized()
 	out := make([]RunResult, len(exps))
 	if emit == nil {
 		emit = func(RunResult) {}
-	}
-	run := func(i int) RunResult {
-		start := time.Now()
-		rep := runExperimentShielded(exps[i], o)
-		runs, fails := rep.takeRecords()
-		return RunResult{
-			Experiment: exps[i], Report: rep, Elapsed: time.Since(start),
-			Runs: runs, Failures: fails,
-		}
-	}
-	if o.Parallel <= 1 || len(exps) <= 1 {
-		for i := range exps {
-			out[i] = run(i)
-			emit(out[i])
-		}
-		return out
 	}
 	var (
 		mu   sync.Mutex
@@ -147,7 +124,13 @@ func RunAll(exps []Experiment, o Options, emit func(RunResult)) []RunResult {
 		next int
 	)
 	o.forEach(len(exps), func(i int) {
-		r := run(i)
+		start := time.Now()
+		rep := runExperimentShielded(exps[i], o)
+		runs, fails := rep.takeRecords()
+		r := RunResult{
+			Experiment: exps[i], Report: rep, Elapsed: time.Since(start),
+			Runs: runs, Failures: fails,
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		out[i] = r

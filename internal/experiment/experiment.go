@@ -6,6 +6,7 @@
 package experiment
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -245,15 +246,81 @@ type runCfg struct {
 	hostTweak       func(*hyper.MachineConfig)
 }
 
-// runSingle executes one controlled-memory scenario: boot, optional static
-// balloon, optional warm-up, then the measured body — all under the
-// run-hardening shield, so a watchdog kill or a panic in this cell
-// degrades to a failed cell carrying its FailureRecord instead of
-// aborting the sweep. A completed cell carries its machine's RunRecord.
-func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) cell {
-	o := rc.opts.normalized()
+// cellHost is one machine of a cell. A cluster cell names its hosts, and
+// the name suffixes the host's run record label. Audit lines carry the
+// name, or "host" for the unnamed machine of a one-host cell.
+type cellHost struct {
+	name string
+	m    *hyper.Machine
+}
+
+// runCell runs one cell under the envelope every cell kind shares. It
+// takes a run slot, creates the cell's event loop under o's watchdog
+// budget, and hands build a host template that carries the cell seed,
+// that loop and o's fault plan, swap tier and policy. build returns the
+// machines it made and the driver that runs them. runCell attaches o's
+// trace ring to every machine and, when o.AuditEvery is positive, one
+// audit group over all of them; then it runs the driver under the
+// run-hardening shield and checks the audit. A driver's error, like an
+// audit violation, fails the cell with a replayable message. A completed
+// cell gets one run record per machine, labelled label, or label/<name>
+// for a named host.
+func (o Options) runCell(label string, seed uint64,
+	build func(hyper.MachineConfig) ([]cellHost, func() error)) ([]RunRecord, *FailureRecord) {
 	release := o.acquire()
 	defer release()
+	var hosts []cellHost
+	st := &cellState{}
+	fail := o.runShielded(label, seed, st, func() {
+		env := sim.NewEnv(seed)
+		env.SetBudget(o.cellBudget())
+		var run func() error
+		hosts, run = build(hyper.MachineConfig{
+			Seed: seed, Env: env, Faults: o.Faults, Swapback: o.Swapback, SwapPolicy: o.SwapPolicy,
+		})
+		st.m = hosts[0].m
+		names := make([]string, len(hosts))
+		ms := make([]*hyper.Machine, len(hosts))
+		for i, h := range hosts {
+			names[i], ms[i] = cmp.Or(h.name, "host"), h.m
+			if o.TraceRing > 0 {
+				h.m.EnableTrace(o.TraceRing)
+			}
+		}
+		check := func() error { return nil }
+		if o.AuditEvery > 0 {
+			g := audit.AttachGroup(env, ms, names, o.AuditEvery)
+			st.auditTail, check = g.History, g.Final
+		}
+		err := run()
+		if err == nil {
+			err = check()
+		}
+		if err != nil {
+			panic(fmt.Sprintf("experiment: invariant violation (replay with seed=%d faults=%q; cell seed %#x): %v",
+				o.Seed, o.Faults.String(), seed, err))
+		}
+	})
+	if fail != nil {
+		return nil, fail
+	}
+	runs := make([]RunRecord, len(hosts))
+	for i, h := range hosts {
+		runs[i] = RunRecord{Label: label, Report: h.m.Report()}
+		if h.name != "" {
+			runs[i].Label += "/" + h.name
+		}
+	}
+	return runs, nil
+}
+
+// runSingle executes one controlled-memory scenario: boot, optional static
+// balloon, optional warm-up, then the measured body, as one cell (see
+// runCell), so a watchdog kill or a panic in this cell degrades to a
+// failed cell carrying its FailureRecord instead of aborting the sweep.
+// A completed cell carries its machine's RunRecord.
+func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) cell {
+	o := rc.opts.normalized()
 	if rc.seed == 0 {
 		rc.seed = o.Seed
 	}
@@ -271,26 +338,12 @@ func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) ce
 		rc.scheme, rc.guestMB, rc.actualMB, hostMB, rc.vcpus, rc.seed)
 
 	out := cell{tier: o.Swapback, scheme: rc.scheme}
-	st := &cellState{}
-	out.failure = o.runShielded(label, rc.seed, st, func() {
-		mc := hyper.MachineConfig{
-			Seed:         rc.seed,
-			HostMemPages: o.pages(hostMB),
-			Faults:       o.Faults,
-			Swapback:     o.Swapback,
-			SwapPolicy:   o.SwapPolicy,
-			Budget:       o.cellBudget(),
-		}
+	out.runs, out.failure = o.runCell(label, rc.seed, func(mc hyper.MachineConfig) ([]cellHost, func() error) {
+		mc.HostMemPages = o.pages(hostMB)
 		if rc.hostTweak != nil {
 			rc.hostTweak(&mc)
 		}
 		m := hyper.NewMachine(mc)
-		st.m = m
-		var checkAudit func()
-		st.auditTail, checkAudit = o.attachAuditor(m, rc.seed)
-		if o.TraceRing > 0 {
-			m.EnableTrace(o.TraceRing)
-		}
 		gcfg := guest.DefaultConfig(o.pages(rc.guestMB))
 		vmc := hyper.VMConfig{
 			Name:       "vm0",
@@ -311,58 +364,31 @@ func runSingle(rc runCfg, body func(vm *hyper.VM, p *sim.Proc) *workload.Job) ce
 		}
 		vm := m.NewVM(vmc)
 
-		m.Env.Go("driver", func(p *sim.Proc) {
-			vm.Boot(p)
-			if rc.scheme.Balloon() && vmc.LimitPages > 0 {
-				target := vmc.MemPages - vmc.LimitPages + o.pages(rc.balloonMarginMB)
-				vm.OS.SetBalloonTarget(target)
-				for vm.OS.BalloonPages() < vm.OS.BalloonTarget() {
-					p.Sleep(100 * sim.Millisecond)
+		return []cellHost{{m: m}}, func() error {
+			m.Env.Go("driver", func(p *sim.Proc) {
+				vm.Boot(p)
+				if rc.scheme.Balloon() && vmc.LimitPages > 0 {
+					target := vmc.MemPages - vmc.LimitPages + o.pages(rc.balloonMarginMB)
+					vm.OS.SetBalloonTarget(target)
+					for vm.OS.BalloonPages() < vm.OS.BalloonTarget() {
+						p.Sleep(100 * sim.Millisecond)
+					}
 				}
-			}
-			if rc.warmup {
-				workload.Warmup(vm, 2048).Wait(p)
-			}
-			snap := m.Met.Snapshot()
-			res := body(vm, p).Wait(p)
-			out.met = m.Met.Diff(snap)
-			out.runtime, out.iters = res.Runtime(), res.Iterations
-			if res.Killed {
-				out.killed = 1
-			}
-			m.Shutdown()
-		})
-		m.Run()
-		checkAudit()
-	})
-	if !out.failed() {
-		out.runs = []RunRecord{{Label: label, Report: st.m.Report()}}
-	}
-	return out
-}
-
-// attachAuditor hooks the invariant auditor into the machine when
-// o.AuditEvery is positive. Call the returned check after Machine.Run:
-// it panics with a replayable message (machine seed + fault spec) on the
-// first invariant violation the run produced. The auditor's recent check
-// history is returned too (nil when auditing is off), so failure capture
-// can embed it.
-func (o Options) attachAuditor(m *hyper.Machine, seed uint64) (history func() []string, check func()) {
-	if o.AuditEvery <= 0 {
-		return nil, func() {}
-	}
-	a := audit.Attach(m, o.AuditEvery)
-	return a.History, func() {
-		if err := a.Final(); err != nil {
-			panic(fmt.Sprintf(
-				"experiment: invariant violation (replay with seed=%d faults=%q; machine seed %#x): %v",
-				o.Seed, o.Faults.String(), seed, err))
+				if rc.warmup {
+					workload.Warmup(vm, 2048).Wait(p)
+				}
+				snap := m.Met.Snapshot()
+				res := body(vm, p).Wait(p)
+				out.met = m.Met.Diff(snap)
+				out.runtime, out.iters = res.Runtime(), res.Iterations
+				if res.Killed {
+					out.killed = 1
+				}
+				m.Shutdown()
+			})
+			m.Run()
+			return nil
 		}
-	}
-}
-
-// attachAudit is attachAuditor without the audit history.
-func (o Options) attachAudit(m *hyper.Machine, seed uint64) func() {
-	_, check := o.attachAuditor(m, seed)
-	return check
+	})
+	return out
 }

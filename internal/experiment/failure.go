@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the panic-isolation half of the run-hardening layer. Every
-// simulation cell (runSingle, runDynamic, runCluster and any test fixture
-// routed through runShielded) executes under a shield that recovers
+// simulation cell (runSingle, runDynamic, runCluster and any test fixture,
+// all through runCell) executes under a shield that recovers
 // panics — including the typed *sim.BudgetError a watchdog kill raises —
 // and converts them into structured FailureRecords, which the failed cell
 // carries. The sweep continues; sibling cells are unaffected.
@@ -64,11 +64,10 @@ type FailureRecord struct {
 }
 
 // cellState carries the pieces of a running cell that failure capture
-// needs: the machine (for the trace-ring tail and event/clock position)
-// and the source of the recent audit states (a single machine's auditor,
-// or a cluster's audit group). The cell body fills it in as the pieces
-// come to exist, so a panic at any stage still captures whatever was
-// already built.
+// needs: its first machine (for the trace-ring tail and event/clock
+// position) and the source of the recent audit states (the cell's audit
+// group). runCell fills it in as the pieces come to exist, so a panic at
+// any stage still captures whatever was already built.
 type cellState struct {
 	m         *hyper.Machine
 	auditTail func() []string

@@ -12,6 +12,7 @@ import (
 	"vswapsim/internal/fault"
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/metrics"
+	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
 	"vswapsim/internal/swapback"
 )
@@ -152,39 +153,142 @@ func TestFaultCountersSurfaceInReport(t *testing.T) {
 	}
 }
 
-// TestAuditViolationMessageCarriesReplay: attachAudit's panic must name
-// the experiment seed and the plan spec so a property-sweep failure can be
-// replayed from the failure message alone.
-func TestAuditViolationMessageCarriesReplay(t *testing.T) {
-	o := faultOpts(fault.MustParse("swapin-fail:0.5"))
-	m := hyper.NewMachine(hyper.MachineConfig{Seed: 9, HostMemPages: 1 << 12})
-	check := o.attachAudit(m, 9)
-	m.Env.Go("idle", func(p *sim.Proc) {
-		p.Sleep(sim.Millisecond)
-		m.Shutdown()
+// corruptingCell runs one idle machine through the cell envelope, then
+// drives a counter backwards, which fails the final audit's monotonicity
+// pass whenever an auditor is attached.
+func corruptingCell(o Options) ([]RunRecord, *FailureRecord) {
+	return o.normalized().runCell("corrupt", 9, func(mc hyper.MachineConfig) ([]cellHost, func() error) {
+		mc.HostMemPages = 1 << 12
+		m := hyper.NewMachine(mc)
+		return []cellHost{{m: m}}, func() error {
+			m.Env.Go("idle", func(p *sim.Proc) {
+				p.Sleep(sim.Millisecond)
+				m.Shutdown()
+			})
+			m.Run()
+			m.Met.Add(metrics.DiskOps, -1)
+			return nil
+		}
 	})
-	m.Run()
-	// A negative counter fails the final audit's monotonicity pass.
-	m.Met.Add(metrics.DiskOps, -1)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("no panic on an invariant violation")
-		}
-		msg := fmt.Sprint(r)
-		for _, want := range []string{fmt.Sprintf("seed=%d", o.Seed), o.Faults.String()} {
-			if !strings.Contains(msg, want) {
-				t.Errorf("violation message %q missing replay datum %q", msg, want)
-			}
-		}
-	}()
-	check()
 }
 
-// TestAttachAuditDisabledIsNoop: with auditing off the returned closure
-// must do nothing, even for a machine that was never run.
+// TestAuditViolationMessageCarriesReplay: the envelope's audit failure
+// must name the experiment seed and the plan spec so a property-sweep
+// failure can be replayed from the failure message alone.
+func TestAuditViolationMessageCarriesReplay(t *testing.T) {
+	o := faultOpts(fault.MustParse("swapin-fail:0.5"))
+	runs, fail := corruptingCell(o)
+	if fail == nil {
+		t.Fatalf("no failure on an invariant violation (runs %+v)", runs)
+	}
+	if fail.Kind != FailPanic || len(fail.AuditTail) == 0 {
+		t.Errorf("failure kind %q with %d audit lines, want %q with the audit tail", fail.Kind, len(fail.AuditTail), FailPanic)
+	}
+	for _, want := range []string{fmt.Sprintf("seed=%d", o.Seed), o.Faults.String()} {
+		if !strings.Contains(fail.Message, want) {
+			t.Errorf("violation message %q missing replay datum %q", fail.Message, want)
+		}
+	}
+}
+
+// TestAttachAuditDisabledIsNoop: with auditing off the envelope attaches
+// no auditor, so the same corrupted machine's cell completes.
 func TestAttachAuditDisabledIsNoop(t *testing.T) {
 	o := faultOpts(fault.Plan{})
 	o.AuditEvery = 0
-	o.attachAudit(nil, 7)() // must not dereference the nil machine
+	if runs, fail := corruptingCell(o); fail != nil || len(runs) != 1 || runs[0].Label != "corrupt" {
+		t.Fatalf("runs %+v, failure %+v; want one completed record", runs, fail)
+	}
+}
+
+// TestEveryCellKindHonorsHostKnobs: the host knobs reach every machine of
+// every cell kind. A single, a dynamic and a cluster cell each run with a
+// trace ring and a fault plan, and every host record must carry a trace
+// tail and fault.* counters.
+func TestEveryCellKindHonorsHostKnobs(t *testing.T) {
+	for _, c := range []struct{ name, doc string }{
+		{"single", `
+scenario: knobs-single
+title: "one-scheme 200 MB read"
+mode: single
+fleet:
+  memory_mb: 512
+  actual_mb: 100
+schemes: [baseline]
+table:
+  title: "runtime [sec]"
+workload:
+  kind: seqread
+  file_mb: 200
+`},
+		{"dynamic", `
+scenario: knobs-dynamic
+title: "3-guest metis fleet on a 1 GB host"
+mode: dynamic
+fleet:
+  counts: [3]
+  memory_mb: 512
+  host_mb: 1024
+  vcpus: 1
+  stagger_sec: 1
+  disk_mb: 4096
+schemes: [vswapper]
+table:
+  title: "mean guest runtime [sec]"
+workload:
+  kind: metis
+  input_mb: 48
+  table_mb: 64
+`},
+		{"cluster", `
+scenario: knobs-cluster
+title: "2-host, 8-guest cluster"
+mode: cluster
+cluster:
+  hosts: 2
+  host_mb: 512
+  guests: 8
+  guest_mb: 256
+  working_set_pct: [60, 95]
+  units: 4
+  remediation: none
+  max_commit_factor: 4
+schemes: [vswapper]
+table:
+  title: "fleet latency"
+`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sc, err := scenario.Parse([]byte(c.doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := Options{Seed: 42, Scale: 0.0625, Quick: true, Parallel: 1,
+				TraceRing: 16, Faults: fault.MustParse("disk-lat:0.1:1ms")}
+			r := RunAll([]Experiment{FromScenario(sc)}, o, nil)[0]
+			if len(r.Failures) > 0 {
+				t.Fatalf("failed cells: %+v", r.Failures)
+			}
+			hosts := 0
+			for _, run := range r.Runs {
+				if strings.HasSuffix(run.Label, "/fleet") {
+					continue
+				}
+				hosts++
+				if len(run.Report.Trace) == 0 {
+					t.Errorf("%s: no trace tail", run.Label)
+				}
+				fired := false
+				for name := range run.Report.Counters {
+					fired = fired || strings.HasPrefix(name, "fault.")
+				}
+				if !fired {
+					t.Errorf("%s: no fault.* counters", run.Label)
+				}
+			}
+			if hosts == 0 {
+				t.Fatal("no host records")
+			}
+		})
+	}
 }

@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-	"runtime/debug"
-)
+import "runtime/debug"
 
 // This file is the job-granular entry point the serving daemon
 // (internal/serve, cmd/vswapsimd) builds on: one experiment in, one
@@ -48,12 +45,5 @@ func (j *JSONReport) Render() string {
 // shields (request compilation, document assembly), so a crashing job
 // still reports in the one structured failure vocabulary.
 func NewPanicFailure(label string, seed uint64, r interface{}) FailureRecord {
-	return FailureRecord{
-		Label:    label,
-		Seed:     seed,
-		BaseSeed: seed,
-		Kind:     FailPanic,
-		Message:  sanitizeMessage(fmt.Sprint(r)),
-		Stack:    sanitizeStack(debug.Stack()),
-	}
+	return *Options{Seed: seed}.captureFailure(label, seed, nil, r, debug.Stack())
 }

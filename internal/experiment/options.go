@@ -52,8 +52,8 @@ type Options struct {
 	// AuditEvery, when positive, attaches the invariant auditor to every
 	// simulated machine, checking global invariants every AuditEvery
 	// simulated events (test mode; a full check is O(pages), so stride
-	// accordingly). A violation panics with the machine seed and the fault
-	// spec so the failure replays exactly.
+	// accordingly). A violation fails the cell with the cell seed and the
+	// fault spec so the failure replays exactly.
 	AuditEvery int
 	// MaxEvents, when positive, bounds every cell's simulated event
 	// count. A breach kills only that cell — deterministically, at the

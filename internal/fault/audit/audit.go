@@ -126,10 +126,11 @@ func (a *Auditor) step() {
 	}
 }
 
-// Group audits several machines that share one event loop (the cluster
-// layer runs N hosts on one sim.Env). A sim.Env carries a single
-// after-event hook, so the group installs one hook and strides a full
-// per-machine audit across all members. Violations carry the host label.
+// Group audits the machines that share one event loop: the experiment
+// layer attaches one per cell, over its one machine or all its cluster
+// hosts. A sim.Env carries a single after-event hook, so the group
+// installs one hook and strides a full per-machine audit across all
+// members. Violations and history lines carry the host label.
 type Group struct {
 	every    int
 	tick     int

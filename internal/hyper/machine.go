@@ -16,7 +16,10 @@ import (
 	"vswapsim/internal/trace"
 )
 
-// MachineConfig sizes the physical host.
+// MachineConfig sizes the physical host. The experiment layer hands every
+// cell's runner one that already carries the cell seed, the cell's event
+// loop and the invocation's fault plan, swap tier and policy; a runner
+// adds sizes and tweaks, and a cluster copies it per host.
 type MachineConfig struct {
 	// Seed drives all experiment randomness.
 	Seed uint64
@@ -44,17 +47,12 @@ type MachineConfig struct {
 	// timelines inject faults mid-run this way). Meaningless when Faults is
 	// empty: no injector exists to arm.
 	FaultsDisarmed bool
-	// Budget installs the progress watchdog on the machine's event loop:
-	// event-count, stall (non-advancing simulated clock) and wall-clock
-	// bounds plus an external cancellation poll. The zero Budget disables
-	// it (see internal/sim watchdog.go).
-	Budget sim.Budget
-	// Env, when non-nil, makes this machine share an existing event loop
-	// instead of creating its own — the cluster layer runs N hosts on one
-	// simulated clock this way. The owner of the shared env is responsible
-	// for its Budget; the machine's Budget field is ignored. Seed still
-	// drives this machine's derived streams (injector, swapback), so two
-	// hosts on one env stay decorrelated.
+	// Env, when non-nil, is the event loop the machine runs on; its owner
+	// sets its watchdog budget. The experiment layer creates one per cell,
+	// and a cluster cell runs all its hosts on it. Seed still drives this
+	// machine's derived streams (injector, swapback), so two hosts on one
+	// env stay decorrelated. A nil Env gives the machine a loop of its own,
+	// seeded by Seed, with no budget.
 	Env *sim.Env
 }
 
@@ -94,7 +92,6 @@ func NewMachine(cfg MachineConfig) *Machine {
 	env := cfg.Env
 	if env == nil {
 		env = sim.NewEnv(cfg.Seed)
-		env.SetBudget(cfg.Budget)
 	}
 	met := metrics.NewSet()
 	dev := disk.NewDevice(env, cfg.Disk, met)

@@ -65,6 +65,17 @@ func ExperimentRunner(ctx context.Context, req JobRequest, e experiment.Experime
 	}, nil
 }
 
+// The defaults Config's zero values stand for, which vswapsimd's flags
+// also show.
+const (
+	DefaultWorkers      = 2
+	DefaultQueueDepth   = 16
+	DefaultMaxBodyBytes = 1 << 20
+	DefaultRetryAfter   = time.Second
+	DefaultHeartbeat    = 5 * time.Second
+	DefaultWriteTimeout = 10 * time.Second
+)
+
 // Config parameterizes a Server. Zero values take the documented
 // defaults.
 type Config struct {
@@ -107,25 +118,25 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
-		c.Workers = 2
+		c.Workers = DefaultWorkers
 	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 16
+		c.QueueDepth = DefaultQueueDepth
 	}
 	if c.Parallel <= 0 {
 		c.Parallel = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
+		c.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
+		c.RetryAfter = DefaultRetryAfter
 	}
 	if c.Heartbeat <= 0 {
-		c.Heartbeat = 5 * time.Second
+		c.Heartbeat = DefaultHeartbeat
 	}
 	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
+		c.WriteTimeout = DefaultWriteTimeout
 	}
 	if c.Fingerprint == "" {
 		c.Fingerprint = CodeFingerprint()
