@@ -28,10 +28,11 @@ func newRig(t *testing.T) *rig {
 	model := disk.Constellation7200()
 	dev := disk.NewDevice(env, model, met)
 	layout := disk.NewLayout(model.TotalBlocks)
-	img := hostmm.NewFile("img", layout.Reserve("img", 1<<16))
+	imgRegion := layout.Reserve("img", 1<<16)
 	swap := hostmm.NewSwapArea(layout.Reserve("swap", 1<<14))
 	pool := mem.NewFramePool(1 << 16)
 	mm := hostmm.NewManager(env, met, dev, pool, swap, hostmm.Config{})
+	img := mm.NewFile("img", imgRegion)
 	cg := mm.NewCgroup("vm0", 0)
 	return &rig{
 		env:  env,
@@ -54,7 +55,7 @@ func (r *rig) swappedPage(t *testing.T, id int) *hostmm.Page {
 	if slot < 0 {
 		t.Fatal("swap full")
 	}
-	pg.SwapSlot = slot
+	pg.SwapSlot = int32(slot)
 	return pg
 }
 
@@ -236,7 +237,7 @@ func TestPreventerForceFinalizeKeepsOrDropsContent(t *testing.T) {
 
 func TestPreventerEmulatedWorksForNamedPages(t *testing.T) {
 	r := newRig(t)
-	pg := r.mm.NewFilePage(r.cg, 0, hostmm.BlockRef{File: r.img, Block: 5})
+	pg := r.mm.NewFilePage(r.cg, 0, r.img.Ref(5))
 	r.run(func(p *sim.Proc) {
 		if !r.pv.HandleWriteFault(p, pg, 0, mem.PageSize, true) {
 			t.Fatal("full write to named page refused")
@@ -263,7 +264,7 @@ func TestMapperOnDiskReadMapsPages(t *testing.T) {
 		if pg.State != hostmm.ResidentFile || !pg.EPT {
 			t.Fatalf("page %d: state=%v ept=%v", i, pg.State, pg.EPT)
 		}
-		if pg.Backing.Block != int64(100+i) {
+		if pg.Backing.Block != int32(100+i) {
 			t.Fatalf("page %d backed by block %d", i, pg.Backing.Block)
 		}
 	}
@@ -301,7 +302,7 @@ func TestMapperAfterDiskWriteSkipsAlreadyMapped(t *testing.T) {
 func TestMapperInvalidateDisabledAblation(t *testing.T) {
 	r := newRig(t)
 	r.mp.Cfg.InvalidateDisabled = true
-	pg := r.mm.NewFilePage(r.cg, 0, hostmm.BlockRef{File: r.img, Block: 7})
+	pg := r.mm.NewFilePage(r.cg, 0, r.img.Ref(7))
 	r.run(func(p *sim.Proc) {
 		r.mp.BeforeDiskWrite(p, 7, 1)
 	})

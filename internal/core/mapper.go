@@ -59,7 +59,7 @@ func NewMapper(mm *hostmm.Manager, met *metrics.Set, image *hostmm.File, cfg Map
 func (mp *Mapper) OnDiskRead(p *sim.Proc, pages []*hostmm.Page, start int64) {
 	for i, pg := range pages {
 		block := start + int64(i)
-		mp.MM.MapOver(p, pg, hostmm.BlockRef{File: mp.Image, Block: block})
+		mp.MM.MapOver(p, pg, mp.Image.Ref(block))
 	}
 	p.Sleep(sim.Duration(len(pages)) * mp.Cfg.PerPageMapCost)
 }
@@ -84,9 +84,9 @@ func (mp *Mapper) AfterDiskWrite(p *sim.Proc, pages []*hostmm.Page, start int64)
 		block := start + int64(i)
 		switch pg.State {
 		case hostmm.ResidentAnon:
-			mp.MM.AdoptAsNamed(pg, hostmm.BlockRef{File: mp.Image, Block: block})
+			mp.MM.AdoptAsNamed(pg, mp.Image.Ref(block))
 		case hostmm.ResidentFile:
-			if pg.Backing.File == mp.Image && pg.Backing.Block == block {
+			if pg.Backing == mp.Image.Ref(block) {
 				continue // already mapped to this very block
 			}
 			// Mapped elsewhere (e.g. a file copy): leave the existing

@@ -33,7 +33,7 @@ func DefaultPreventerConfig() PreventerConfig {
 // buffer receiving emulated writes. Writes are expected sequential, so
 // coverage is a prefix [0, covered).
 type emuBuf struct {
-	pg         *hostmm.Page
+	emuPage
 	firstWrite sim.Time
 	covered    int
 	merging    bool
@@ -49,7 +49,7 @@ type Preventer struct {
 	Env *sim.Env
 	Cfg PreventerConfig
 
-	active int
+	emuTable
 }
 
 // NewPreventer creates a Preventer.
@@ -70,7 +70,7 @@ func NewPreventer(mm *hostmm.Manager, met *metrics.Set, env *sim.Env, cfg Preven
 func (pv *Preventer) Active() int { return pv.active }
 
 // buf extracts the emulation state from a page.
-func buf(pg *hostmm.Page) *emuBuf { return pg.Emu.(*emuBuf) }
+func (pv *Preventer) buf(pg *hostmm.Page) *emuBuf { return pv.bufs[pg.Emu] }
 
 // HandleWriteFault is called on an EPT write violation against a
 // swapped-out or file-non-resident page. It returns true if the Preventer
@@ -105,8 +105,8 @@ func (pv *Preventer) HandleWriteFault(p *sim.Proc, pg *hostmm.Page, off, n int, 
 	if pv.MM.Trace.Recording(trace.Preventer) {
 		pv.MM.Trace.Add(pv.Env.Now(), trace.Preventer, "emulate gfn=%d", pg.ID)
 	}
-	b := &emuBuf{pg: pg, firstWrite: pv.Env.Now(), done: sim.NewSignal(pv.Env)}
-	pg.Emu = b
+	b := &emuBuf{emuPage: emuPage{pg: pg}, firstWrite: pv.Env.Now(), done: sim.NewSignal(pv.Env)}
+	pg.Emu = pv.hold(b)
 	pv.active++
 	pv.Met.Inc(metrics.PreventerStarts)
 	pv.applyWrite(p, b, off, n)
@@ -121,7 +121,7 @@ func (pv *Preventer) HandleWriteFault(p *sim.Proc, pg *hostmm.Page, off, n int, 
 // anything else forces a merge, blocking the accessor until the old
 // content arrives.
 func (pv *Preventer) OnAccess(p *sim.Proc, pg *hostmm.Page, write bool, off, n int, rep bool) {
-	b := buf(pg)
+	b := pv.buf(pg)
 	if b.merging {
 		pv.waitResident(p, b)
 		return
@@ -149,7 +149,7 @@ func (pv *Preventer) OnAccess(p *sim.Proc, pg *hostmm.Page, write bool, off, n i
 // (content preserved: needed before the page is read via DMA) versus a
 // remap (content about to be superseded: virtio read targets, balloon).
 func (pv *Preventer) ForceFinalize(p *sim.Proc, pg *hostmm.Page, keepContent bool) {
-	b := buf(pg)
+	b := pv.buf(pg)
 	if b.merging {
 		pv.waitResident(p, b)
 		return
@@ -213,7 +213,7 @@ func (pv *Preventer) waitResident(p *sim.Proc, b *emuBuf) {
 // armDeadline schedules the 1 ms bound on emulation lifetime.
 func (pv *Preventer) armDeadline(b *emuBuf) {
 	pv.Env.Schedule(pv.Cfg.Deadline, func() {
-		if b.pg.State == hostmm.Emulated && !b.merging && b.pg.Emu == b {
+		if b.pg.State == hostmm.Emulated && !b.merging && pv.buf(b.pg) == b {
 			pv.startMerge(b)
 		}
 	})
@@ -225,7 +225,7 @@ func (pv *Preventer) armDeadline(b *emuBuf) {
 // only when merges do not queue behind a busy disk).
 func (pv *Preventer) release(b *emuBuf) {
 	pv.active--
-	b.pg.Emu = nil
+	pv.drop(b)
 	b.done.Broadcast()
 	pv.Met.Histogram(metrics.HistPreventerLife).Observe(pv.Env.Now().Sub(b.firstWrite))
 }

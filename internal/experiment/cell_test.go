@@ -8,6 +8,7 @@ import (
 	"vswapsim/internal/scenario"
 	"vswapsim/internal/sim"
 	"vswapsim/internal/swapback"
+	"vswapsim/scenarios"
 )
 
 // starvedOpts is the golden configuration under an event budget that
@@ -193,6 +194,60 @@ assertions:
 			if rep.AssertionFailures != 0 || strings.Join(rep.Notes, "\n") != strings.Join(c.want, "\n") {
 				t.Errorf("%d failures, notes:\n  %s\nwant:\n  %s", rep.AssertionFailures,
 					strings.Join(rep.Notes, "\n  "), strings.Join(c.want, "\n  "))
+			}
+		})
+	}
+}
+
+// TestScaledDiskMustExceedMemory: cluster.yaml with disk_mb 257 (guest_mb
+// 256) validates, but at scale 0.0625 both sizes scale to 16 MB, and the
+// guest swap partition, as large as guest memory, no longer fits on the
+// disk. Every cell fails before it builds a machine, naming both scaled
+// sizes and the scale; a dynamic fleet whose sizes tie once scaled fails
+// the same way.
+func TestScaledDiskMustExceedMemory(t *testing.T) {
+	data, err := scenarios.FS.ReadFile("cluster.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterDoc := strings.Replace(string(data), "disk_mb: 1024", "disk_mb: 257", 1)
+	if clusterDoc == string(data) {
+		t.Fatal("cluster.yaml no longer sets disk_mb: 1024")
+	}
+	for _, c := range []struct{ name, doc, want string }{
+		{"cluster", clusterDoc, "at scale 0.0625 disk_mb 257 scales to 16 MB and guest memory 256 MB to 16 MB: "},
+		{"dynamic", `
+scenario: tied-disk
+title: "a fleet whose disk ties with memory once scaled"
+mode: dynamic
+fleet:
+  counts: [2]
+  memory_mb: 512
+  host_mb: 2048
+  disk_mb: 520
+schemes: [baseline, vswapper]
+table:
+  title: "mean guest runtime [sec]"
+workload:
+  kind: metis
+  input_mb: 48
+  table_mb: 64
+`, "at scale 0.0625 disk_mb 520 scales to 32 MB and guest memory 512 MB to 32 MB: "},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sc, err := scenario.Parse([]byte(c.doc))
+			if err != nil {
+				t.Fatalf("the file must validate: %v", err)
+			}
+			o := Options{Seed: 42, Scale: 0.0625, Quick: true, Parallel: 1}
+			r := RunAll([]Experiment{FromScenario(sc)}, o, nil)[0]
+			if len(r.Failures) == 0 || len(r.Runs) != 0 {
+				t.Fatalf("%d failed cells and %d run records, want every cell failed", len(r.Failures), len(r.Runs))
+			}
+			for _, f := range r.Failures {
+				if !strings.Contains(f.Message, c.want) {
+					t.Errorf("%s: failure %q does not name the scaled sizes (want %q)", f.Label, f.Message, c.want)
+				}
 			}
 		})
 	}

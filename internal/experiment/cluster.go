@@ -33,6 +33,7 @@ func runCluster(o Options, s scenario.Scheme, remedy cluster.Remediation, n int,
 	out := cell{tier: o.Swapback, scheme: s, policy: remedy, guests: n}
 	var cl *cluster.Cluster
 	out.runs, out.failure = o.runCell(label, seed, func(mc hyper.MachineConfig) ([]cellHost, func() error) {
+		diskBlocks := o.guestDiskBlocks(cs.DiskMB, cs.GuestMB)
 		var hosts []cluster.HostSpec
 		if len(cs.HostList) > 0 {
 			hosts = make([]cluster.HostSpec, len(cs.HostList))
@@ -61,7 +62,7 @@ func runCluster(o Options, s scenario.Scheme, remedy cluster.Remediation, n int,
 			PhaseUnits:        cs.PhaseUnits,
 			UnitCompute:       sim.Duration(cs.UnitComputeMS) * sim.Millisecond,
 			Stagger:           sim.Duration(cs.StaggerMS) * sim.Millisecond,
-			GuestDiskBlocks:   int64(o.mb(cs.DiskMB)) << 20 / 4096,
+			GuestDiskBlocks:   diskBlocks,
 			Packing:           cs.Packing,
 			Remediation:       remedy,
 			MaxCommitFactor:   cs.MaxCommitFactor,

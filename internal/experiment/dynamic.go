@@ -29,6 +29,7 @@ func runDynamic(o Options, scheme scenario.Scheme, n int, seed uint64, f scenari
 	var total sim.Duration
 	killed := 0
 	out.runs, out.failure = o.runCell(label, seed, func(mc hyper.MachineConfig) ([]cellHost, func() error) {
+		diskBlocks := o.guestDiskBlocks(f.DiskMB, f.MemoryMB)
 		mc.HostMemPages = o.pages(f.HostMB)
 		m := hyper.NewMachine(mc)
 		vms := make([]*hyper.VM, n)
@@ -37,7 +38,7 @@ func runDynamic(o Options, scheme scenario.Scheme, n int, seed uint64, f scenari
 				Name:       fmt.Sprintf("vm%d", i),
 				MemPages:   o.pages(f.MemoryMB),
 				VCPUs:      f.VCPUs,
-				DiskBlocks: int64(o.mb(f.DiskMB)) << 20 / 4096,
+				DiskBlocks: diskBlocks,
 				Mapper:     scheme.Mapper(),
 				Preventer:  scheme.Preventer(),
 				GuestAPF:   true,

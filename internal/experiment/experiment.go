@@ -53,6 +53,22 @@ func (o Options) mb(v int) int {
 // pages converts scaled MiB to pages.
 func (o Options) pages(v int) int { return o.mb(v) << 20 / 4096 }
 
+// guestDiskBlocks sizes the disk image of a guest with memMB of memory
+// (both figures pre-scale). The guest swap partition is as large as guest
+// memory and lives on the image, so the scaled image must exceed the
+// scaled memory. mb rounds and floors each size on its own, so a file
+// whose disk exceeds its memory can still tie once scaled; such a cell
+// fails here, naming both scaled sizes, before it builds a machine.
+func (o Options) guestDiskBlocks(diskMB, memMB int) int64 {
+	disk, mem := o.mb(diskMB), o.mb(memMB)
+	if disk <= mem {
+		panic(fmt.Sprintf("experiment: at scale %g disk_mb %d scales to %d MB and guest memory %d MB to %d MB: "+
+			"the disk must exceed memory, because the guest swap area, as large as memory, lives on it",
+			o.Scale, diskMB, disk, memMB, mem))
+	}
+	return int64(disk) << 20 / 4096
+}
+
 // Table is a formatted result table.
 type Table struct {
 	Title   string

@@ -55,10 +55,28 @@ type Auditor struct {
 	lastNow sim.Time
 	mono    map[string]int64
 	err     error
-	// hist is a bounded ring of one-line summaries of the most recent
-	// checks; crash-diagnostics bundles embed it so a killed or panicked
-	// run shows how far the invariants were last known to hold.
-	hist []string
+	// seen marks the pages a pass has visited, by descriptor index; one
+	// bitset serves every pass.
+	seen []uint64
+	// hist is a bounded ring of the most recent checks, which History
+	// formats as one-line summaries; crash-diagnostics bundles embed them
+	// so a killed or panicked run shows how far the invariants were last
+	// known to hold.
+	hist []checkNote
+}
+
+// checkNote records one check: its number, when it ran and its verdict.
+type checkNote struct {
+	n   int64
+	at  sim.Time
+	err error
+}
+
+func (c checkNote) String() string {
+	if c.err == nil {
+		return fmt.Sprintf("audit #%d at %v: ok", c.n, c.at)
+	}
+	return fmt.Sprintf("audit #%d at %v: VIOLATION: %v", c.n, c.at, c.err)
 }
 
 // histCap bounds how many recent check summaries History retains.
@@ -89,16 +107,18 @@ func (a *Auditor) Checks() int64 { return a.checks }
 // parallel sweeps.
 func (a *Auditor) History() []string {
 	out := make([]string, len(a.hist))
-	copy(out, a.hist)
+	for i, c := range a.hist {
+		out[i] = c.String()
+	}
 	return out
 }
 
-func (a *Auditor) note(s string) {
+func (a *Auditor) note(c checkNote) {
 	if len(a.hist) == histCap {
 		copy(a.hist, a.hist[1:])
 		a.hist = a.hist[:histCap-1]
 	}
-	a.hist = append(a.hist, s)
+	a.hist = append(a.hist, c)
 }
 
 // Final runs one last check (so short runs audit at least once) and
@@ -205,11 +225,7 @@ func (g *Group) Final() error {
 // Check runs one full audit pass and returns the first violation found.
 func (a *Auditor) Check() error {
 	err := a.check()
-	if err == nil {
-		a.note(fmt.Sprintf("audit #%d at %v: ok", a.checks, a.m.Env.Now()))
-	} else {
-		a.note(fmt.Sprintf("audit #%d at %v: VIOLATION: %v", a.checks, a.m.Env.Now(), err))
-	}
+	a.note(checkNote{n: a.checks, at: a.m.Env.Now(), err: err})
 	return err
 }
 
@@ -229,37 +245,12 @@ func (a *Auditor) check() error {
 	}
 
 	// 3. Cross-layer page invariants over every materialized page.
-	seen := make(map[*hostmm.Page]string)
-	var pageErr error
+	a.seen = resetBits(a.seen, a.m.MM.NumPages())
 	for _, vm := range a.m.VMs {
-		vm := vm
+		var pageErr error
 		vm.EachPage(func(pg *hostmm.Page) {
-			if pageErr != nil {
-				return
-			}
-			where := fmt.Sprintf("%s/page%d", vm.Cfg.Name, pg.ID)
-			if prev, dup := seen[pg]; dup {
-				pageErr = fmt.Errorf("page mapped twice: %s and %s", prev, where)
-				return
-			}
-			seen[pg] = where
-			if pg.Owner != vm.CG {
-				pageErr = fmt.Errorf("%s: owned by cgroup %s, not %s", where, pg.Owner.Name, vm.CG.Name)
-				return
-			}
-			if pg.EPT && !pg.State.Resident() {
-				pageErr = fmt.Errorf("%s: EPT-mapped but %s", where, pg.State)
-				return
-			}
-			if pg.State == hostmm.SwappedOut {
-				if pg.SwapSlot < 0 {
-					pageErr = fmt.Errorf("%s: swapped out without a slot", where)
-					return
-				}
-				if a.m.MM.Swap.Owner(pg.SwapSlot) != pg {
-					pageErr = fmt.Errorf("%s: swapped out to slot %d owned by someone else", where, pg.SwapSlot)
-					return
-				}
+			if pageErr == nil {
+				pageErr = a.checkPage(vm, pg)
 			}
 		})
 		if pageErr != nil {
@@ -276,4 +267,62 @@ func (a *Auditor) check() error {
 		a.mono[name] = v
 	}
 	return nil
+}
+
+// checkPage checks one page that vm materialized. A location label is
+// formatted only for a violation.
+func (a *Auditor) checkPage(vm *hyper.VM, pg *hostmm.Page) error {
+	mm := a.m.MM
+	i := pg.Index()
+	if mm.Page(i) != pg {
+		return fmt.Errorf("%s: not a page descriptor of this host", where(vm, pg))
+	}
+	if a.seen[i>>6]&(1<<(i&63)) != 0 {
+		return fmt.Errorf("page mapped twice: %s and %s", a.firstVisit(pg), where(vm, pg))
+	}
+	a.seen[i>>6] |= 1 << (i & 63)
+	if owner := mm.Owner(pg); owner != vm.CG {
+		return fmt.Errorf("%s: owned by cgroup %s, not %s", where(vm, pg), owner.Name, vm.CG.Name)
+	}
+	if pg.EPT && !pg.State.Resident() {
+		return fmt.Errorf("%s: EPT-mapped but %s", where(vm, pg), pg.State)
+	}
+	if pg.State == hostmm.SwappedOut {
+		if pg.SwapSlot < 0 {
+			return fmt.Errorf("%s: swapped out without a slot", where(vm, pg))
+		}
+		if mm.Swap.Owner(int64(pg.SwapSlot)) != pg {
+			return fmt.Errorf("%s: swapped out to slot %d owned by someone else", where(vm, pg), pg.SwapSlot)
+		}
+	}
+	return nil
+}
+
+// where labels a page for a violation message.
+func where(vm *hyper.VM, pg *hostmm.Page) string {
+	return fmt.Sprintf("%s/page%d", vm.Cfg.Name, pg.ID)
+}
+
+// firstVisit labels the first place a pass visits pg, for the report of a
+// page seen twice.
+func (a *Auditor) firstVisit(pg *hostmm.Page) string {
+	for _, vm := range a.m.VMs {
+		found := false
+		vm.EachPage(func(q *hostmm.Page) { found = found || q == pg })
+		if found {
+			return where(vm, pg)
+		}
+	}
+	return "?"
+}
+
+// resetBits returns a cleared bitset of at least n bits, reusing bits.
+func resetBits(bits []uint64, n int) []uint64 {
+	words := (n + 63) / 64
+	if cap(bits) < words {
+		return make([]uint64, words)
+	}
+	bits = bits[:words]
+	clear(bits)
+	return bits
 }

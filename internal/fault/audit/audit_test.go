@@ -22,7 +22,7 @@ const afterRun = 1 << 30
 // the given fault plan, attaches an auditor at the given stride, reads a
 // 16 MiB file twice (enough pressure to exercise swap-out, swap-in and
 // reclaim), and returns the machine plus the auditor.
-func runScenario(t *testing.T, spec string, every int) (*hyper.Machine, *Auditor) {
+func runScenario(t testing.TB, spec string, every int) (*hyper.Machine, *Auditor) {
 	t.Helper()
 	m := hyper.NewMachine(hyper.MachineConfig{
 		Seed:         1,
@@ -206,4 +206,23 @@ func TestHistoryRecordsRecentChecks(t *testing.T) {
 	if a.History()[0] == "clobbered" {
 		t.Fatal("History exposed internal state")
 	}
+}
+
+// BenchmarkCheck reports the cost of one full audit pass over a fixed
+// machine: runScenario's guest after its reads, with pages resident,
+// swapped out and file-backed.
+func BenchmarkCheck(b *testing.B) {
+	m, a := runScenario(b, "", afterRun)
+	pages := 0
+	for _, vm := range m.VMs {
+		vm.EachPage(func(*hostmm.Page) { pages++ })
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := a.Check(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(pages), "pages")
 }

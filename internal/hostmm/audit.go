@@ -25,16 +25,19 @@ func (m *Manager) Audit() error {
 		listed := 0
 		check := func(l *pageList, wantState PageState) error {
 			n := 0
-			for pg := l.head; pg != nil; pg = pg.next {
+			// Walk at most size+1 links, so a cycle reads as a size mismatch.
+			for i := l.head; i != 0 && n <= l.size; {
+				pg := m.pages.at(i)
+				i = pg.next
 				n++
-				if pg.list != l {
+				if pg.list != l.id {
 					return fmt.Errorf("%s: page %d has wrong list backref", l.name, pg.ID)
 				}
 				if pg.State != wantState {
 					return fmt.Errorf("%s: page %d in state %s", l.name, pg.ID, pg.State)
 				}
-				if pg.Owner != cg {
-					return fmt.Errorf("%s: page %d owned by %s", l.name, pg.ID, pg.Owner.Name)
+				if pg.Owner != cg.idx {
+					return fmt.Errorf("%s: page %d owned by %s", l.name, pg.ID, m.cgroups[pg.Owner].Name)
 				}
 				if pg.State == ResidentAnon && !pg.Dirty && !m.swapCacheValid(pg) {
 					return fmt.Errorf("%s: clean anon page %d has no swap-cache backing (slot %d)",
@@ -47,17 +50,14 @@ func (m *Manager) Audit() error {
 			listed += n
 			return nil
 		}
-		if err := check(&cg.activeAnon, ResidentAnon); err != nil {
-			return err
-		}
-		if err := check(&cg.inactiveAnon, ResidentAnon); err != nil {
-			return err
-		}
-		if err := check(&cg.activeFile, ResidentFile); err != nil {
-			return err
-		}
-		if err := check(&cg.inactiveFile, ResidentFile); err != nil {
-			return err
+		for _, id := range [...]listID{activeAnon, inactiveAnon, activeFile, inactiveFile} {
+			want := ResidentAnon
+			if id >= activeFile {
+				want = ResidentFile
+			}
+			if err := check(&cg.lists[id], want); err != nil {
+				return err
+			}
 		}
 		// lazy entries hold no frames; they are not counted.
 		if listed != cg.resident {
@@ -78,13 +78,17 @@ func (m *Manager) Audit() error {
 			continue
 		}
 		owned := 0
-		for j, pg := range c.owner {
-			if pg == nil {
+		for j, idx := range c.owner {
+			if idx == 0 {
 				continue
 			}
 			owned++
 			slot := int64(ci)<<clusterBits | int64(j)
-			if pg.SwapSlot != slot {
+			if idx >= m.pages.n {
+				return fmt.Errorf("slot %d owned by descriptor %d of %d", slot, idx, m.pages.n)
+			}
+			pg := m.pages.at(idx)
+			if pg.slot() != slot {
 				return fmt.Errorf("slot %d owner page %d records slot %d", slot, pg.ID, pg.SwapSlot)
 			}
 			switch pg.State {

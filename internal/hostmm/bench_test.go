@@ -57,7 +57,7 @@ func BenchmarkReclaimScan(b *testing.B) {
 			reference()
 			b.StartTimer()
 		}
-		if freed, _ := m.scanList(&cg.activeAnon, cg, 1, &scanned, &writes); freed != 0 {
+		if freed, _ := m.scanList(&cg.lists[activeAnon], cg, 1, &scanned, &writes); freed != 0 {
 			b.Fatalf("scan freed %d pages", freed)
 		}
 	}

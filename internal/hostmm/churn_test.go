@@ -18,6 +18,19 @@ func checkOwnerInvariant(t *testing.T, s *SwapArea) {
 	}
 }
 
+// swapPages attaches a page table to a swap area that serves no manager
+// and returns a source of fresh descriptors from it (slot -1).
+func swapPages(s *SwapArea) func(id int) *Page {
+	t := &pageTable{}
+	s.pages = t
+	return func(id int) *Page {
+		pg := t.alloc()
+		pg.ID = int32(id)
+		pg.SwapSlot = -1
+		return pg
+	}
+}
+
 // TestSwapAreaChurnOwnerBookkeeping drives the allocator through its three
 // paths — cluster continuation, fresh cluster scan, and the fragmented
 // lowest-free fallback — and asserts the owner map never leaks: after every
@@ -25,12 +38,13 @@ func checkOwnerInvariant(t *testing.T, s *SwapArea) {
 func TestSwapAreaChurnOwnerBookkeeping(t *testing.T) {
 	layout := disk.NewLayout(1 << 20)
 	s := NewSwapArea(layout.Reserve("swap", 4*SlotsPerCluster))
+	newPage := swapPages(s)
 	total := s.Slots()
 
 	// Fill the whole area through the cluster paths.
 	pages := make([]*Page, total)
 	for i := range pages {
-		pages[i] = &Page{ID: i, SwapSlot: -1}
+		pages[i] = newPage(i)
 		slot := s.Alloc(pages[i])
 		if slot < 0 {
 			t.Fatalf("area full after %d allocs, want %d", i, total)
@@ -38,10 +52,10 @@ func TestSwapAreaChurnOwnerBookkeeping(t *testing.T) {
 		if s.Owner(slot) != pages[i] {
 			t.Fatalf("slot %d owner mismatch", slot)
 		}
-		pages[i].SwapSlot = slot
+		pages[i].SwapSlot = int32(slot)
 	}
 	checkOwnerInvariant(t, s)
-	if s.Alloc(&Page{SwapSlot: -1}) != -1 {
+	if s.Alloc(newPage(-1)) != -1 {
 		t.Fatal("alloc on a full area must fail")
 	}
 	checkOwnerInvariant(t, s)
@@ -57,12 +71,12 @@ func TestSwapAreaChurnOwnerBookkeeping(t *testing.T) {
 	}
 	refill := make([]*Page, 0, total/2)
 	for {
-		pg := &Page{SwapSlot: -1}
+		pg := newPage(-1)
 		slot := s.Alloc(pg)
 		if slot < 0 {
 			break
 		}
-		pg.SwapSlot = slot
+		pg.SwapSlot = int32(slot)
 		refill = append(refill, pg)
 	}
 	if int64(len(refill)) != total/2 {
@@ -75,14 +89,14 @@ func TestSwapAreaChurnOwnerBookkeeping(t *testing.T) {
 		s.Free(slot)
 	}
 	for _, pg := range refill {
-		s.Free(pg.SwapSlot)
+		s.Free(pg.slot())
 	}
 	checkOwnerInvariant(t, s)
 	if s.InUse() != 0 || s.ownedSlots() != 0 {
 		t.Fatalf("after draining: inUse=%d owner=%d, want 0/0", s.InUse(), s.ownedSlots())
 	}
 	// A drained area must be able to cluster again.
-	if pg := (&Page{SwapSlot: -1}); s.Alloc(pg) < 0 {
+	if s.Alloc(newPage(-1)) < 0 {
 		t.Fatal("drained area rejects allocation")
 	}
 }
@@ -119,7 +133,7 @@ func TestSwapChurnThroughReclaim(t *testing.T) {
 	// Every slot still allocated is owned by a page that really references
 	// it (no stale resurrection of released descriptors).
 	for slot := int64(0); slot < r.swap.Slots(); slot++ {
-		if pg := r.swap.Owner(slot); pg != nil && pg.SwapSlot != slot {
+		if pg := r.swap.Owner(slot); pg != nil && pg.slot() != slot {
 			t.Fatalf("slot %d owned by page gfn=%d whose SwapSlot=%d", slot, pg.ID, pg.SwapSlot)
 		}
 	}

@@ -2,6 +2,7 @@ package hostmm
 
 import (
 	"fmt"
+	"math"
 
 	"vswapsim/internal/disk"
 	"vswapsim/internal/sim"
@@ -17,15 +18,17 @@ const (
 )
 
 // NewPage creates the host-side descriptor for one page of cg (lazily, on
-// first reference). ID is the GFN for guest pages.
+// first reference). ID is the GFN for guest pages and must fit an int32.
 func (m *Manager) NewPage(cg *Cgroup, id int) *Page {
-	if len(m.pageSlab) == 0 {
-		m.pageSlab = make([]Page, 1024)
+	if id < math.MinInt32 || id > math.MaxInt32 {
+		panic(fmt.Sprintf("hostmm: page ID %d out of the int32 range", id))
 	}
-	pg := &m.pageSlab[0]
-	m.pageSlab = m.pageSlab[1:]
-	pg.Owner = cg
-	pg.ID = id
+	if cg.mgr != m {
+		panic("hostmm: NewPage for another manager's cgroup")
+	}
+	pg := m.pages.alloc()
+	pg.Owner = cg.idx
+	pg.ID = int32(id)
 	pg.SwapSlot = -1
 	return pg
 }
@@ -38,7 +41,7 @@ func (m *Manager) NewFilePage(cg *Cgroup, id int, ref BlockRef) *Page {
 	pg.Backing = ref
 	pg.TruthBlock = ref
 	pg.TruthClean = true
-	ref.File.AddMapping(pg)
+	m.files[ref.File].AddMapping(pg)
 	return pg
 }
 
@@ -76,27 +79,27 @@ func (m *Manager) accountFaultLatency(start sim.Time, major bool, cpu sim.Durati
 // return; the page is in a new state). On true, the caller owns the fault
 // and must call unlockFault when done.
 func (m *Manager) lockFault(p *sim.Proc, pg *Page, want PageState) bool {
-	for pg.fault != nil {
-		sig := pg.fault
-		sig.Wait(p)
+	for pg.fault != 0 {
+		m.faults[pg.fault].Wait(p)
 	}
 	if pg.State != want {
 		return false // resolved concurrently
 	}
-	if n := len(m.signalPool); n > 0 {
-		pg.fault = m.signalPool[n-1]
-		m.signalPool = m.signalPool[:n-1]
+	if n := len(m.freeFaults); n > 0 {
+		pg.fault = m.freeFaults[n-1]
+		m.freeFaults = m.freeFaults[:n-1]
 	} else {
-		pg.fault = sim.NewSignal(m.Env)
+		pg.fault = uint32(len(m.faults))
+		m.faults = append(m.faults, sim.NewSignal(m.Env))
 	}
 	return true
 }
 
 func (m *Manager) unlockFault(pg *Page) {
-	sig := pg.fault
-	pg.fault = nil
-	sig.Broadcast()
-	m.signalPool = append(m.signalPool, sig)
+	h := pg.fault
+	pg.fault = 0
+	m.faults[h].Broadcast()
+	m.freeFaults = append(m.freeFaults, h)
 }
 
 // FirstTouch handles the very first access to an untouched (or ballooned-
@@ -110,14 +113,14 @@ func (m *Manager) FirstTouch(p *sim.Proc, pg *Page, ctx Ctx) {
 		return
 	}
 	defer m.unlockFault(pg)
-	m.chargeFrames(p, pg.Owner, 1)
+	m.chargeFrames(p, m.cgroups[pg.Owner], 1)
 	pg.State = ResidentAnon
 	pg.Dirty = true
 	pg.Referenced = true
 	pg.EPT = ctx == GuestCtx
 	pg.TruthClean = false
 	pg.TruthBlock = BlockRef{}
-	pg.Owner.activeAnon.pushFront(pg)
+	m.push(pg, activeAnon)
 	m.accountFault(ctx, false)
 	p.Sleep(m.Cfg.MinorFaultCost)
 	m.accountFaultLatency(start, false, m.Cfg.MinorFaultCost)
@@ -139,7 +142,7 @@ func (m *Manager) SwapIn(p *sim.Proc, pg *Page, ctx Ctx) {
 	defer m.unlockFault(pg)
 	bufs := m.getSwapInBufs()
 	defer m.putSwapInBufs(bufs)
-	slots := m.Swap.AppendClusterRun(bufs.ioSlots[:0], pg.SwapSlot, m.Cfg.SwapClusterPages)
+	slots := m.Swap.AppendClusterRun(bufs.ioSlots[:0], pg.slot(), m.Cfg.SwapClusterPages)
 
 	// Read maximal disk-contiguous runs; skip slots whose page is already
 	// in the swap cache (resident). Filter in place: the run is scanned
@@ -147,7 +150,7 @@ func (m *Manager) SwapIn(p *sim.Proc, pg *Page, ctx Ctx) {
 	ioSlots := slots[:0]
 	for _, s := range slots {
 		q := m.Swap.Owner(s)
-		if q != nil && q.State == SwappedOut && (q == pg || q.fault == nil) {
+		if q != nil && q.State == SwappedOut && (q == pg || q.fault == 0) {
 			ioSlots = append(ioSlots, s)
 		}
 	}
@@ -183,7 +186,7 @@ func (m *Manager) SwapIn(p *sim.Proc, pg *Page, ctx Ctx) {
 			m.c.faultSwapInRetries.Inc()
 			m.c.histBackoff.Observe(backoff)
 			p.Sleep(backoff)
-			m.Back.WaitFor(p, m.Back.SubmitRead1(pg.SwapSlot))
+			m.Back.WaitFor(p, m.Back.SubmitRead1(pg.slot()))
 		}
 	}
 
@@ -196,10 +199,11 @@ func (m *Manager) SwapIn(p *sim.Proc, pg *Page, ctx Ctx) {
 	// Instantiate the faulting page first and pin it so that charging
 	// frames for the prefetched neighbours cannot reclaim it (Linux holds
 	// the page lock across the fault).
+	cg := m.cgroups[pg.Owner]
 	m.pin(pg)
-	m.chargeFrames(p, pg.Owner, 1)
+	m.chargeFrames(p, cg, 1)
 	if pg.State != SwappedOut {
-		m.unchargeFrame(pg.Owner)
+		m.unchargeFrame(cg)
 		m.unpin(pg)
 		return
 	}
@@ -207,17 +211,17 @@ func (m *Manager) SwapIn(p *sim.Proc, pg *Page, ctx Ctx) {
 	pg.Dirty = false
 	pg.EPT = false
 	pg.Referenced = false
-	pg.Owner.inactiveAnon.pushFront(pg)
+	cg.lists[inactiveAnon].pushFront(pg)
 	m.c.hostSwapIns.Inc()
-	m.Back.NoteRefault(pg.SwapSlot)
+	m.Back.NoteRefault(pg.slot())
 	if m.Trace.Recording(trace.Fault) {
 		m.Trace.Add(m.Env.Now(), trace.Fault, "swap-in cg=%s gfn=%d slot=%d cluster=%d",
-			pg.Owner.Name, pg.ID, pg.SwapSlot, len(ioSlots))
+			cg.Name, pg.ID, pg.SwapSlot, len(ioSlots))
 	}
 	if poisoned {
 		// Degrade to plain swap: drop the poisoned slot so nothing ever
 		// trusts its content again; the page must be rewritten to evict.
-		m.Swap.Free(pg.SwapSlot)
+		m.Swap.Free(pg.slot())
 		pg.SwapSlot = -1
 		pg.Dirty = true
 	}
@@ -225,20 +229,21 @@ func (m *Manager) SwapIn(p *sim.Proc, pg *Page, ctx Ctx) {
 	pinned := bufs.pinned[:0]
 	for _, s := range ioSlots {
 		q := m.Swap.Owner(s)
-		if q == nil || q.State != SwappedOut || q.fault != nil {
+		if q == nil || q.State != SwappedOut || q.fault != 0 {
 			continue
 		}
 		// Prefetch may itself reclaim (Linux allocates readahead pages
 		// with reclaim allowed); pin the cluster so the fault cannot eat
 		// its own pages, but never pin away the last evictable page.
-		if !m.canPrefetchInto(q.Owner) {
+		qcg := m.cgroups[q.Owner]
+		if !m.canPrefetchInto(qcg) {
 			continue
 		}
 		m.pin(q)
-		m.chargeFrames(p, q.Owner, 1)
+		m.chargeFrames(p, qcg, 1)
 		if q.State != SwappedOut {
 			// A concurrent fault instantiated q while reclaim slept.
-			m.unchargeFrame(q.Owner)
+			m.unchargeFrame(qcg)
 			m.unpin(q)
 			continue
 		}
@@ -246,7 +251,7 @@ func (m *Manager) SwapIn(p *sim.Proc, pg *Page, ctx Ctx) {
 		q.Dirty = false // clean copy of the slot (swap cache)
 		q.EPT = false
 		q.Referenced = false
-		q.Owner.inactiveAnon.pushFront(q)
+		qcg.lists[inactiveAnon].pushFront(q)
 		m.c.hostSwapPrefetched.Inc()
 		pinned = append(pinned, q)
 	}
@@ -272,8 +277,8 @@ func (m *Manager) FileFaultIn(p *sim.Proc, pg *Page, ctx Ctx) {
 		return // a concurrent fault brought the page in
 	}
 	defer m.unlockFault(pg)
-	f := pg.Backing.File
-	b := pg.Backing.Block
+	f := m.files[pg.Backing.File]
+	b := int64(pg.Backing.Block)
 	win := f.readaheadWindow(b, m.Cfg.FileRAMinPages, m.Cfg.FileRAMaxPages)
 
 	// Extend from the demand block over contiguous blocks that have a
@@ -286,7 +291,7 @@ func (m *Manager) FileFaultIn(p *sim.Proc, pg *Page, ctx Ctx) {
 			break
 		}
 		hasNR := false
-		for q := f.MappingAt(nb); q != nil; q = q.nextMapping {
+		for q := f.MappingAt(nb); q != nil; q = f.page(q.nextMapping) {
 			if q.State == FileNonResident {
 				hasNR = true
 				break
@@ -305,10 +310,11 @@ func (m *Manager) FileFaultIn(p *sim.Proc, pg *Page, ctx Ctx) {
 	if pg.State != FileNonResident {
 		return // superseded while the read was in flight
 	}
+	cg := m.cgroups[pg.Owner]
 	m.pin(pg)
-	m.chargeFrames(p, pg.Owner, 1)
+	m.chargeFrames(p, cg, 1)
 	if pg.State != FileNonResident {
-		m.unchargeFrame(pg.Owner)
+		m.unchargeFrame(cg)
 		m.unpin(pg)
 		return
 	}
@@ -316,26 +322,27 @@ func (m *Manager) FileFaultIn(p *sim.Proc, pg *Page, ctx Ctx) {
 	pg.EPT = false
 	pg.Referenced = false
 	pg.Dirty = false
-	pg.Owner.inactiveFile.pushFront(pg)
+	cg.lists[inactiveFile].pushFront(pg)
 	if m.Trace.Recording(trace.Fault) {
 		m.Trace.Add(m.Env.Now(), trace.Fault, "file-in cg=%s gfn=%d block=%d window=%d",
-			pg.Owner.Name, pg.ID, b, nblocks)
+			cg.Name, pg.ID, b, nblocks)
 	}
 
 	bufs := m.getSwapInBufs()
 	pinned := bufs.pinned[:0]
 	prefetch := func(q *Page) {
-		if q == pg || q.State != FileNonResident || q.fault != nil {
+		if q == pg || q.State != FileNonResident || q.fault != 0 {
 			return
 		}
-		if !m.canPrefetchInto(q.Owner) {
+		qcg := m.cgroups[q.Owner]
+		if !m.canPrefetchInto(qcg) {
 			return
 		}
 		m.pin(q)
-		m.chargeFrames(p, q.Owner, 1)
+		m.chargeFrames(p, qcg, 1)
 		if q.State != FileNonResident {
 			// A concurrent fault resolved q while reclaim slept.
-			m.unchargeFrame(q.Owner)
+			m.unchargeFrame(qcg)
 			m.unpin(q)
 			return
 		}
@@ -343,7 +350,7 @@ func (m *Manager) FileFaultIn(p *sim.Proc, pg *Page, ctx Ctx) {
 		q.EPT = false
 		q.Referenced = false
 		q.Dirty = false
-		q.Owner.inactiveFile.pushFront(q)
+		qcg.lists[inactiveFile].pushFront(q)
 		m.c.hostFilePrefetched.Inc()
 		pinned = append(pinned, q)
 	}
@@ -376,7 +383,7 @@ func (m *Manager) MinorMap(p *sim.Proc, pg *Page, ctx Ctx) {
 	if pg.State == ResidentAnon && !m.Cfg.EPTDirtyBits {
 		pg.Dirty = true
 		if pg.SwapSlot >= 0 {
-			m.Swap.Free(pg.SwapSlot)
+			m.Swap.Free(pg.slot())
 			pg.SwapSlot = -1
 		}
 	}
@@ -394,7 +401,7 @@ func (m *Manager) MarkWritten(pg *Page) {
 	pg.Dirty = true
 	pg.TruthClean = false
 	if pg.SwapSlot >= 0 {
-		m.Swap.Free(pg.SwapSlot)
+		m.Swap.Free(pg.slot())
 		pg.SwapSlot = -1
 	}
 }
@@ -408,12 +415,11 @@ func (m *Manager) COWBreak(p *sim.Proc, pg *Page, ctx Ctx) {
 		panic(fmt.Sprintf("hostmm: COWBreak on %s page", pg.State))
 	}
 	start := m.Env.Now()
-	f := pg.Backing.File
-	f.RemoveMapping(pg)
-	if pg.list != nil {
-		pg.list.remove(pg)
+	m.files[pg.Backing.File].RemoveMapping(pg)
+	if pg.list != noList {
+		m.list(pg).remove(pg)
 	}
-	pg.Owner.lazy++
+	m.cgroups[pg.Owner].lazy++
 
 	pg.State = ResidentAnon
 	pg.Dirty = true
@@ -421,7 +427,7 @@ func (m *Manager) COWBreak(p *sim.Proc, pg *Page, ctx Ctx) {
 	pg.TruthClean = false
 	pg.TruthBlock = BlockRef{}
 	pg.Referenced = true
-	pg.Owner.activeAnon.pushFront(pg)
+	m.push(pg, activeAnon)
 	m.c.hostCOWBreaks.Inc()
 	m.accountFault(ctx, false)
 	p.Sleep(m.Cfg.COWCost)
@@ -433,17 +439,17 @@ func (m *Manager) COWBreak(p *sim.Proc, pg *Page, ctx Ctx) {
 // is about to be entirely superseded (mmap-over by the Mapper) and by the
 // balloon path.
 func (m *Manager) Forget(pg *Page) {
-	if pg.list != nil {
-		pg.list.remove(pg)
+	if pg.list != noList {
+		m.list(pg).remove(pg)
 	}
 	switch pg.State {
 	case ResidentAnon, ResidentFile:
 		if pg.State == ResidentFile {
-			pg.Backing.File.RemoveMapping(pg)
+			m.files[pg.Backing.File].RemoveMapping(pg)
 		}
-		m.unchargeFrame(pg.Owner)
+		m.unchargeFrame(m.cgroups[pg.Owner])
 	case FileNonResident:
-		pg.Backing.File.RemoveMapping(pg)
+		m.files[pg.Backing.File].RemoveMapping(pg)
 	case SwappedOut:
 		// slot freed below
 	case Untouched, Ballooned:
@@ -452,7 +458,7 @@ func (m *Manager) Forget(pg *Page) {
 		panic("hostmm: Forget on emulated page; finish emulation first")
 	}
 	if pg.SwapSlot >= 0 {
-		m.Swap.Free(pg.SwapSlot)
+		m.Swap.Free(pg.slot())
 		pg.SwapSlot = -1
 	}
 	pg.Backing = BlockRef{}

@@ -49,7 +49,7 @@ func TestCleanAnonLostBackingIsRewritten(t *testing.T) {
 		// Sever the association the way slot poisoning does, but leave the
 		// page clean — the regression scenario is a path that drops the slot
 		// and forgets to re-dirty, so the eviction guard is the only defense.
-		r.swap.Free(pg.SwapSlot)
+		r.swap.Free(pg.slot())
 		pg.SwapSlot = -1
 
 		writesBefore := r.met.Get(metrics.SwapWriteOps)
@@ -57,7 +57,7 @@ func TestCleanAnonLostBackingIsRewritten(t *testing.T) {
 		if pg.SwapSlot < 0 {
 			t.Fatal("evicted without a slot: content silently lost")
 		}
-		if r.swap.Owner(pg.SwapSlot) != pg {
+		if r.swap.Owner(pg.slot()) != pg {
 			t.Fatal("evicted to a slot owned by someone else")
 		}
 		if r.met.Get(metrics.SwapWriteOps) == writesBefore {
@@ -151,7 +151,7 @@ func TestAuditCatchesLostBacking(t *testing.T) {
 	if err := r.mgr.Audit(); err != nil {
 		t.Fatalf("audit on clean state: %v", err)
 	}
-	r.swap.Free(pg.SwapSlot)
+	r.swap.Free(pg.slot())
 	pg.SwapSlot = -1
 	if err := r.mgr.Audit(); err == nil {
 		t.Fatal("audit missed clean anon page with no swap-cache backing")

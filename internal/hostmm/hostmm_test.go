@@ -34,7 +34,7 @@ func newRig(t testing.TB, poolFrames, cgLimit int) *rig {
 	swap := NewSwapArea(swapRegion)
 	mgr := NewManager(env, met, dev, pool, swap, Config{})
 	cg := mgr.NewCgroup("vm0", cgLimit)
-	img := NewFile("img", imgRegion)
+	img := mgr.NewFile("img", imgRegion)
 	return &rig{env: env, met: met, dev: dev, pool: pool, swap: swap, mgr: mgr, cg: cg, img: img}
 }
 
@@ -218,7 +218,7 @@ func TestFileFaultInAndDiscard(t *testing.T) {
 	// Create 8 named pages backed by consecutive image blocks.
 	pages := make([]*Page, 8)
 	for i := range pages {
-		pages[i] = r.mgr.NewFilePage(r.cg, i, BlockRef{File: r.img, Block: int64(i)})
+		pages[i] = r.mgr.NewFilePage(r.cg, i, r.img.Ref(int64(i)))
 	}
 	r.run(t, func(p *sim.Proc) {
 		r.mgr.FileFaultIn(p, pages[0], GuestCtx)
@@ -241,7 +241,7 @@ func TestFileReclaimDiscardsWithoutWrite(t *testing.T) {
 	r := newRig(t, 1000, 4)
 	pages := make([]*Page, 12)
 	for i := range pages {
-		pages[i] = r.mgr.NewFilePage(r.cg, i, BlockRef{File: r.img, Block: int64(i * 2)}) // non-contiguous: no RA
+		pages[i] = r.mgr.NewFilePage(r.cg, i, r.img.Ref(int64(i*2))) // non-contiguous: no RA
 	}
 	r.run(t, func(p *sim.Proc) {
 		for _, pg := range pages {
@@ -272,7 +272,7 @@ func TestSilentWriteDetection(t *testing.T) {
 			r.mgr.FirstTouch(p, pg, GuestCtx)
 			// Simulate virtio DMA having filled the page from the image:
 			// ground truth says content equals a block.
-			pg.TruthBlock = BlockRef{File: r.img, Block: int64(i)}
+			pg.TruthBlock = r.img.Ref(int64(i))
 			pg.TruthClean = true
 		}
 	})
@@ -286,7 +286,7 @@ func TestSilentWriteDetection(t *testing.T) {
 
 func TestCOWBreak(t *testing.T) {
 	r := newRig(t, 1000, 0)
-	pg := r.mgr.NewFilePage(r.cg, 0, BlockRef{File: r.img, Block: 7})
+	pg := r.mgr.NewFilePage(r.cg, 0, r.img.Ref(7))
 	r.run(t, func(p *sim.Proc) {
 		r.mgr.FileFaultIn(p, pg, GuestCtx)
 		r.mgr.MinorMap(p, pg, GuestCtx)
@@ -321,8 +321,8 @@ func TestMapOverDropsOldSwapState(t *testing.T) {
 				break
 			}
 		}
-		oldSlot := victim.SwapSlot
-		r.mgr.MapOver(p, victim, BlockRef{File: r.img, Block: 3})
+		oldSlot := victim.slot()
+		r.mgr.MapOver(p, victim, r.img.Ref(3))
 		if victim.SwapSlot != -1 {
 			t.Error("old swap slot not detached")
 		}
@@ -343,7 +343,7 @@ func TestAdoptAsNamed(t *testing.T) {
 	pg := r.mgr.NewPage(r.cg, 0)
 	r.run(t, func(p *sim.Proc) {
 		r.mgr.FirstTouch(p, pg, GuestCtx)
-		r.mgr.AdoptAsNamed(pg, BlockRef{File: r.img, Block: 9})
+		r.mgr.AdoptAsNamed(pg, r.img.Ref(9))
 	})
 	if pg.State != ResidentFile || pg.Dirty {
 		t.Fatalf("state=%v dirty=%v", pg.State, pg.Dirty)
@@ -358,7 +358,7 @@ func TestAdoptAsNamed(t *testing.T) {
 
 func TestInvalidateBlockResident(t *testing.T) {
 	r := newRig(t, 1000, 0)
-	pg := r.mgr.NewFilePage(r.cg, 0, BlockRef{File: r.img, Block: 5})
+	pg := r.mgr.NewFilePage(r.cg, 0, r.img.Ref(5))
 	r.run(t, func(p *sim.Proc) {
 		r.mgr.FileFaultIn(p, pg, GuestCtx)
 		r.mgr.InvalidateBlock(p, r.img, 5)
@@ -373,7 +373,7 @@ func TestInvalidateBlockResident(t *testing.T) {
 
 func TestInvalidateBlockNonResidentRescuesContent(t *testing.T) {
 	r := newRig(t, 1000, 0)
-	pg := r.mgr.NewFilePage(r.cg, 0, BlockRef{File: r.img, Block: 5})
+	pg := r.mgr.NewFilePage(r.cg, 0, r.img.Ref(5))
 	sectorsBefore := r.met.Get(metrics.ImageReadSectors)
 	r.run(t, func(p *sim.Proc) {
 		r.mgr.InvalidateBlock(p, r.img, 5)
@@ -609,7 +609,7 @@ func TestReclaimPrefersFilePages(t *testing.T) {
 	swap := NewSwapArea(swapRegion)
 	mgr := NewManager(env, met, dev, pool, swap, Config{MinFileFloor: 1})
 	cg := mgr.NewCgroup("vm0", 0)
-	img := NewFile("img", imgRegion)
+	img := mgr.NewFile("img", imgRegion)
 
 	var anon, file []*Page
 	env.Go("t", func(p *sim.Proc) {
@@ -619,7 +619,7 @@ func TestReclaimPrefersFilePages(t *testing.T) {
 			anon = append(anon, pg)
 		}
 		for i := 0; i < 200; i++ {
-			pg := mgr.NewFilePage(cg, 1000+i, BlockRef{File: img, Block: int64(i)})
+			pg := mgr.NewFilePage(cg, 1000+i, img.Ref(int64(i)))
 			mgr.FileFaultIn(p, pg, GuestCtx)
 			mgr.MinorMap(p, pg, GuestCtx)
 			file = append(file, pg)

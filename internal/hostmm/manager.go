@@ -132,15 +132,20 @@ type Manager struct {
 	// allocation refusals (set by the hypervisor; nil = injection off).
 	Inj *fault.Injector
 
+	// cgroups and files are indexed by Page.Owner and FileID; files[0]
+	// stays nil, so the zero BlockRef names no file.
 	cgroups []*Cgroup
+	files   []*File
 
-	// pageSlab amortizes Page allocation: guests have hundreds of
-	// thousands of lazily-created pages and individual allocations cost
-	// real GC time at fig14 scale. A slab holds 1024 pages (128 KiB), so
-	// the unused tail of a run's last slab stays small.
-	pageSlab []Page
-	// signalPool recycles fault-serialization signals.
-	signalPool []*sim.Signal
+	// pages holds every descriptor the manager created: guests have
+	// hundreds of thousands of lazily-created pages, so they are carved
+	// from pointer-free slabs that the garbage collector never scans.
+	pages pageTable
+	// faults holds the signals of fault-ins in flight, by the handle in
+	// Page.fault; faults[0] is unused, and freeFaults lists the idle
+	// handles for reuse.
+	faults     []*sim.Signal
+	freeFaults []uint32
 
 	// c holds pre-resolved counter and histogram handles for the fault and
 	// reclaim fast paths: one map lookup each at construction instead of a
@@ -232,14 +237,20 @@ func (m *Manager) putSwapInBufs(b *swapInBufs) {
 // swap area.
 func NewManager(env *sim.Env, met *metrics.Set, dev *disk.Device, pool *mem.FramePool, swap *SwapArea, cfg Config) *Manager {
 	m := &Manager{
-		Env:  env,
-		Met:  met,
-		Dev:  dev,
-		Pool: pool,
-		Swap: swap,
-		Cfg:  cfg.withDefaults(),
-		c:    newHotMetrics(met),
+		Env:    env,
+		Met:    met,
+		Dev:    dev,
+		Pool:   pool,
+		Swap:   swap,
+		Cfg:    cfg.withDefaults(),
+		c:      newHotMetrics(met),
+		files:  []*File{nil},
+		faults: []*sim.Signal{nil},
 	}
+	if swap.pages != nil {
+		panic("hostmm: swap area already serves another manager")
+	}
+	swap.pages = &m.pages
 	// Default backend: the raw device, request-for-request identical to
 	// the pre-backend swap path.
 	m.SetBackend(swapback.New(swapback.Config{
@@ -275,16 +286,15 @@ type Cgroup struct {
 	Limit int // max resident pages; 0 = bounded only by the global pool
 
 	mgr *Manager
-	// idx is the cgroup's registration order, combined with page IDs into
-	// a stable per-page identity for the swap backend.
-	idx      int
+	// idx is the cgroup's registration order: its pages' Owner, also
+	// combined with page IDs into a stable per-page identity for the swap
+	// backend.
+	idx      uint32
 	resident int
 	pinned   int
 
-	activeAnon   pageList
-	inactiveAnon pageList
-	activeFile   pageList
-	inactiveFile pageList
+	// lists holds the LRU lists by listID; lists[noList] stays empty.
+	lists [inactiveFile + 1]pageList
 	// lazy counts COW source pages VSwapper dropped from the host page
 	// cache; reclaim frees them on sight but still "scans" them, which
 	// reproduces the paper's observation that VSwapper can double reclaim
@@ -295,13 +305,35 @@ type Cgroup struct {
 
 // NewCgroup registers a new control group.
 func (m *Manager) NewCgroup(name string, limitPages int) *Cgroup {
-	cg := &Cgroup{Name: name, Limit: limitPages, mgr: m, idx: len(m.cgroups)}
-	cg.activeAnon.name = name + "/active-anon"
-	cg.inactiveAnon.name = name + "/inactive-anon"
-	cg.activeFile.name = name + "/active-file"
-	cg.inactiveFile.name = name + "/inactive-file"
+	cg := &Cgroup{Name: name, Limit: limitPages, mgr: m, idx: uint32(len(m.cgroups))}
+	for id, suffix := range [...]string{activeAnon: "/active-anon", inactiveAnon: "/inactive-anon",
+		activeFile: "/active-file", inactiveFile: "/inactive-file"} {
+		cg.lists[id] = pageList{pages: &m.pages, name: name + suffix, id: listID(id), owner: cg.idx}
+	}
 	m.cgroups = append(m.cgroups, cg)
 	return cg
+}
+
+// Owner returns the cgroup that owns pg.
+func (m *Manager) Owner(pg *Page) *Cgroup { return m.cgroups[pg.Owner] }
+
+// list returns the LRU list pg is on (pg.list must not be noList).
+func (m *Manager) list(pg *Page) *pageList { return &m.cgroups[pg.Owner].lists[pg.list] }
+
+// push puts pg at the front of its owner's list id.
+func (m *Manager) push(pg *Page, id listID) { m.cgroups[pg.Owner].lists[id].pushFront(pg) }
+
+// NumPages reports how many descriptors the manager has created; every
+// Page.Index is below it.
+func (m *Manager) NumPages() int { return int(m.pages.n) }
+
+// Page returns the descriptor with index i, or nil if the manager created
+// none with that index.
+func (m *Manager) Page(i uint32) *Page {
+	if i == 0 || i >= m.pages.n {
+		return nil
+	}
+	return m.pages.at(i)
 }
 
 // Resident reports the pages currently charged to the cgroup.
@@ -316,22 +348,22 @@ func (cg *Cgroup) Pinned() int { return cg.pinned }
 func (m *Manager) DrainLazy(cg *Cgroup) { cg.lazy = 0 }
 
 // AnonPages and FilePages report LRU sizes (for tests and introspection).
-func (cg *Cgroup) AnonPages() int { return cg.activeAnon.size + cg.inactiveAnon.size }
-func (cg *Cgroup) FilePages() int { return cg.activeFile.size + cg.inactiveFile.size }
+func (cg *Cgroup) AnonPages() int { return cg.lists[activeAnon].size + cg.lists[inactiveAnon].size }
+func (cg *Cgroup) FilePages() int { return cg.lists[activeFile].size + cg.lists[inactiveFile].size }
 
 // pin/unpin exclude a page from reclaim during a fault and keep count so
 // that prefetch never pins away the last evictable page of a cgroup.
 func (m *Manager) pin(pg *Page) {
 	if !pg.Pinned {
 		pg.Pinned = true
-		pg.Owner.pinned++
+		m.cgroups[pg.Owner].pinned++
 	}
 }
 
 func (m *Manager) unpin(pg *Page) {
 	if pg.Pinned {
 		pg.Pinned = false
-		pg.Owner.pinned--
+		m.cgroups[pg.Owner].pinned--
 	}
 }
 
@@ -357,14 +389,11 @@ func (m *Manager) Touch(pg *Page) {
 		pg.Referenced = true
 		return
 	}
-	cg := pg.Owner
-	switch pg.list {
-	case &cg.inactiveAnon:
-		cg.inactiveAnon.remove(pg)
-		cg.activeAnon.pushFront(pg)
-	case &cg.inactiveFile:
-		cg.inactiveFile.remove(pg)
-		cg.activeFile.pushFront(pg)
+	switch id := pg.list; id {
+	case inactiveAnon, inactiveFile:
+		lists := &m.cgroups[pg.Owner].lists
+		lists[id].remove(pg)
+		lists[id-1].pushFront(pg) // the matching active list
 	}
 }
 
@@ -384,7 +413,8 @@ func (m *Manager) chargeFrames(p *sim.Proc, cg *Cgroup, n int) {
 		}
 		if attempt > 1_000_000 {
 			panic(fmt.Sprintf("hostmm: reclaim cannot satisfy %d pages for %s (resident=%d pinned=%d anonA=%d anonI=%d fileA=%d fileI=%d lazy=%d poolFree=%d)",
-				n, cg.Name, cg.resident, cg.pinned, cg.activeAnon.size, cg.inactiveAnon.size, cg.activeFile.size, cg.inactiveFile.size, cg.lazy, m.Pool.Free()))
+				n, cg.Name, cg.resident, cg.pinned, cg.lists[activeAnon].size, cg.lists[inactiveAnon].size,
+				cg.lists[activeFile].size, cg.lists[inactiveFile].size, cg.lazy, m.Pool.Free()))
 		}
 		victim := cg
 		if !(cg.Limit > 0 && cg.resident+n > cg.Limit) {
@@ -439,26 +469,16 @@ func (m *Manager) reclaim(p *sim.Proc, cg *Cgroup, target int) int {
 			break // let the caller loop; avoids unbounded passes
 		}
 		// Rebalance: keep inactive lists at least as long as active ones.
-		for cg.inactiveFile.size < cg.activeFile.size {
-			pg := cg.activeFile.back()
-			cg.activeFile.remove(pg)
-			pg.Referenced = false
-			cg.inactiveFile.pushFront(pg)
-			scanned++
-		}
-		for cg.inactiveAnon.size < cg.activeAnon.size {
-			pg := cg.activeAnon.back()
-			cg.activeAnon.remove(pg)
-			pg.Referenced = false
-			cg.inactiveAnon.pushFront(pg)
-			scanned++
+		for _, a := range [...]listID{activeFile, activeAnon} {
+			active, inactive := &cg.lists[a], &cg.lists[a+1]
+			scanned += deactivate(active, inactive, (active.size-inactive.size+1)/2)
 		}
 
 		// Linux prefers file pages while a meaningful number remain, but
 		// desperation falls back to whichever list can make progress
 		// (e.g. when every anon page is pinned by in-flight faults).
-		candidates := [2]*pageList{&cg.inactiveFile, &cg.inactiveAnon}
-		if cg.inactiveFile.size <= m.Cfg.MinFileFloor {
+		candidates := [2]*pageList{&cg.lists[inactiveFile], &cg.lists[inactiveAnon]}
+		if cg.lists[inactiveFile].size <= m.Cfg.MinFileFloor {
 			candidates[0], candidates[1] = candidates[1], candidates[0]
 		}
 		if candidates[0].size == 0 && candidates[1].size == 0 {
@@ -483,19 +503,8 @@ func (m *Manager) reclaim(p *sim.Proc, cg *Cgroup, target int) int {
 		// pinned fault pages), force-deactivate from the active lists so
 		// the next round can make progress.
 		if freed == freedBefore {
-			for _, pair := range [][2]*pageList{
-				{&cg.activeAnon, &cg.inactiveAnon},
-				{&cg.activeFile, &cg.inactiveFile},
-			} {
-				active, inactive := pair[0], pair[1]
-				for i := 0; i < m.Cfg.ReclaimBatch && active.size > 0; i++ {
-					pg := active.back()
-					active.remove(pg)
-					pg.Referenced = false
-					inactive.pushFront(pg)
-					scanned++
-				}
-			}
+			scanned += deactivate(&cg.lists[activeAnon], &cg.lists[inactiveAnon], m.Cfg.ReclaimBatch)
+			scanned += deactivate(&cg.lists[activeFile], &cg.lists[inactiveFile], m.Cfg.ReclaimBatch)
 		}
 	}
 
@@ -521,6 +530,19 @@ func (m *Manager) reclaim(p *sim.Proc, cg *Cgroup, target int) int {
 		}
 	}
 	return freed
+}
+
+// deactivate moves up to n of the oldest active pages to the inactive
+// list, clearing their referenced bits, and returns how many moved.
+func deactivate(active, inactive *pageList, n int) int {
+	moved := 0
+	for ; moved < n && active.size > 0; moved++ {
+		pg := active.back()
+		active.remove(pg)
+		pg.Referenced = false
+		inactive.pushFront(pg)
+	}
+	return moved
 }
 
 // scanList evicts up to one batch from an inactive list, rotating pinned
@@ -563,7 +585,7 @@ func (m *Manager) scanList(list *pageList, cg *Cgroup, target int, scanned *int,
 				pg.Dirty = true
 			}
 			if pg.Dirty {
-				slot := pg.SwapSlot
+				slot := pg.slot()
 				if slot < 0 {
 					if m.Inj.SlotRefused() {
 						list.rotate(pg) // injected allocator refusal
@@ -574,7 +596,7 @@ func (m *Manager) scanList(list *pageList, cg *Cgroup, target int, scanned *int,
 						list.rotate(pg) // swap full; skip
 						continue
 					}
-					pg.SwapSlot = slot
+					pg.SwapSlot = int32(slot)
 				}
 				*swapWrites = append(*swapWrites, slot)
 				m.c.hostSwapOuts.Inc()
@@ -619,7 +641,7 @@ func (m *Manager) submitSwapWrites(slots []int64) {
 // Every code path that creates a clean ResidentAnon page leaves one in
 // place; losing it (slot poisoning) demotes the page to plain dirty swap.
 func (m *Manager) swapCacheValid(pg *Page) bool {
-	return pg.SwapSlot >= 0 && m.Swap.Owner(pg.SwapSlot) == pg
+	return pg.SwapSlot >= 0 && m.Swap.ownerIndex(pg.slot()) == pg.idx
 }
 
 // ReclaimForTest exposes reclaim for white-box tests.

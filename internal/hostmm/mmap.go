@@ -25,7 +25,7 @@ func (m *Manager) MapOver(p *sim.Proc, pg *Page, ref BlockRef) {
 		panic("hostmm: MapOver on emulated page; finish emulation first")
 	}
 	m.Forget(pg) // if a frame was held it is released and re-charged below
-	m.chargeFrames(p, pg.Owner, 1)
+	m.chargeFrames(p, m.cgroups[pg.Owner], 1)
 	pg.State = ResidentFile
 	pg.Backing = ref
 	pg.Dirty = false
@@ -33,8 +33,8 @@ func (m *Manager) MapOver(p *sim.Proc, pg *Page, ref BlockRef) {
 	pg.Referenced = true
 	pg.TruthBlock = ref
 	pg.TruthClean = true
-	ref.File.AddMapping(pg)
-	pg.Owner.inactiveFile.pushFront(pg)
+	m.files[ref.File].AddMapping(pg)
+	m.push(pg, inactiveFile)
 	m.c.mapperEstablish.Inc()
 }
 
@@ -46,11 +46,11 @@ func (m *Manager) AdoptAsNamed(pg *Page, ref BlockRef) {
 	if pg.State != ResidentAnon {
 		panic(fmt.Sprintf("hostmm: AdoptAsNamed on %s page", pg.State))
 	}
-	if pg.list != nil {
-		pg.list.remove(pg)
+	if pg.list != noList {
+		m.list(pg).remove(pg)
 	}
 	if pg.SwapSlot >= 0 {
-		m.Swap.Free(pg.SwapSlot)
+		m.Swap.Free(pg.slot())
 		pg.SwapSlot = -1
 	}
 	pg.State = ResidentFile
@@ -58,8 +58,8 @@ func (m *Manager) AdoptAsNamed(pg *Page, ref BlockRef) {
 	pg.Backing = ref
 	pg.TruthBlock = ref
 	pg.TruthClean = true
-	ref.File.AddMapping(pg)
-	pg.Owner.inactiveFile.pushFront(pg)
+	m.files[ref.File].AddMapping(pg)
+	m.push(pg, inactiveFile)
 	m.c.mapperEstablish.Inc()
 }
 
@@ -74,13 +74,13 @@ func (m *Manager) InvalidateBlock(p *sim.Proc, f *File, block int64) {
 		switch pg.State {
 		case ResidentFile:
 			f.RemoveMapping(pg)
-			if pg.list != nil {
-				pg.list.remove(pg)
+			if pg.list != noList {
+				m.list(pg).remove(pg)
 			}
 			pg.State = ResidentAnon
 			pg.Dirty = true
 			pg.Backing = BlockRef{}
-			pg.Owner.activeAnon.pushFront(pg)
+			m.push(pg, activeAnon)
 		case FileNonResident:
 			// Rescue C0: synchronous read of the old content.
 			done := m.Dev.Submit(disk.Read, f.Phys(block), 1)
@@ -91,25 +91,25 @@ func (m *Manager) InvalidateBlock(p *sim.Proc, f *File, block int64) {
 				// resident case below cannot apply anymore either, since
 				// EachMapping already advanced. Break the association if
 				// it still exists.
-				if pg.Backing.File == f {
+				if pg.Backing.File == f.id {
 					f.RemoveMapping(pg)
-					if pg.list != nil {
-						pg.list.remove(pg)
+					if pg.list != noList {
+						m.list(pg).remove(pg)
 					}
 					pg.State = ResidentAnon
 					pg.Dirty = true
 					pg.Backing = BlockRef{}
-					pg.Owner.activeAnon.pushFront(pg)
+					m.push(pg, activeAnon)
 				}
 				break
 			}
 			f.RemoveMapping(pg)
-			m.chargeFrames(p, pg.Owner, 1)
+			m.chargeFrames(p, m.cgroups[pg.Owner], 1)
 			pg.State = ResidentAnon
 			pg.Dirty = true
 			pg.EPT = false
 			pg.Backing = BlockRef{}
-			pg.Owner.inactiveAnon.pushFront(pg)
+			m.push(pg, inactiveAnon)
 		case Emulated:
 			// The Preventer's merge source is about to change; the
 			// emulated page keeps its Backing until finalization, so we
@@ -152,17 +152,17 @@ func (m *Manager) RemapOverwrite(p *sim.Proc, pg *Page) bool {
 	if st != SwappedOut && st != FileNonResident {
 		panic(fmt.Sprintf("hostmm: RemapOverwrite on %s page", pg.State))
 	}
-	m.chargeFrames(p, pg.Owner, 1)
+	m.chargeFrames(p, m.cgroups[pg.Owner], 1)
 	if pg.State != st {
-		m.unchargeFrame(pg.Owner)
+		m.unchargeFrame(m.cgroups[pg.Owner])
 		return false
 	}
 	if pg.Backing.Valid() {
-		pg.Backing.File.RemoveMapping(pg)
+		m.files[pg.Backing.File].RemoveMapping(pg)
 		pg.Backing = BlockRef{}
 	}
 	if pg.SwapSlot >= 0 {
-		m.Swap.Free(pg.SwapSlot)
+		m.Swap.Free(pg.slot())
 		pg.SwapSlot = -1
 	}
 	pg.State = ResidentAnon
@@ -171,8 +171,8 @@ func (m *Manager) RemapOverwrite(p *sim.Proc, pg *Page) bool {
 	pg.Referenced = true
 	pg.TruthClean = false
 	pg.TruthBlock = BlockRef{}
-	pg.Emu = nil
-	pg.Owner.activeAnon.pushFront(pg)
+	pg.Emu = 0
+	m.push(pg, activeAnon)
 	m.Met.Inc(metrics.PreventerRemaps)
 	return true
 }
@@ -184,22 +184,22 @@ func (m *Manager) EmulationRemap(p *sim.Proc, pg *Page) {
 		panic(fmt.Sprintf("hostmm: EmulationRemap on %s page", pg.State))
 	}
 	if pg.Backing.Valid() {
-		pg.Backing.File.RemoveMapping(pg)
+		m.files[pg.Backing.File].RemoveMapping(pg)
 		pg.Backing = BlockRef{}
 	}
 	if pg.SwapSlot >= 0 {
-		m.Swap.Free(pg.SwapSlot)
+		m.Swap.Free(pg.slot())
 		pg.SwapSlot = -1
 	}
-	m.chargeFrames(p, pg.Owner, 1)
+	m.chargeFrames(p, m.cgroups[pg.Owner], 1)
 	pg.State = ResidentAnon
 	pg.Dirty = true
 	pg.EPT = true
 	pg.Referenced = true
 	pg.TruthClean = false
 	pg.TruthBlock = BlockRef{}
-	pg.Emu = nil
-	pg.Owner.activeAnon.pushFront(pg)
+	pg.Emu = 0
+	m.push(pg, activeAnon)
 	m.Met.Inc(metrics.PreventerRemaps)
 }
 
@@ -211,13 +211,13 @@ func (m *Manager) SubmitOldContentRead(pg *Page) sim.Time {
 		panic(fmt.Sprintf("hostmm: SubmitOldContentRead on %s page", pg.State))
 	}
 	if pg.SwapSlot >= 0 {
-		done := m.Dev.Submit(disk.Read, m.Swap.Phys(pg.SwapSlot), 1)
+		done := m.Dev.Submit(disk.Read, m.Swap.Phys(pg.slot()), 1)
 		m.Met.Inc(metrics.SwapReadOps)
 		m.Met.Add(metrics.SwapReadSectors, disk.SectorsPerBlock)
 		return done
 	}
 	if pg.Backing.Valid() {
-		done := m.Dev.Submit(disk.Read, pg.Backing.File.Phys(pg.Backing.Block), 1)
+		done := m.Dev.Submit(disk.Read, m.files[pg.Backing.File].Phys(int64(pg.Backing.Block)), 1)
 		m.Met.Add(metrics.ImageReadSectors, disk.SectorsPerBlock)
 		return done
 	}
@@ -233,21 +233,21 @@ func (m *Manager) EmulationMerge(p *sim.Proc, pg *Page) {
 		panic(fmt.Sprintf("hostmm: EmulationMerge on %s page", pg.State))
 	}
 	if pg.Backing.Valid() {
-		pg.Backing.File.RemoveMapping(pg)
+		m.files[pg.Backing.File].RemoveMapping(pg)
 		pg.Backing = BlockRef{}
 	}
 	if pg.SwapSlot >= 0 {
-		m.Swap.Free(pg.SwapSlot)
+		m.Swap.Free(pg.slot())
 		pg.SwapSlot = -1
 	}
-	m.chargeFrames(p, pg.Owner, 1)
+	m.chargeFrames(p, m.cgroups[pg.Owner], 1)
 	pg.State = ResidentAnon
 	pg.Dirty = true
 	pg.EPT = true
 	pg.Referenced = true
 	pg.TruthClean = false
 	pg.TruthBlock = BlockRef{}
-	pg.Emu = nil
-	pg.Owner.activeAnon.pushFront(pg)
+	pg.Emu = 0
+	m.push(pg, activeAnon)
 	m.Met.Inc(metrics.PreventerMerges)
 }

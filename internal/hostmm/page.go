@@ -13,8 +13,7 @@ package hostmm
 
 import (
 	"fmt"
-
-	"vswapsim/internal/sim"
+	"math"
 )
 
 // PageState enumerates where a page's content lives from the host's point
@@ -71,27 +70,41 @@ func (s PageState) Resident() bool {
 	return s == ResidentAnon || s == ResidentFile
 }
 
+// FileID names a File registered with a Manager (Manager.NewFile). The
+// zero FileID names no file.
+type FileID uint32
+
 // BlockRef names one 4 KiB block of a host-visible file (a guest disk
-// image). The zero value means "no backing".
+// image). The zero value means "no backing". File.Ref builds one.
 type BlockRef struct {
-	File  *File
-	Block int64
+	File  FileID
+	Block int32
 }
 
 // Valid reports whether the reference points at a file.
-func (b BlockRef) Valid() bool { return b.File != nil }
+func (b BlockRef) Valid() bool { return b.File != 0 }
 
 // Page is the host's view of one page of a QEMU process: either one guest
 // frame (identified by GFN) or a page of QEMU's own executable. Pages are
-// created lazily on first touch. The fields a resident touch and a reclaim
-// scan read fill the first 64-byte cache line, and the padding keeps slab
-// entries line-aligned (TestPageLayout pins both).
+// created lazily on first touch, carved from their Manager's slabs.
+//
+// A descriptor is one 64-byte cache line and holds no Go pointers, so the
+// garbage collector never scans a slab and link updates take no write
+// barrier: everything it refers to is an index into a table of its
+// Manager — the owning cgroup, the LRU list, the neighbouring and
+// next-mapping descriptors, the in-flight fault signal and the backing
+// file. Descriptor index 0 is reserved and means "none" (TestPageLayout
+// pins the size and the absence of pointers).
 type Page struct {
-	Owner *Cgroup
+	// Owner is the index of the owning cgroup in its Manager (see
+	// Manager.Owner).
+	Owner uint32
 	// ID is the GFN for guest pages; QEMU-internal pages use negative IDs.
-	ID    int
-	State PageState
+	ID int32
+	// idx is this descriptor's index in its Manager's page table.
+	idx uint32
 
+	State PageState
 	// EPT reports whether the GPA⇒HPA entry is present, i.e. the guest
 	// can access the page without a VM exit.
 	EPT bool
@@ -100,96 +113,164 @@ type Page struct {
 	// Dirty is the host's belief about the page differing from swap/disk.
 	// Without EPT dirty bits, any guest-mapped anonymous page is dirty.
 	Dirty bool
-
 	// Pinned excludes the page from reclaim while a fault handler holds
 	// it (the analogue of the Linux page lock).
 	Pinned bool
-
 	// TruthClean/TruthBlock are simulator ground truth (metrics only):
 	// whether the page's actual content equals a disk block, and which.
 	// The host cannot see these; they power the "silent write" counters.
 	TruthClean bool
 
-	list       *pageList
-	prev, next *Page
+	// list is the owner's LRU list holding the page (noList if none), and
+	// prev/next its neighbours there.
+	list       listID
+	prev, next uint32
 	// SwapSlot is the host swap slot holding the content (-1 if none).
-	SwapSlot int64
+	SwapSlot int32
 	// fault serializes concurrent fault-ins of the same page: while
-	// non-nil, one process is bringing the page in and others wait.
-	fault *sim.Signal
+	// nonzero, it is the handle of the signal one process broadcasts once
+	// it has brought the page in, and others wait on it.
+	fault uint32
+	// nextMapping chains pages that map the same file block (rare:
+	// happens when the guest re-reads a block into a new GFN while an
+	// older named page still exists).
+	nextMapping uint32
+	// Emu is the Preventer's handle for its buffer while State ==
+	// Emulated (0 = none); the Preventer allocates and frees it, so
+	// hostmm need not know the buffer's layout.
+	Emu uint32
 
 	// Backing is the file block backing a named page.
 	Backing    BlockRef
 	TruthBlock BlockRef
 
-	// Emu is the Preventer's buffer while State == Emulated. It is an
-	// opaque pointer so that hostmm need not know the Preventer's layout.
-	Emu interface{}
-
-	// nextMapping chains pages that map the same file block (rare:
-	// happens when the guest re-reads a block into a new GFN while an
-	// older named page still exists).
-	nextMapping *Page
-
-	_ [8]byte
+	// Padding to one 64-byte line keeps slab entries line-aligned.
+	_ [4]byte
 }
+
+// Index reports the descriptor's index in its Manager's page table: dense
+// from 1, so callers can keep per-page bitsets.
+func (pg *Page) Index() uint32 { return pg.idx }
 
 // key is a stable per-page identity (cgroup registration order + page ID)
 // for the swap backend: per-page properties like compressibility and heat
 // must survive slot reuse, so they key by page, not by slot. IDs can be
 // negative (QEMU-internal pages); sign extension keeps keys distinct.
 func (pg *Page) key() uint64 {
-	return uint64(pg.Owner.idx)<<40 ^ uint64(int64(pg.ID))
+	return uint64(pg.Owner)<<40 ^ uint64(int64(pg.ID))
 }
 
-// pageList is an intrusive doubly-linked list of pages with O(1) removal.
-// Pages are pushed at the front; reclaim scans from the back (oldest).
+// slot returns the page's swap slot in the swap area's int64 terms.
+func (pg *Page) slot() int64 { return int64(pg.SwapSlot) }
+
+// Descriptor slabs: 1024 pages, 64 KiB, so the unused tail of a run's last
+// slab stays small.
+const (
+	slabBits  = 10
+	slabPages = 1 << slabBits
+	slabMask  = slabPages - 1
+)
+
+// pageTable carves descriptors from slabs and resolves their indices
+// through a table of slab pointers. Index 0 is reserved, so list links,
+// mapping chains and swap owners use 0 for "no page".
+type pageTable struct {
+	slabs []*[slabPages]Page
+	n     uint32 // descriptors handed out, counting the reserved index 0
+}
+
+// at returns the descriptor with index i (i must have been handed out).
+func (t *pageTable) at(i uint32) *Page {
+	return &t.slabs[i>>slabBits][i&slabMask]
+}
+
+// alloc hands out the next zeroed descriptor.
+func (t *pageTable) alloc() *Page {
+	if t.n == 0 {
+		t.n = 1 // reserve index 0
+	}
+	i := t.n
+	if i == math.MaxUint32 {
+		panic("hostmm: page table full")
+	}
+	if int(i>>slabBits) == len(t.slabs) {
+		t.slabs = append(t.slabs, new([slabPages]Page))
+	}
+	t.n++
+	pg := t.at(i)
+	pg.idx = i
+	return pg
+}
+
+// listID names one of a cgroup's LRU lists. A page's list field holds it;
+// noList marks a page on none. Each inactive list's ID follows its active
+// list's, which Touch and reclaim rely on.
+type listID uint8
+
+const (
+	noList listID = iota
+	activeAnon
+	inactiveAnon
+	activeFile
+	inactiveFile
+)
+
+// pageList is an intrusive doubly-linked list of pages with O(1) removal,
+// linked by descriptor index. Pages are pushed at the front; reclaim scans
+// from the back (oldest).
 type pageList struct {
-	name string
-	head *Page
-	tail *Page
-	size int
+	pages *pageTable
+	name  string
+	id    listID
+	owner uint32 // index of the cgroup whose list this is
+	head  uint32
+	tail  uint32
+	size  int
 }
 
 func (l *pageList) pushFront(pg *Page) {
-	if pg.list != nil {
+	if pg.list != noList {
 		panic("hostmm: page already on a list")
 	}
-	pg.list = l
-	pg.prev = nil
+	pg.list = l.id
+	pg.prev = 0
 	pg.next = l.head
-	if l.head != nil {
-		l.head.prev = pg
+	if l.head != 0 {
+		l.pages.at(l.head).prev = pg.idx
+	} else {
+		l.tail = pg.idx
 	}
-	l.head = pg
-	if l.tail == nil {
-		l.tail = pg
-	}
+	l.head = pg.idx
 	l.size++
 }
 
 func (l *pageList) remove(pg *Page) {
-	if pg.list != l {
+	if pg.list != l.id || pg.Owner != l.owner {
 		panic("hostmm: removing page from wrong list")
 	}
-	if pg.prev != nil {
-		pg.prev.next = pg.next
+	if pg.prev != 0 {
+		l.pages.at(pg.prev).next = pg.next
 	} else {
 		l.head = pg.next
 	}
-	if pg.next != nil {
-		pg.next.prev = pg.prev
+	if pg.next != 0 {
+		l.pages.at(pg.next).prev = pg.prev
 	} else {
 		l.tail = pg.prev
 	}
-	pg.list = nil
-	pg.prev = nil
-	pg.next = nil
+	pg.list = noList
+	pg.prev = 0
+	pg.next = 0
 	l.size--
 }
 
-// back returns the oldest page without removing it.
-func (l *pageList) back() *Page { return l.tail }
+// back returns the oldest page without removing it, or nil.
+func (l *pageList) back() *Page {
+	if l.tail == 0 {
+		return nil
+	}
+	return l.pages.at(l.tail)
+}
 
 // rotate moves the oldest page to the front (second chance).
 func (l *pageList) rotate(pg *Page) {

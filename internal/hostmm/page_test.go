@@ -1,6 +1,7 @@
 package hostmm
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -8,38 +9,64 @@ import (
 	"vswapsim/internal/sim"
 )
 
-// TestPageLayout pins the descriptor layout the touch and scan paths rely
-// on: every field that VM.TouchPage → Manager.Touch, a mapped write and
-// scanList read sits in the first cache line, and the size is a whole
-// number of lines so that slab entries stay line-aligned.
+// TestPageLayout pins the descriptor layout: one 64-byte cache line, so
+// that slab entries stay line-aligned and a touch or a scan loads one line
+// per page, and no Go pointers in a descriptor or a swap owner chunk, so
+// that the garbage collector never scans them.
 func TestPageLayout(t *testing.T) {
-	const line = 64
-	var pg Page
-	if size := unsafe.Sizeof(pg); size%line != 0 {
-		t.Errorf("sizeof(Page) = %d, not a multiple of %d", size, line)
+	if size := unsafe.Sizeof(Page{}); size != 64 {
+		t.Errorf("sizeof(Page) = %d, want 64", size)
 	}
-	hot := []struct {
-		name string
-		off  uintptr
-	}{
-		{"Owner", unsafe.Offsetof(pg.Owner)},
-		{"ID", unsafe.Offsetof(pg.ID)},
-		{"State", unsafe.Offsetof(pg.State)},
-		{"EPT", unsafe.Offsetof(pg.EPT)},
-		{"Referenced", unsafe.Offsetof(pg.Referenced)},
-		{"Dirty", unsafe.Offsetof(pg.Dirty)},
-		{"Pinned", unsafe.Offsetof(pg.Pinned)},
-		{"TruthClean", unsafe.Offsetof(pg.TruthClean)},
-		{"list", unsafe.Offsetof(pg.list)},
-		{"prev", unsafe.Offsetof(pg.prev)},
-		{"next", unsafe.Offsetof(pg.next)},
-		{"SwapSlot", unsafe.Offsetof(pg.SwapSlot)},
-		{"fault", unsafe.Offsetof(pg.fault)},
-	}
-	for _, f := range hot {
-		if f.off >= line {
-			t.Errorf("Page.%s at offset %d, outside the first %d-byte line", f.name, f.off, line)
+	for _, typ := range []reflect.Type{reflect.TypeOf(Page{}), reflect.TypeOf(slotChunk{}), reflect.TypeOf(mapChunk{})} {
+		if path := pointerPath(typ, typ.Name()); path != "" {
+			t.Errorf("%s holds a pointer-bearing field: %s", typ.Name(), path)
 		}
+	}
+}
+
+// pointerPath returns the path to the first pointer-bearing part of typ, or
+// "" if it has none.
+func pointerPath(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.Interface, reflect.Slice, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.String, reflect.UnsafePointer:
+		return path + " (" + typ.Kind().String() + ")"
+	case reflect.Array:
+		return pointerPath(typ.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerPath(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
+}
+
+// TestPageIndexRoundTrip: an index resolves to the descriptor that reports
+// it, across slab boundaries, and each manager resolves only its own.
+func TestPageIndexRoundTrip(t *testing.T) {
+	a, b := newRig(t, 10, 0), newRig(t, 10, 0)
+	var pa, pb []*Page
+	for i := 0; i < 2*slabPages; i++ {
+		pa = append(pa, a.mgr.NewPage(a.cg, i))
+		pb = append(pb, b.mgr.NewPage(b.cg, -i))
+	}
+	for _, idx := range []uint32{1, slabPages - 1, slabPages, slabPages + 1, 2 * slabPages} {
+		pg := a.mgr.Page(idx)
+		if pg != pa[idx-1] || pg.Index() != idx || pg.ID != int32(idx-1) {
+			t.Fatalf("manager a: Page(%d) = %p, want %p with index %d", idx, pg, pa[idx-1], idx)
+		}
+		if other := b.mgr.Page(idx); other == pg || other != pb[idx-1] || other.ID != -int32(idx-1) {
+			t.Fatalf("manager b: Page(%d) resolves to %p, want its own descriptor %p", idx, other, pb[idx-1])
+		}
+	}
+	if a.mgr.Page(0) != nil || a.mgr.Page(2*slabPages+1) != nil {
+		t.Fatal("index 0 and indices past the last descriptor must resolve to nil")
+	}
+	if n := a.mgr.NumPages(); n != 2*slabPages+1 {
+		t.Fatalf("NumPages = %d, want %d (the descriptors plus reserved index 0)", n, 2*slabPages+1)
 	}
 }
 
@@ -50,7 +77,7 @@ func TestCOWBreakZeroAllocs(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		pages := make([]*Page, 64)
 		for i := range pages {
-			pages[i] = r.mgr.NewFilePage(r.cg, i, BlockRef{File: r.img, Block: int64(i)})
+			pages[i] = r.mgr.NewFilePage(r.cg, i, r.img.Ref(int64(i)))
 			r.mgr.FileFaultIn(p, pages[i], GuestCtx)
 			r.mgr.MinorMap(p, pages[i], GuestCtx)
 		}
@@ -59,7 +86,7 @@ func TestCOWBreakZeroAllocs(t *testing.T) {
 			pg := pages[i%len(pages)]
 			i++
 			r.mgr.COWBreak(p, pg, GuestCtx)
-			r.mgr.AdoptAsNamed(pg, BlockRef{File: r.img, Block: int64(pg.ID)})
+			r.mgr.AdoptAsNamed(pg, r.img.Ref(int64(pg.ID)))
 		}
 		// Warm the lazy pools (event freelist, histogram buckets) before
 		// measuring.
@@ -74,7 +101,7 @@ func TestCOWBreakZeroAllocs(t *testing.T) {
 
 // TestPageDescriptorBytes: descriptors are carved from small slabs, so n
 // descriptors for one cgroup cost at most n descriptors' bytes plus one
-// 128 KiB slab.
+// 64 KiB slab.
 func TestPageDescriptorBytes(t *testing.T) {
 	const n = 9000
 	r := newRig(t, 10, 0)
@@ -84,7 +111,7 @@ func TestPageDescriptorBytes(t *testing.T) {
 		r.mgr.NewPage(r.cg, i)
 	}
 	runtime.ReadMemStats(&after)
-	bound := n*uint64(unsafe.Sizeof(Page{})) + 128<<10
+	bound := n*uint64(unsafe.Sizeof(Page{})) + slabPages*uint64(unsafe.Sizeof(Page{}))
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 		t.Errorf("%d descriptors allocated %d bytes, want at most %d", n, got, bound)
 	}

@@ -46,7 +46,7 @@ func TestPathologyCountersDisjoint(t *testing.T) {
 				for i := 0; i < 12; i++ {
 					pg := r.mgr.NewPage(r.cg, i)
 					r.mgr.FirstTouch(p, pg, GuestCtx)
-					pg.TruthBlock = BlockRef{File: r.img, Block: int64(i)}
+					pg.TruthBlock = r.img.Ref(int64(i))
 					pg.TruthClean = true
 				}
 			},
@@ -61,7 +61,7 @@ func TestPathologyCountersDisjoint(t *testing.T) {
 			name: "cow broken",
 			run: func(t *testing.T, r *rig, p *sim.Proc) {
 				for i := 0; i < 12; i++ {
-					pg := r.mgr.NewFilePage(r.cg, i, BlockRef{File: r.img, Block: int64(i * 2)})
+					pg := r.mgr.NewFilePage(r.cg, i, r.img.Ref(int64(i*2)))
 					r.mgr.FileFaultIn(p, pg, GuestCtx)
 					r.mgr.MinorMap(p, pg, GuestCtx)
 					r.mgr.COWBreak(p, pg, GuestCtx)
@@ -78,7 +78,7 @@ func TestPathologyCountersDisjoint(t *testing.T) {
 			name: "clean file",
 			run: func(t *testing.T, r *rig, p *sim.Proc) {
 				for i := 0; i < 12; i++ {
-					pg := r.mgr.NewFilePage(r.cg, i, BlockRef{File: r.img, Block: int64(i * 2)})
+					pg := r.mgr.NewFilePage(r.cg, i, r.img.Ref(int64(i*2)))
 					r.mgr.FileFaultIn(p, pg, GuestCtx)
 					r.mgr.MinorMap(p, pg, GuestCtx)
 				}

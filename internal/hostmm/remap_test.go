@@ -43,7 +43,7 @@ func TestRemapOverwriteLostRace(t *testing.T) {
 		// take or mmap-over would.
 		r.env.Go("resolver", func(q *sim.Proc) {
 			q.Sleep(sim.Nanosecond)
-			if victim.State == Emulated && victim.Emu == nil {
+			if victim.State == Emulated && victim.Emu == 0 {
 				t.Error("bufferless Emulated page observable during blocked charge")
 				return
 			}
@@ -90,7 +90,7 @@ func TestRemapOverwriteUncontended(t *testing.T) {
 		if victim == nil {
 			t.Fatal("no page swapped out")
 		}
-		slot := victim.SwapSlot
+		slot := victim.slot()
 		if !r.mgr.RemapOverwrite(p, victim) {
 			t.Fatal("uncontended RemapOverwrite failed")
 		}

@@ -20,10 +20,11 @@ func TestRandomOpsPreserveInvariants(t *testing.T) {
 		model := disk.Constellation7200()
 		dev := disk.NewDevice(env, model, met)
 		layout := disk.NewLayout(model.TotalBlocks)
-		img := NewFile("img", layout.Reserve("img", 1<<16))
+		imgRegion := layout.Reserve("img", 1<<16)
 		swap := NewSwapArea(layout.Reserve("swap", 1<<14))
 		pool := mem.NewFramePool(96)
 		mgr := NewManager(env, met, dev, pool, swap, Config{})
+		img := mgr.NewFile("img", imgRegion)
 		cgA := mgr.NewCgroup("a", 48)
 		cgB := mgr.NewCgroup("b", 0) // pool-bound
 
@@ -35,7 +36,7 @@ func TestRandomOpsPreserveInvariants(t *testing.T) {
 				cg = cgB
 			}
 			if i%5 == 0 {
-				pages[i] = mgr.NewFilePage(cg, i, BlockRef{File: img, Block: int64(i)})
+				pages[i] = mgr.NewFilePage(cg, i, img.Ref(int64(i)))
 			} else {
 				pages[i] = mgr.NewPage(cg, i)
 			}
@@ -59,7 +60,7 @@ func TestRandomOpsPreserveInvariants(t *testing.T) {
 					case 1:
 						mgr.BalloonTake(pg)
 					case 2:
-						mgr.AdoptAsNamed(pg, BlockRef{File: img, Block: int64(rng.Intn(1 << 10))})
+						mgr.AdoptAsNamed(pg, img.Ref(int64(rng.Intn(1<<10))))
 					default:
 						mgr.Touch(pg)
 					}
@@ -77,7 +78,7 @@ func TestRandomOpsPreserveInvariants(t *testing.T) {
 					case 0:
 						mgr.BalloonTake(pg)
 					case 1:
-						mgr.MapOver(p, pg, BlockRef{File: img, Block: int64(rng.Intn(1 << 10))})
+						mgr.MapOver(p, pg, img.Ref(int64(rng.Intn(1<<10))))
 					default:
 						mgr.SwapIn(p, pg, GuestCtx)
 						mgr.MinorMap(p, pg, GuestCtx)

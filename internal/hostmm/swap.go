@@ -2,6 +2,7 @@ package hostmm
 
 import (
 	"fmt"
+	"math"
 
 	"vswapsim/internal/disk"
 )
@@ -26,14 +27,17 @@ type SwapArea struct {
 	scanFailed  bool  // no free cluster exists until enough slots free up
 	freesSince  int   // slots freed since the last failed cluster scan
 
-	// chunks records, per slot, the page whose content the slot holds; a
-	// nil owner marks a free slot. The table is split into one-cluster
-	// chunks, each allocated when one of its slots is first taken: a run
-	// touches a few percent of a multi-GiB partition, so a dense table
-	// would be mostly zeroing and GC scanning, while the fault path, which
-	// reads ownership for every slot of a readahead cluster, still gets
-	// indexed loads.
+	// chunks records, per slot, the descriptor index of the page whose
+	// content the slot holds; 0 marks a free slot. The table is split
+	// into one-cluster chunks, each allocated when one of its slots is
+	// first taken: a run touches a few percent of a multi-GiB partition,
+	// so a dense table would be mostly zeroing, while the fault path,
+	// which reads ownership for every slot of a readahead cluster, still
+	// gets indexed loads.
 	chunks []*slotChunk
+	// pages resolves owner indices: the page table of the Manager the
+	// area serves (set by NewManager).
+	pages *pageTable
 
 	// onFree, when non-nil, observes every slot release (the swap backend
 	// hooks it to drop fast-tier copies when their slot dies).
@@ -48,16 +52,20 @@ const (
 	clusterMask = SlotsPerCluster - 1
 )
 
-// slotChunk holds the owners of one cluster-aligned run of slots. used
-// counts its non-nil owners, so scans cross empty and full chunks in one
-// step.
+// slotChunk holds the owners of one cluster-aligned run of slots, as
+// descriptor indices (0 = free). used counts its owned slots, so scans
+// cross empty and full chunks in one step.
 type slotChunk struct {
 	used  int
-	owner [SlotsPerCluster]*Page
+	owner [SlotsPerCluster]uint32
 }
 
-// NewSwapArea returns a swap area over the given region.
+// NewSwapArea returns a swap area over the given region. Pages record
+// their slot in an int32, so the region holds at most MaxInt32 slots.
 func NewSwapArea(region disk.Region) *SwapArea {
+	if region.Blocks > math.MaxInt32 {
+		panic(fmt.Sprintf("hostmm: swap area of %d slots exceeds the int32 slot range", region.Blocks))
+	}
 	return &SwapArea{
 		region: region,
 		chunks: make([]*slotChunk, (region.Blocks+clusterMask)>>clusterBits),
@@ -74,8 +82,8 @@ func (s *SwapArea) InUse() int { return s.inUse }
 // Alloc assigns a slot to page pg and returns it, preferring to continue
 // the current free cluster. It returns -1 if the area is full.
 func (s *SwapArea) Alloc(pg *Page) int64 {
-	if pg == nil {
-		panic("hostmm: swap slot allocated to a nil page")
+	if pg == nil || pg.idx == 0 {
+		panic("hostmm: swap slot allocated to a page no manager created")
 	}
 	// Continue the current cluster while it has free slots.
 	if s.next >= 0 {
@@ -114,7 +122,7 @@ func (s *SwapArea) nextFree(from, to int64) int64 {
 		end := min(to, (i|clusterMask)+1)
 		if c.used < SlotsPerCluster {
 			for ; i < end; i++ {
-				if c.owner[i&clusterMask] == nil {
+				if c.owner[i&clusterMask] == 0 {
 					return i
 				}
 			}
@@ -160,7 +168,7 @@ func (s *SwapArea) freeRunEnd(from, to int64) int64 {
 			i = end
 		default:
 			for ; i < end; i++ {
-				if c.owner[i&clusterMask] != nil {
+				if c.owner[i&clusterMask] != 0 {
 					run = 0
 				} else if run++; run == SlotsPerCluster {
 					return i
@@ -177,7 +185,7 @@ func (s *SwapArea) take(i int64, pg *Page) int64 {
 		c = new(slotChunk)
 		s.chunks[i>>clusterBits] = c
 	}
-	c.owner[i&clusterMask] = pg
+	c.owner[i&clusterMask] = pg.idx
 	c.used++
 	if i == s.hint {
 		s.hint = i + 1
@@ -188,11 +196,11 @@ func (s *SwapArea) take(i int64, pg *Page) int64 {
 
 // Free releases a slot.
 func (s *SwapArea) Free(slot int64) {
-	if s.Owner(slot) == nil {
+	if s.ownerIndex(slot) == 0 {
 		panic(fmt.Sprintf("hostmm: freeing bad swap slot %d", slot))
 	}
 	c := s.chunks[slot>>clusterBits]
-	c.owner[slot&clusterMask] = nil
+	c.owner[slot&clusterMask] = 0
 	c.used--
 	if slot < s.hint {
 		s.hint = slot
@@ -219,8 +227,8 @@ func (s *SwapArea) ownedSlots() int {
 		case c.used == SlotsPerCluster:
 			n += SlotsPerCluster
 		default:
-			for _, pg := range c.owner {
-				if pg != nil {
+			for _, idx := range c.owner {
+				if idx != 0 {
 					n++
 				}
 			}
@@ -238,12 +246,21 @@ func (s *SwapArea) fragmented() bool {
 // Owner returns the page stored at slot, or nil if the slot is free or out
 // of range.
 func (s *SwapArea) Owner(slot int64) *Page {
+	if idx := s.ownerIndex(slot); idx != 0 {
+		return s.pages.at(idx)
+	}
+	return nil
+}
+
+// ownerIndex returns the descriptor index of the page stored at slot, or 0
+// if the slot is free or out of range.
+func (s *SwapArea) ownerIndex(slot int64) uint32 {
 	if slot < 0 || slot >= s.region.Blocks {
-		return nil
+		return 0
 	}
 	c := s.chunks[slot>>clusterBits]
 	if c == nil {
-		return nil
+		return 0
 	}
 	return c.owner[slot&clusterMask]
 }
@@ -272,7 +289,7 @@ func (s *SwapArea) AppendClusterRun(dst []int64, slot int64, cluster int) []int6
 		end = s.region.Blocks
 	}
 	for i := base; i < end; i++ {
-		if s.Owner(i) != nil {
+		if s.ownerIndex(i) != 0 {
 			dst = append(dst, i)
 		}
 	}

@@ -167,12 +167,13 @@ func (s *denseSwapArea) AppendClusterRun(dst []int64, slot int64, cluster int) [
 // refChurn drives a SwapArea and the dense reference with the same
 // operations and fails on the first disagreement.
 type refChurn struct {
-	t    *testing.T
-	s    *SwapArea
-	ref  *denseSwapArea
-	rng  *sim.RNG
-	held []*Page
-	ops  int
+	t       *testing.T
+	s       *SwapArea
+	newPage func(id int) *Page
+	ref     *denseSwapArea
+	rng     *sim.RNG
+	held    []*Page
+	ops     int
 	// every is the stride, in operations, of the full comparison.
 	every int
 	// Reused AppendClusterRun destinations.
@@ -180,13 +181,13 @@ type refChurn struct {
 }
 
 func (c *refChurn) alloc() int64 {
-	pg := &Page{ID: c.ops, SwapSlot: -1}
+	pg := c.newPage(c.ops)
 	got, want := c.s.Alloc(pg), c.ref.Alloc(pg)
 	if got != want {
 		c.t.Fatalf("op %d: Alloc = %d, reference %d", c.ops, got, want)
 	}
 	if got >= 0 {
-		pg.SwapSlot = got
+		pg.SwapSlot = int32(got)
 		c.held = append(c.held, pg)
 	}
 	c.step(got)
@@ -197,16 +198,16 @@ func (c *refChurn) free(k int) {
 	pg := c.held[k]
 	c.held[k] = c.held[len(c.held)-1]
 	c.held = c.held[:len(c.held)-1]
-	c.s.Free(pg.SwapSlot)
-	c.ref.Free(pg.SwapSlot)
-	c.step(pg.SwapSlot)
+	c.s.Free(pg.slot())
+	c.ref.Free(pg.slot())
+	c.step(pg.slot())
 }
 
 // freeWindow frees every held slot in [from, from+n), leaving a free run
 // of n slots.
 func (c *refChurn) freeWindow(from, n int64) {
 	for k := 0; k < len(c.held); {
-		if slot := c.held[k].SwapSlot; slot >= from && slot < from+n {
+		if slot := c.held[k].slot(); slot >= from && slot < from+n {
 			c.free(k)
 			continue
 		}
@@ -284,6 +285,7 @@ func TestSwapAreaMatchesDenseReference(t *testing.T) {
 				// of the area's operations, but at least every 64.
 				every: int(max(64, n/64)),
 			}
+			c.newPage = swapPages(c.s)
 			for round := 0; round < 3; round++ {
 				for c.alloc() >= 0 {
 				}

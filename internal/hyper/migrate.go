@@ -110,7 +110,7 @@ func (vm *VM) Migrate(p *sim.Proc, cfg MigrationConfig) MigrationResult {
 		}
 		switch pg.State {
 		case hostmm.SwappedOut:
-			swapSlots = append(swapSlots, pg.SwapSlot)
+			swapSlots = append(swapSlots, int64(pg.SwapSlot))
 			pagesSent++
 		case hostmm.ResidentAnon, hostmm.Emulated:
 			pagesSent++
@@ -120,7 +120,7 @@ func (vm *VM) Migrate(p *sim.Proc, cfg MigrationConfig) MigrationResult {
 			}
 		case hostmm.FileNonResident:
 			if !cfg.UseMappings {
-				imageBlocks = append(imageBlocks, pg.Backing.Block)
+				imageBlocks = append(imageBlocks, int64(pg.Backing.Block))
 				pagesSent++
 			}
 		}

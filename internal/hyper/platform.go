@@ -207,7 +207,7 @@ func (vm *VM) DiskRead(p *sim.Proc, gfns []int, start int64) {
 		// DMA wrote the frame through QEMU's mapping: host knows it is
 		// dirty; ground truth says it now equals the block.
 		pg.Dirty = true
-		pg.TruthBlock = hostmm.BlockRef{File: vm.Image, Block: start + int64(i)}
+		pg.TruthBlock = vm.Image.Ref(start + int64(i))
 		pg.TruthClean = true
 		mm.Touch(pg)
 		mm.Unpin(pg)
@@ -286,7 +286,7 @@ func (vm *VM) DiskWrite(p *sim.Proc, gfns []int, start int64) {
 	vm.M.imageWrite.Add(int64(len(gfns)) * disk.SectorsPerBlock)
 	vm.M.Dev.WaitFor(p, done) // writethrough caching: completion after durability
 	for i, pg := range pages {
-		pg.TruthBlock = hostmm.BlockRef{File: vm.Image, Block: start + int64(i)}
+		pg.TruthBlock = vm.Image.Ref(start + int64(i))
 		pg.TruthClean = true
 		mm.Unpin(pg)
 	}

@@ -141,14 +141,14 @@ func (m *Machine) NewVM(cfg VMConfig) *VM {
 		M:     m,
 		Cfg:   cfg,
 		CG:    m.MM.NewCgroup(cfg.Name, cfg.LimitPages),
-		Image: hostmm.NewFile(cfg.Name+"-img", imgRegion),
+		Image: m.MM.NewFile(cfg.Name+"-img", imgRegion),
 		pages: make([]*hostmm.Page, cfg.MemPages),
 	}
 	vm.Image.InvalidateOnWrite = cfg.Mapper
-	textFile := hostmm.NewFile(cfg.Name+"-qemu", textRegion)
+	textFile := m.MM.NewFile(cfg.Name+"-qemu", textRegion)
 	vm.text = make([]*hostmm.Page, cfg.TextPages)
 	for i := range vm.text {
-		vm.text[i] = m.MM.NewFilePage(vm.CG, -(i + 1), hostmm.BlockRef{File: textFile, Block: int64(i)})
+		vm.text[i] = m.MM.NewFilePage(vm.CG, -(i + 1), textFile.Ref(int64(i)))
 	}
 	if cfg.Mapper {
 		vm.Mapper = core.NewMapper(m.MM, m.Met, vm.Image, cfg.MapperCfg)

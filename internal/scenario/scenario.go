@@ -741,6 +741,9 @@ func (d *decoder) fleet(n *node, mode string) Fleet {
 		f.VCPUs = o.intField("vcpus", 2, 1, 64)
 		f.StaggerSec = o.intField("stagger_sec", 10, 0, 3600)
 		f.DiskMB = o.intField("disk_mb", 20*1024, 1, maxMB)
+		if d.err == nil && f.DiskMB <= f.MemoryMB {
+			d.fail(o.keyPos("disk_mb"), "disk_mb (%d) must exceed memory_mb (%d): the guest swap area lives on the disk image", f.DiskMB, f.MemoryMB)
+		}
 	} else {
 		f.MemoryMB = o.reqInt("memory_mb", 1, maxMB)
 		f.ActualMB = o.reqInt("actual_mb", 1, maxMB)

@@ -428,6 +428,11 @@ func TestValidateMalformed(t *testing.T) {
 			4, "mutually exclusive",
 		},
 		{
+			"dynamic fleet disk not above memory",
+			"scenario: x\ntitle: t\nmode: dynamic\nfleet:\n  counts: [1]\n  memory_mb: 512\n  host_mb: 2048\n  disk_mb: 512\nschemes: [baseline]\nworkload:\n  kind: metis\n  input_mb: 300\n  table_mb: 1024\ntable:\n  title: t\n",
+			8, "disk_mb (512) must exceed memory_mb (512): the guest swap area lives on the disk image",
+		},
+		{
 			"dynamic mode rejects timeline",
 			"scenario: x\ntitle: t\nmode: dynamic\nfleet:\n  counts: [1, 2]\n  memory_mb: 2048\n  host_mb: 8192\nschemes: [baseline]\nworkload:\n  kind: metis\n  input_mb: 300\n  table_mb: 1024\ntable:\n  title: t\ntimeline:\n  - at_sec: 1\n    event: balloon_set\n    target_mb: 0\n",
 			15, "timeline events are only supported in single mode",
