@@ -5,9 +5,9 @@
 // pathology and fault counters monotone, the virtual clock monotonic —
 // on top of hostmm's own structural Audit.
 //
-// Attach it before Machine.Run; afterwards call Final and treat a non-nil
-// error as a failed run, replayable from the seed and the fault plan
-// spec.
+// Attach a Group with AttachGroup before the machines run; afterwards
+// call its Final and treat a non-nil error as a failed run, replayable
+// from the seed and the fault plan spec.
 package audit
 
 import (
@@ -44,13 +44,12 @@ var monotoneCounters = []string{
 	metrics.FaultMapperPoisoned,
 }
 
-// Auditor checks a machine's global invariants, strided across simulated
-// events. It records the first violation and stops checking (the state is
-// already corrupt; later failures would only obscure the origin).
+// Auditor checks one machine's global invariants for a Group, which
+// strides the checks across simulated events. It records the first
+// violation and stops checking (the state is already corrupt; later
+// failures would only obscure the origin).
 type Auditor struct {
 	m       *hyper.Machine
-	every   int
-	tick    int
 	checks  int64
 	lastNow sim.Time
 	mono    map[string]int64
@@ -81,22 +80,6 @@ func (c checkNote) String() string {
 
 // histCap bounds how many recent check summaries History retains.
 const histCap = 8
-
-// Attach hooks an auditor into the machine's event loop, running one full
-// Check every `every` events (minimum 1). A full check is O(pages), so
-// large simulations should stride; tiny unit tests can afford every=1.
-// Attach before Machine.Run; read Final after.
-func Attach(m *hyper.Machine, every int) *Auditor {
-	if every < 1 {
-		every = 1
-	}
-	a := &Auditor{m: m, every: every, mono: make(map[string]int64)}
-	m.Env.SetAfterEvent(a.step)
-	return a
-}
-
-// Detach removes the event hook.
-func (a *Auditor) Detach() { a.m.Env.SetAfterEvent(nil) }
 
 // Checks reports how many full audits ran.
 func (a *Auditor) Checks() int64 { return a.checks }
@@ -132,20 +115,6 @@ func (a *Auditor) Final() error {
 	return a.err
 }
 
-func (a *Auditor) step() {
-	if a.err != nil {
-		return
-	}
-	a.tick++
-	if a.tick < a.every {
-		return
-	}
-	a.tick = 0
-	if err := a.Check(); err != nil {
-		a.err = fmt.Errorf("at %v: %w", a.m.Env.Now(), err)
-	}
-}
-
 // Group audits the machines that share one event loop: the experiment
 // layer attaches one per cell, over its one machine or all its cluster
 // hosts. A sim.Env carries a single after-event hook, so the group
@@ -169,7 +138,7 @@ func AttachGroup(env *sim.Env, ms []*hyper.Machine, labels []string, every int) 
 	}
 	g := &Group{every: every, labels: labels}
 	for _, m := range ms {
-		g.auditors = append(g.auditors, &Auditor{m: m, every: 1, mono: make(map[string]int64)})
+		g.auditors = append(g.auditors, &Auditor{m: m, mono: make(map[string]int64)})
 	}
 	env.SetAfterEvent(g.step)
 	return g

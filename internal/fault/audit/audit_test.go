@@ -19,10 +19,11 @@ const mib = 1 << 20
 const afterRun = 1 << 30
 
 // runScenario builds a 32 MiB-believed guest limited to 8 MiB actual with
-// the given fault plan, attaches an auditor at the given stride, reads a
-// 16 MiB file twice (enough pressure to exercise swap-out, swap-in and
-// reclaim), and returns the machine plus the auditor.
-func runScenario(t testing.TB, spec string, every int) (*hyper.Machine, *Auditor) {
+// the given fault plan, attaches an audit group over its one machine at
+// the given stride, reads a 16 MiB file twice (enough pressure to exercise
+// swap-out, swap-in and reclaim), and returns the machine, the group and
+// the group's auditor of that machine.
+func runScenario(t testing.TB, spec string, every int) (*hyper.Machine, *Group, *Auditor) {
 	t.Helper()
 	m := hyper.NewMachine(hyper.MachineConfig{
 		Seed:         1,
@@ -38,7 +39,7 @@ func runScenario(t testing.TB, spec string, every int) (*hyper.Machine, *Auditor
 		Preventer:  true,
 		GuestAPF:   true,
 	})
-	a := Attach(m, every)
+	g := AttachGroup(m.Env, []*hyper.Machine{m}, []string{"host"}, every)
 	m.Env.Go("scenario", func(p *sim.Proc) {
 		vm.Boot(p)
 		th := &guest.Thread{OS: vm.OS, P: p}
@@ -50,12 +51,12 @@ func runScenario(t testing.TB, spec string, every int) (*hyper.Machine, *Auditor
 		m.Shutdown()
 	})
 	m.Run()
-	return m, a
+	return m, g, g.auditors[0]
 }
 
 func TestCleanRunPassesEveryEvent(t *testing.T) {
-	_, a := runScenario(t, "", 1)
-	if err := a.Final(); err != nil {
+	_, g, a := runScenario(t, "", 1)
+	if err := g.Final(); err != nil {
 		t.Fatalf("invariant violation on a fault-free run: %v", err)
 	}
 	if a.Checks() == 0 {
@@ -64,8 +65,8 @@ func TestCleanRunPassesEveryEvent(t *testing.T) {
 }
 
 func TestFaultyRunPassesAudit(t *testing.T) {
-	m, a := runScenario(t, "disk-read-err:0.05;disk-lat:0.1:1ms;swapin-fail:0.1;slot-exhaust:0.02;map-poison:0.05", 16)
-	if err := a.Final(); err != nil {
+	m, g, _ := runScenario(t, "disk-read-err:0.05;disk-lat:0.1:1ms;swapin-fail:0.1;slot-exhaust:0.02;map-poison:0.05", 16)
+	if err := g.Final(); err != nil {
 		t.Fatalf("invariant violation under fault injection: %v", err)
 	}
 	// The plan must actually have fired, or the test proves nothing.
@@ -80,24 +81,10 @@ func TestFaultyRunPassesAudit(t *testing.T) {
 }
 
 func TestStrideCountsChecks(t *testing.T) {
-	_, a1 := runScenario(t, "", 1)
-	_, a64 := runScenario(t, "", 64)
+	_, _, a1 := runScenario(t, "", 1)
+	_, _, a64 := runScenario(t, "", 64)
 	if a1.Checks() <= a64.Checks() {
 		t.Fatalf("stride 1 ran %d checks, stride 64 ran %d", a1.Checks(), a64.Checks())
-	}
-}
-
-func TestDetachStopsChecking(t *testing.T) {
-	m := hyper.NewMachine(hyper.MachineConfig{Seed: 1, HostMemPages: 1 << 14})
-	a := Attach(m, 1)
-	a.Detach()
-	m.Env.Go("idle", func(p *sim.Proc) {
-		p.Sleep(sim.Second)
-		m.Shutdown()
-	})
-	m.Run()
-	if a.Checks() != 0 {
-		t.Fatalf("detached auditor still ran %d checks", a.Checks())
 	}
 }
 
@@ -105,8 +92,8 @@ func TestDetachStopsChecking(t *testing.T) {
 // returns the resulting Check error.
 func corrupt(t *testing.T, f func(pg *hostmm.Page)) error {
 	t.Helper()
-	m, a := runScenario(t, "", afterRun)
-	if err := a.Final(); err != nil {
+	m, g, a := runScenario(t, "", afterRun)
+	if err := g.Final(); err != nil {
 		t.Fatalf("pre-corruption audit failed: %v", err)
 	}
 	var victim *hostmm.Page
@@ -136,8 +123,8 @@ func TestCheckCatchesEPTOnNonResident(t *testing.T) {
 }
 
 func TestCheckCatchesBackwardsCounter(t *testing.T) {
-	m, a := runScenario(t, "", afterRun)
-	if err := a.Final(); err != nil {
+	m, g, a := runScenario(t, "", afterRun)
+	if err := g.Final(); err != nil {
 		t.Fatalf("clean audit failed: %v", err)
 	}
 	if m.Met.Get(metrics.DiskOps) == 0 {
@@ -151,18 +138,18 @@ func TestCheckCatchesBackwardsCounter(t *testing.T) {
 }
 
 func TestFirstErrorSticks(t *testing.T) {
-	m, a := runScenario(t, "", afterRun)
+	m, g, _ := runScenario(t, "", afterRun)
 	m.Met.Add(metrics.HostSwapOuts, 10)
-	if err := a.Final(); err != nil {
+	if err := g.Final(); err != nil {
 		t.Fatalf("unexpected: %v", err)
 	}
 	m.Met.Add(metrics.HostSwapOuts, -1)
-	first := a.Final()
+	first := g.Final()
 	if first == nil {
 		t.Fatal("violation not recorded by Final")
 	}
 	m.Met.Add(metrics.HostSwapOuts, 1) // "repair" the state
-	if again := a.Final(); again != first {
+	if again := g.Final(); again != first {
 		t.Fatalf("Final changed its answer: %v vs %v", first, again)
 	}
 }
@@ -172,13 +159,13 @@ func TestFirstErrorSticks(t *testing.T) {
 // crash-diagnostics records — and the ring keeps only the most recent
 // entries, newest last.
 func TestHistoryRecordsRecentChecks(t *testing.T) {
-	m, a := runScenario(t, "", afterRun)
+	m, g, a := runScenario(t, "", afterRun)
 	for i := 0; i < histCap+3; i++ {
 		if err := a.Check(); err != nil {
 			t.Fatalf("check %d failed: %v", i, err)
 		}
 	}
-	h := a.History()
+	h := g.History()
 	if len(h) != histCap {
 		t.Fatalf("history length = %d, want %d", len(h), histCap)
 	}
@@ -197,13 +184,13 @@ func TestHistoryRecordsRecentChecks(t *testing.T) {
 	if err := a.Check(); err == nil {
 		t.Skip("scenario did not produce a violation; history-of-ok already covered")
 	}
-	h = a.History()
+	h = g.History()
 	if !strings.Contains(h[len(h)-1], "VIOLATION") {
 		t.Fatalf("violating check not flagged in history: %q", h[len(h)-1])
 	}
 	// History returns a copy: mutating it cannot corrupt the auditor.
 	h[0] = "clobbered"
-	if a.History()[0] == "clobbered" {
+	if g.History()[0] == "clobbered" {
 		t.Fatal("History exposed internal state")
 	}
 }
@@ -212,7 +199,7 @@ func TestHistoryRecordsRecentChecks(t *testing.T) {
 // machine: runScenario's guest after its reads, with pages resident,
 // swapped out and file-backed.
 func BenchmarkCheck(b *testing.B) {
-	m, a := runScenario(b, "", afterRun)
+	m, _, a := runScenario(b, "", afterRun)
 	pages := 0
 	for _, vm := range m.VMs {
 		vm.EachPage(func(*hostmm.Page) { pages++ })

@@ -55,12 +55,8 @@ func (os *OS) getIOBufs() *ioBufs {
 	return &ioBufs{}
 }
 
-// putIOBufs returns b to the freelist, dropping its process references so
-// the freelist does not keep exited processes reachable.
+// putIOBufs returns b to the freelist.
 func (os *OS) putIOBufs(b *ioBufs) {
-	for i := range b.wb {
-		b.wb[i].proc = nil
-	}
 	b.run, b.gfns, b.wb = b.run[:0], b.gfns[:0], b.wb[:0]
 	os.ioBufs = append(os.ioBufs, b)
 }
@@ -208,7 +204,7 @@ func (os *OS) throttleDirty(t *Thread) {
 		for gfn := l.tail; gfn != nilGFN && len(items) < want; gfn = os.pages[gfn].prev {
 			pi := &os.pages[gfn]
 			if pi.dirty {
-				items = append(items, wbItem{gfn: gfn, block: pi.block})
+				items = append(items, wbItem{gfn: gfn, block: int64(pi.block)})
 			}
 		}
 		if len(items) >= want {
@@ -252,7 +248,7 @@ func (os *OS) flushItems(t *Thread, items []wbItem) {
 func (os *OS) insertCache(gfn int32, vblock int64, demanded bool) {
 	pi := &os.pages[gfn]
 	pi.kind = kindCache
-	pi.block = vblock
+	pi.block = int32(vblock)
 	pi.dirty = false
 	pi.referenced = demanded
 	os.cache.set(vblock, gfn)
@@ -275,7 +271,7 @@ func (os *OS) DropCaches() {
 				continue
 			}
 			l.remove(os, gfn)
-			os.cache.del(pi.block)
+			os.cache.del(int64(pi.block))
 			os.putFree(gfn)
 		}
 	}

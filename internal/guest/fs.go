@@ -1,6 +1,9 @@
 package guest
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // VFile is a file on the guest's virtual disk. The tiny extent filesystem
 // lays files out contiguously (like a freshly formatted ext4 writing large
@@ -33,8 +36,14 @@ type FileSystem struct {
 }
 
 // NewFileSystem creates a filesystem over a virtual disk of totalBlocks,
-// reserving swapBlocks at the end as the guest swap partition.
+// reserving swapBlocks at the end as the guest swap partition. A frame's
+// metadata holds a block as an int32, so the disk has at most MaxInt32
+// blocks.
 func NewFileSystem(totalBlocks, swapBlocks int64) *FileSystem {
+	if totalBlocks > math.MaxInt32 {
+		panic(fmt.Sprintf("guest: disk of %d blocks exceeds the %d a frame's block field holds",
+			totalBlocks, math.MaxInt32))
+	}
 	if swapBlocks >= totalBlocks {
 		panic("guest: swap larger than disk")
 	}
@@ -79,19 +88,19 @@ func (fs *FileSystem) SwapBlocks() int64 { return fs.swapBlocks }
 // swapOwner identifies the process page stored in a slot, enabling guest
 // swap readahead.
 type swapOwner struct {
-	pr  *Process
-	idx int
+	proc uint16 // the process's OS.procs index; 0 marks an unowned slot
+	idx  int32  // anon index
 }
 
 // guestSwap allocates slots in the guest swap partition, lowest-first.
 type guestSwap struct {
 	start int64 // vdisk block of slot 0
 	free  []bool
-	hint  int64
+	hint  int32
 	inUse int
-	// owner is a dense per-slot table (pr == nil marks an unowned slot):
-	// swap readahead probes consecutive slots on every guest swap-in, so
-	// lookups must be indexed loads rather than map probes.
+	// owner is a dense per-slot table: swap readahead probes consecutive
+	// slots on every guest swap-in, so lookups must be indexed loads
+	// rather than map probes.
 	owner []swapOwner
 }
 
@@ -107,8 +116,8 @@ func newGuestSwap(start, blocks int64) *guestSwap {
 	return g
 }
 
-func (g *guestSwap) alloc() int64 {
-	for i := g.hint; i < int64(len(g.free)); i++ {
+func (g *guestSwap) alloc() int32 {
+	for i := g.hint; int(i) < len(g.free); i++ {
 		if g.free[i] {
 			g.free[i] = false
 			g.hint = i + 1
@@ -119,8 +128,8 @@ func (g *guestSwap) alloc() int64 {
 	return -1
 }
 
-func (g *guestSwap) release(slot int64) {
-	if slot < 0 || slot >= int64(len(g.free)) || g.free[slot] {
+func (g *guestSwap) release(slot int32) {
+	if slot < 0 || int(slot) >= len(g.free) || g.free[slot] {
 		panic(fmt.Sprintf("guest: freeing bad swap slot %d", slot))
 	}
 	g.free[slot] = true
@@ -132,18 +141,18 @@ func (g *guestSwap) release(slot int64) {
 }
 
 // setOwner records which process page a slot holds.
-func (g *guestSwap) setOwner(slot int64, pr *Process, idx int) {
-	g.owner[slot] = swapOwner{pr: pr, idx: idx}
+func (g *guestSwap) setOwner(slot int32, proc uint16, idx int32) {
+	g.owner[slot] = swapOwner{proc: proc, idx: idx}
 }
 
-// ownerAt returns the owner of slot (pr == nil when unowned or out of
+// ownerAt returns the owner of slot (proc == 0 when unowned or out of
 // range).
-func (g *guestSwap) ownerAt(slot int64) swapOwner {
-	if slot < 0 || slot >= int64(len(g.owner)) {
+func (g *guestSwap) ownerAt(slot int32) swapOwner {
+	if slot < 0 || int(slot) >= len(g.owner) {
 		return swapOwner{}
 	}
 	return g.owner[slot]
 }
 
 // block translates a slot to its vdisk block.
-func (g *guestSwap) block(slot int64) int64 { return g.start + slot }
+func (g *guestSwap) block(slot int32) int64 { return g.start + int64(slot) }

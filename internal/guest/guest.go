@@ -54,17 +54,18 @@ const (
 // nilGFN terminates intrusive list links.
 const nilGFN = int32(-1)
 
-// pageInfo is the guest kernel's metadata for one of its own frames. It is
-// kept compact (array-of-structs indexed by GFN) because large guests have
-// hundreds of thousands of frames.
+// pageInfo is the guest kernel's metadata for one of its own frames, kept
+// in an array indexed by GFN. Large guests have hundreds of thousands of
+// frames, so an entry is 16 bytes and holds no Go pointers: the garbage
+// collector never scans the array. An anon frame's process is an index,
+// kept in OS.anonOwner.
 type pageInfo struct {
 	kind       uint8
+	list       uint8 // listNone or a list id
 	dirty      bool
 	referenced bool
-	list       uint8 // listNone or a list id
 	prev, next int32
-	block      int64    // vdisk block (cache pages) or anon index (anon pages)
-	proc       *Process // owner (anon pages)
+	block      int32 // vdisk block (cache pages) or anon index (anon pages)
 }
 
 // list ids
@@ -74,6 +75,7 @@ const (
 	listInactiveFile
 	listActiveAnon
 	listInactiveAnon
+	listFree
 )
 
 // gfnList is an intrusive list over the OS page array.
@@ -203,9 +205,13 @@ type OS struct {
 
 	VCPU *sim.Resource
 
-	pages    []pageInfo
-	freeList []int32
-	freePool int // == len(freeList)
+	pages []pageInfo
+	// anonOwner holds, by GFN, the 1-based OS.procs index of an anon
+	// frame's process, and 0 for every other frame.
+	anonOwner []uint16
+	// free holds the free frames; it pops and pushes at its head, so the
+	// last frame freed is the next one handed out.
+	free gfnList
 
 	cache *blockMap // vdisk block -> gfn
 
@@ -270,6 +276,8 @@ func NewOS(env *sim.Env, met *metrics.Set, plat Platform, fs *FileSystem, cfg Co
 		FS:           fs,
 		VCPU:         sim.NewResource(env, cfg.VCPUs),
 		pages:        make([]pageInfo, cfg.MemPages),
+		anonOwner:    make([]uint16, cfg.MemPages),
+		free:         newGFNList(listFree),
 		cache:        newBlockMap(fs.TotalBlocks()),
 		activeFile:   newGFNList(listActiveFile),
 		inactiveFile: newGFNList(listInactiveFile),
@@ -290,13 +298,11 @@ func NewOS(env *sim.Env, met *metrics.Set, plat Platform, fs *FileSystem, cfg Co
 	min := 128 + cfg.MemPages/256
 	os.watermarkLow = min * 2
 	os.watermarkHi = min * 3
-	// All frames start free; populate in reverse so low GFNs are used
-	// first (cosmetic but makes traces easier to follow).
-	os.freeList = make([]int32, 0, cfg.MemPages)
+	// All frames start free, in GFN order from the head, so low GFNs are
+	// used first (cosmetic but makes traces easier to follow).
 	for gfn := cfg.MemPages - 1; gfn >= 0; gfn-- {
-		os.freeList = append(os.freeList, int32(gfn))
+		os.free.pushFront(os, int32(gfn))
 	}
-	os.freePool = len(os.freeList)
 	return os
 }
 
@@ -324,9 +330,9 @@ func (os *OS) Boot(p *sim.Proc) {
 func (os *OS) kswapdLoop(p *sim.Proc) {
 	t := &Thread{OS: os, P: p}
 	for !os.shutdown {
-		if os.freePool < os.watermarkLow {
-			for os.freePool < os.watermarkHi && !os.shutdown {
-				n, _, _ := os.shrinkLists(t, os.watermarkHi-os.freePool)
+		if os.free.size < os.watermarkLow {
+			for os.free.size < os.watermarkHi && !os.shutdown {
+				n, _, _ := os.shrinkLists(t, os.watermarkHi-os.free.size)
 				if n == 0 {
 					break
 				}
@@ -339,7 +345,7 @@ func (os *OS) kswapdLoop(p *sim.Proc) {
 func (os *OS) name() string { return "guest" }
 
 // FreePages reports the free-frame count the guest believes it has.
-func (os *OS) FreePages() int { return os.freePool }
+func (os *OS) FreePages() int { return os.free.size }
 
 // CachePages reports the page-cache size in pages.
 func (os *OS) CachePages() int {

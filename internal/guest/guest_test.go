@@ -312,7 +312,7 @@ func TestFreeAnonRecyclesGFN(t *testing.T) {
 		th.TouchAnon(pr, 0, true)
 		gfn := pr.slots[0].gfn
 		th.FreeAnon(pr, 0)
-		if pr.slots[0].state != anonNone {
+		if pr.slots[0] != untouchedSlot {
 			t.Fatal("slot not freed")
 		}
 		th.TouchAnon(pr, 1, true)

@@ -12,12 +12,11 @@ import (
 // known non-empty (boot, or after allocPage ensured room).
 func (os *OS) takeFree(p *sim.Proc) int32 {
 	_ = p
-	if len(os.freeList) == 0 {
+	gfn := os.free.head
+	if gfn == nilGFN {
 		panic("guest: free list empty")
 	}
-	gfn := os.freeList[len(os.freeList)-1]
-	os.freeList = os.freeList[:len(os.freeList)-1]
-	os.freePool--
+	os.free.remove(os, gfn)
 	return gfn
 }
 
@@ -29,32 +28,31 @@ func (os *OS) putFree(gfn int32) {
 	pi.kind = kindFree
 	pi.dirty = false
 	pi.referenced = false
-	pi.proc = nil
 	pi.block = 0
-	os.freeList = append(os.freeList, gfn)
-	os.freePool++
+	os.anonOwner[gfn] = 0
+	os.free.pushFront(os, gfn)
 }
 
 // allocPage returns a free frame for the calling thread, running direct
 // reclaim below the low watermark. It returns -1 only if memory cannot be
 // freed at all (after the OOM killer had its say).
 func (os *OS) allocPage(t *Thread) int32 {
-	if os.freePool <= os.watermarkLow {
+	if os.free.size <= os.watermarkLow {
 		os.directReclaim(t)
 	}
 	// Emergency: the pool is momentarily empty. Retry with short waits —
 	// concurrent writeback or other threads usually free frames — and
 	// only OOM-kill if memory is genuinely unobtainable.
-	if os.freePool == 0 {
-		for attempt := 0; attempt < 8 && os.freePool == 0; attempt++ {
+	if os.free.size == 0 {
+		for attempt := 0; attempt < 8 && os.free.size == 0; attempt++ {
 			os.directReclaim(t)
-			if os.freePool == 0 {
+			if os.free.size == 0 {
 				t.P.Sleep(10 * sim.Millisecond)
 			}
 		}
-		if os.freePool == 0 {
+		if os.free.size == 0 {
 			os.oomKill()
-			if os.freePool == 0 {
+			if os.free.size == 0 {
 				return -1
 			}
 		}
@@ -68,14 +66,14 @@ func (os *OS) allocPage(t *Thread) int32 {
 // analogue of "reclaim cannot keep up with demand" (paper §2.3, §2.4).
 func (os *OS) directReclaim(t *Thread) {
 	start := t.P.Now()
-	target := os.watermarkHi - os.freePool
+	target := os.watermarkHi - os.free.size
 	if target <= 0 {
 		return
 	}
 	freed := 0
 	ballooned := len(os.balloonGFNs) > os.Cfg.MemPages/20
 	for rounds := 0; freed < target && rounds < 8; rounds++ {
-		freeBefore := os.freePool
+		freeBefore := os.free.size
 		n, cheap, io := os.shrinkLists(t, target-freed)
 		freed += n
 		// Both OOM triggers model over-ballooning (paper §2.4): without
@@ -111,9 +109,9 @@ type wbItem struct {
 	gfn   int32
 	block int64 // destination vdisk block
 	anon  bool
-	slot  int64 // guest swap slot (anon only)
-	proc  *Process
-	idx   int64 // anon index at queue time
+	proc  uint16 // owner's OS.procs index (anon only)
+	slot  int32  // guest swap slot (anon only)
+	idx   int32  // anon index at queue time
 }
 
 // shrinkLists performs one reclaim pass: rebalance active/inactive lists,
@@ -160,11 +158,11 @@ func (os *OS) shrinkLists(t *Thread, target int) (freedN, cheapN, ioN int) {
 		case kindCache:
 			if pi.dirty {
 				list.remove(os, gfn)
-				writeback = append(writeback, wbItem{gfn: gfn, block: pi.block})
+				writeback = append(writeback, wbItem{gfn: gfn, block: int64(pi.block)})
 				continue
 			}
 			list.remove(os, gfn)
-			os.cache.del(pi.block)
+			os.cache.del(int64(pi.block))
 			os.putFree(gfn)
 			os.c.cacheDrops.Inc()
 			freed++
@@ -178,7 +176,7 @@ func (os *OS) shrinkLists(t *Thread, target int) (freedN, cheapN, ioN int) {
 			list.remove(os, gfn)
 			writeback = append(writeback, wbItem{
 				gfn: gfn, block: os.swap.block(slot), anon: true, slot: slot,
-				proc: pi.proc, idx: pi.block,
+				proc: os.anonOwner[gfn], idx: pi.block,
 			})
 		default:
 			panic(fmt.Sprintf("guest: kind %d on LRU", pi.kind))
@@ -219,23 +217,23 @@ func (os *OS) writebackAndFree(t *Thread, bufs *ioBufs) int {
 		if w.anon {
 			// The page may have vanished while the write was in flight
 			// (OOM kill of its process): release the now-unused slot.
-			if pi.kind != kindAnon || pi.proc != w.proc || pi.block != w.idx ||
-				w.proc.slots[w.idx].gfn != w.gfn {
+			pr := os.proc(w.proc)
+			if pi.kind != kindAnon || os.anonOwner[w.gfn] != w.proc || pi.block != w.idx ||
+				pr.slots[w.idx].gfn != w.gfn {
 				os.swap.release(w.slot)
 				continue
 			}
-			s := &w.proc.slots[w.idx]
-			s.state = anonSwapped
+			s := &pr.slots[w.idx]
 			s.slot = w.slot
 			s.gfn = nilGFN
-			w.proc.resident--
-			os.swap.setOwner(w.slot, w.proc, int(w.idx))
+			pr.resident--
+			os.swap.setOwner(w.slot, w.proc, w.idx)
 			os.c.swapOuts.Inc()
 		} else {
 			if pi.kind != kindCache {
 				continue // dropped concurrently
 			}
-			os.cache.del(pi.block)
+			os.cache.del(int64(pi.block))
 			os.dirtyCount--
 			os.c.cacheDrops.Inc()
 		}
@@ -284,7 +282,7 @@ func (os *OS) oomKill() {
 	os.Met.Inc(metrics.GuestOOMKills)
 	if os.Trace.Recording(trace.OOM) {
 		os.Trace.Add(os.Env.Now(), trace.OOM, "kill %s footprint=%d free=%d balloon=%d",
-			victim.Name, victim.Footprint(), os.freePool, len(os.balloonGFNs))
+			victim.Name, victim.Footprint(), os.free.size, len(os.balloonGFNs))
 	}
 	victim.Killed = true
 	os.releaseProcessMemory(victim)
@@ -293,22 +291,7 @@ func (os *OS) oomKill() {
 // releaseProcessMemory frees every resident page and swap slot of pr.
 func (os *OS) releaseProcessMemory(pr *Process) {
 	for i := range pr.slots {
-		s := &pr.slots[i]
-		switch s.state {
-		case anonResident:
-			gfn := s.gfn
-			pi := &os.pages[gfn]
-			if pi.list != listNone {
-				os.listByID(pi.list).remove(os, gfn)
-			}
-			os.putFree(gfn)
-			pr.resident--
-		case anonSwapped:
-			os.swap.release(s.slot)
-		}
-		s.state = anonNone
-		s.gfn = nilGFN
-		s.slot = -1
+		os.releaseAnon(pr, &pr.slots[i])
 	}
 }
 

@@ -104,11 +104,11 @@ func (vm *VM) Migrate(p *sim.Proc, cfg MigrationConfig) MigrationResult {
 	var swapSlots []int64
 	var imageBlocks []int64
 	pagesSent := 0
-	for _, pg := range vm.pages {
-		if pg == nil {
+	for _, i := range vm.pages {
+		if i == 0 {
 			continue
 		}
-		switch pg.State {
+		switch pg := vm.M.MM.Page(i); pg.State {
 		case hostmm.SwappedOut:
 			swapSlots = append(swapSlots, int64(pg.SwapSlot))
 			pagesSent++
@@ -169,12 +169,12 @@ func (vm *VM) Migrate(p *sim.Proc, cfg MigrationConfig) MigrationResult {
 // inspection: no simulated time passes.
 func (vm *VM) PlanMigration() MigrationPlan {
 	plan := MigrationPlan{TotalPages: vm.Cfg.MemPages}
-	for _, pg := range vm.pages {
-		if pg == nil {
+	for _, i := range vm.pages {
+		if i == 0 {
 			plan.Skippable++
 			continue
 		}
-		switch pg.State {
+		switch vm.M.MM.Page(i).State {
 		case hostmm.Untouched, hostmm.Ballooned:
 			plan.Skippable++
 		case hostmm.ResidentFile, hostmm.FileNonResident:

@@ -97,7 +97,9 @@ type VM struct {
 	Image *hostmm.File
 	OS    *guest.OS
 
-	pages []*hostmm.Page // by GFN, lazily created
+	// pages holds, by GFN, the index of the frame's host descriptor in
+	// the machine's Manager, created lazily (0 = not yet created).
+	pages []uint32
 	text  []*hostmm.Page
 	hot   int
 
@@ -142,7 +144,7 @@ func (m *Machine) NewVM(cfg VMConfig) *VM {
 		Cfg:   cfg,
 		CG:    m.MM.NewCgroup(cfg.Name, cfg.LimitPages),
 		Image: m.MM.NewFile(cfg.Name+"-img", imgRegion),
-		pages: make([]*hostmm.Page, cfg.MemPages),
+		pages: make([]uint32, cfg.MemPages),
 	}
 	vm.Image.InvalidateOnWrite = cfg.Mapper
 	textFile := m.MM.NewFile(cfg.Name+"-qemu", textRegion)
@@ -182,11 +184,11 @@ func (vm *VM) page(gfn int) *hostmm.Page {
 	if gfn < 0 || gfn >= len(vm.pages) {
 		panic(fmt.Sprintf("hyper: GFN %d out of range", gfn))
 	}
-	pg := vm.pages[gfn]
-	if pg == nil {
-		pg = vm.M.MM.NewPage(vm.CG, gfn)
-		vm.pages[gfn] = pg
+	if i := vm.pages[gfn]; i != 0 {
+		return vm.M.MM.Page(i)
 	}
+	pg := vm.M.MM.NewPage(vm.CG, gfn)
+	vm.pages[gfn] = pg.Index()
 	return pg
 }
 
@@ -194,9 +196,9 @@ func (vm *VM) page(gfn int) *hostmm.Page {
 // guest frames (lazily created by GFN) and QEMU text pages. The
 // invariant-audit harness iterates these to check cross-layer properties.
 func (vm *VM) EachPage(f func(pg *hostmm.Page)) {
-	for _, pg := range vm.pages {
-		if pg != nil {
-			f(pg)
+	for _, i := range vm.pages {
+		if i != 0 {
+			f(vm.M.MM.Page(i))
 		}
 	}
 	for _, pg := range vm.text {
