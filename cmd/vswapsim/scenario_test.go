@@ -82,27 +82,30 @@ func TestREADMEDocumentsEveryFlag(t *testing.T) {
 	}
 }
 
-// TestScenarioCLIEquivalence pins that the registry id and the scenario
-// file reach one definition: the fig3 entry runs the embedded
-// scenarios/fig3.yaml, so `vswapsim run scenarios/fig3.yaml -json` must
-// write the very bytes `vswapsim -run fig3 -json` writes, through the
-// real CLI path (document header included — same -parallel, so headers
-// agree too).
+// TestScenarioCLIEquivalence pins that each registry id that runs its
+// scenario file and the file reach one definition: the entry runs the
+// embedded scenarios/<id>.yaml, so `vswapsim run scenarios/<id>.yaml
+// -json` must write the very bytes `vswapsim -run <id> -json` writes,
+// through the real CLI path (document header included — same -parallel,
+// so headers agree too). fig12 and fig13 are sweeps.
 func TestScenarioCLIEquivalence(t *testing.T) {
 	common := []string{"-json", "-quick", "-scale", "0.125", "-seed", "42", "-parallel", "1"}
-	var yamlOut, idOut, errBuf bytes.Buffer
-
-	args := append([]string{"run", filepath.Join("..", "..", "scenarios", "fig3.yaml")}, common...)
-	if code := run(args, &yamlOut, &errBuf); code != exitOK {
-		t.Fatalf("run %v exited %d: %s", args, code, errBuf.String())
-	}
-	args = append([]string{"-run", "fig3"}, common...)
-	if code := run(args, &idOut, &errBuf); code != exitOK {
-		t.Fatalf("run %v exited %d: %s", args, code, errBuf.String())
-	}
-	if !bytes.Equal(yamlOut.Bytes(), idOut.Bytes()) {
-		t.Fatalf("scenario JSON (%d bytes) differs from registry fig3 JSON (%d bytes)",
-			yamlOut.Len(), idOut.Len())
+	for _, id := range []string{"fig3", "fig12", "fig13"} {
+		t.Run(id, func(t *testing.T) {
+			var yamlOut, idOut, errBuf bytes.Buffer
+			args := append([]string{"run", filepath.Join("..", "..", "scenarios", id+".yaml")}, common...)
+			if code := run(args, &yamlOut, &errBuf); code != exitOK {
+				t.Fatalf("run %v exited %d: %s", args, code, errBuf.String())
+			}
+			args = append([]string{"-run", id}, common...)
+			if code := run(args, &idOut, &errBuf); code != exitOK {
+				t.Fatalf("run %v exited %d: %s", args, code, errBuf.String())
+			}
+			if !bytes.Equal(yamlOut.Bytes(), idOut.Bytes()) {
+				t.Fatalf("scenario JSON (%d bytes) differs from registry %s JSON (%d bytes)",
+					yamlOut.Len(), id, idOut.Len())
+			}
+		})
 	}
 }
 

@@ -9,67 +9,37 @@ import (
 	"vswapsim/internal/sim"
 )
 
-// Config tunes the manager's control loop.
-type Config struct {
-	// Interval between samples (MOM default: 1 s).
-	Interval sim.Duration
-	// PressureThreshold: below this fraction of free host memory the
+// The manager's control loop, with MOM's shipped policy knobs.
+const (
+	// interval between samples (MOM default: 1 s).
+	interval = sim.Second
+	// pressureThreshold: below this fraction of free host memory the
 	// manager starts inflating balloons.
-	PressureThreshold float64
-	// ReliefThreshold: above this fraction it deflates.
-	ReliefThreshold float64
-	// GuestReserve is the fraction of its memory a guest always keeps.
-	GuestReserve float64
-	// StepFraction bounds how much of a guest's memory the target may
+	pressureThreshold = 0.20
+	// reliefThreshold: above this fraction it deflates.
+	reliefThreshold = 0.30
+	// guestReserve is the fraction of its memory a guest always keeps.
+	guestReserve = 0.05
+	// stepFraction bounds how much of a guest's memory the target may
 	// move per interval — the source of ballooning's sluggishness.
-	StepFraction float64
-}
-
-// DefaultConfig mirrors MOM's shipped policy knobs.
-func DefaultConfig() Config {
-	return Config{
-		Interval:          sim.Second,
-		PressureThreshold: 0.20,
-		ReliefThreshold:   0.30,
-		GuestReserve:      0.05,
-		StepFraction:      0.05,
-	}
-}
+	stepFraction = 0.05
+)
 
 // Manager is the balloon controller for one machine.
 type Manager struct {
 	M    *hyper.Machine
-	Cfg  Config
 	stop bool
 }
 
 // New creates a manager; call Start to launch its control loop.
-func New(m *hyper.Machine, cfg Config) *Manager {
-	d := DefaultConfig()
-	if cfg.Interval == 0 {
-		cfg.Interval = d.Interval
-	}
-	if cfg.PressureThreshold == 0 {
-		cfg.PressureThreshold = d.PressureThreshold
-	}
-	if cfg.ReliefThreshold == 0 {
-		cfg.ReliefThreshold = d.ReliefThreshold
-	}
-	if cfg.GuestReserve == 0 {
-		cfg.GuestReserve = d.GuestReserve
-	}
-	if cfg.StepFraction == 0 {
-		cfg.StepFraction = d.StepFraction
-	}
-	return &Manager{M: m, Cfg: cfg}
-}
+func New(m *hyper.Machine) *Manager { return &Manager{M: m} }
 
 // Start launches the control loop as a simulated daemon.
 func (mgr *Manager) Start() {
 	mgr.M.Env.Go("mom", func(p *sim.Proc) {
 		for !mgr.stop {
 			mgr.tick()
-			p.Sleep(mgr.Cfg.Interval)
+			p.Sleep(interval)
 		}
 	})
 }
@@ -84,8 +54,8 @@ func (mgr *Manager) tick() {
 	freeRatio := float64(pool.Free()) / float64(pool.Capacity())
 	for _, vm := range mgr.M.VMs {
 		total := vm.Cfg.MemPages
-		step := int(float64(total) * mgr.Cfg.StepFraction)
-		reserve := int(float64(total) * mgr.Cfg.GuestReserve)
+		step := int(float64(total) * stepFraction)
+		reserve := int(float64(total) * guestReserve)
 		cur := vm.OS.BalloonTarget()
 		visible := total - vm.OS.BalloonPages()
 		guestFreeFrac := 1.0
@@ -101,7 +71,7 @@ func (mgr *Manager) tick() {
 				shrink = cur
 			}
 			vm.OS.SetBalloonTarget(cur - shrink)
-		case freeRatio < mgr.Cfg.PressureThreshold && guestFreeFrac > 0.20:
+		case freeRatio < pressureThreshold && guestFreeFrac > 0.20:
 			// Take the guest's unused memory, leaving a small reserve.
 			idle := vm.OS.FreePages() - reserve
 			grow := idle
@@ -111,7 +81,7 @@ func (mgr *Manager) tick() {
 			if grow > 0 {
 				vm.OS.SetBalloonTarget(cur + grow)
 			}
-		case freeRatio > mgr.Cfg.ReliefThreshold && cur > 0:
+		case freeRatio > reliefThreshold && cur > 0:
 			// Give memory back gradually.
 			shrink := step
 			if shrink > cur {

@@ -21,7 +21,7 @@ func pressureRig(t *testing.T) (*hyper.Machine, *hyper.VM, *Manager) {
 		DiskBlocks: 2 << 30 / 4096,
 		GuestAPF:   true,
 	})
-	mgr := New(m, Config{})
+	mgr := New(m)
 	return m, vm, mgr
 }
 
@@ -57,7 +57,7 @@ func TestManagerDeflatesWhenRelieved(t *testing.T) {
 		DiskBlocks: 2 << 30 / 4096,
 		GuestAPF:   true,
 	})
-	mgr := New(m, Config{})
+	mgr := New(m)
 	m.Env.Go("driver", func(p *sim.Proc) {
 		vm.Boot(p)
 		// Pre-inflate, then let the (pressure-free) manager deflate.
@@ -76,10 +76,12 @@ func TestManagerDeflatesWhenRelieved(t *testing.T) {
 	}
 }
 
+// TestManagerStepBoundsRate: under pressure, a guest with far more idle
+// memory than one step gives it up at most one step (stepFraction of its
+// memory) per tick.
 func TestManagerStepBoundsRate(t *testing.T) {
 	m, vm, mgr := pressureRig(t)
-	mgr.Cfg.StepFraction = 0.01
-	var targetAfter3 int
+	var idle, targetAfter3 int
 	m.Env.Go("driver", func(p *sim.Proc) {
 		vm.Boot(p)
 		th := &guest.Thread{OS: vm.OS, P: p}
@@ -90,6 +92,7 @@ func TestManagerStepBoundsRate(t *testing.T) {
 			th.TouchAnon(pr, i, true)
 		}
 		pr.Exit()
+		idle = vm.OS.FreePages()
 		mgr.Start()
 		p.Sleep(3*sim.Second + 100*sim.Millisecond)
 		targetAfter3 = vm.OS.BalloonTarget()
@@ -97,7 +100,10 @@ func TestManagerStepBoundsRate(t *testing.T) {
 		m.Shutdown()
 	})
 	m.Run()
-	maxPerTick := int(float64(vm.Cfg.MemPages) * 0.01)
+	maxPerTick := int(float64(vm.Cfg.MemPages) * stepFraction)
+	if idle <= 8*maxPerTick {
+		t.Fatalf("the guest has %d idle pages: too few to tell a %d-page step bound", idle, maxPerTick)
+	}
 	if targetAfter3 > 4*maxPerTick {
 		t.Fatalf("target %d exceeds rate bound %d after 3 ticks", targetAfter3, 4*maxPerTick)
 	}

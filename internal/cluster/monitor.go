@@ -102,7 +102,7 @@ func (c *Cluster) hottestGuest(h *Host) *Guest {
 // reballoon remediation policy, and any balloon scheme).
 func (c *Cluster) startMOM() {
 	for _, h := range c.Hosts {
-		h.mom = balloon.New(h.M, balloon.Config{})
+		h.mom = balloon.New(h.M)
 		h.mom.Start()
 	}
 }

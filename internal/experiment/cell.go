@@ -66,9 +66,9 @@ type memoEntry struct {
 	c    cell
 }
 
-// cellKey names a cell within one invocation: its definition (a sweep id,
-// or a scenario's source digest), its seed and grid coordinates, and the
-// options' Key, which a grid computes once for all of its cells.
+// cellKey names a cell within one invocation: its definition (its
+// scenario's source digest), its seed and grid coordinates, and the
+// options' Key.
 type cellKey struct {
 	def    string
 	seed   uint64

@@ -46,7 +46,7 @@ func runDynamic(o Options, scheme scenario.Scheme, n int, seed uint64, f scenari
 		}
 		var mgr *balloon.Manager
 		if scheme.Balloon() {
-			mgr = balloon.New(m, balloon.Config{})
+			mgr = balloon.New(m)
 		}
 
 		return []cellHost{{m: m}}, func() error {

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -107,20 +108,15 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 
 // TestDerivedCellSeedsUnique asserts the per-cell seeds of every fan-out
 // grid in the registry never collide — with each other or with the base
-// seed the non-sweep experiments run on.
+// seed the non-sweep experiments run on. The sweeps' allocations are read
+// from their files, full and quick lists together.
 func TestDerivedCellSeedsUnique(t *testing.T) {
 	allSchemes := []scenario.Scheme{scenario.Baseline, scenario.BalloonBase, scenario.MapperOnly, scenario.VSwapper, scenario.BalloonVSwapper}
-	fullSizes := sweepSizes(Options{}.normalized())
-	quickSizes := sweepSizes(Options{Quick: true}.normalized())
-	union := func(lists ...[]int) []int {
-		seen := map[int]bool{}
-		var out []int
-		for _, l := range lists {
-			for _, v := range l {
-				if !seen[v] {
-					seen[v] = true
-					out = append(out, v)
-				}
+	sizes := func(sc *scenario.Scenario) []int {
+		out := slices.Clone(sc.Fleet.Sweep)
+		for _, v := range sc.Fleet.QuickSweep {
+			if !slices.Contains(out, v) {
+				out = append(out, v)
 			}
 		}
 		return out
@@ -129,10 +125,15 @@ func TestDerivedCellSeedsUnique(t *testing.T) {
 		id     string
 		points []int
 	}{
-		{"pbzip", union(fullSizes, quickSizes, []int{128})},
-		{"fig12", union(fullSizes, quickSizes)},
-		{"fig13", union([]int{512, 448, 384, 320, 256})},
-		{"fig14", union([]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})},
+		{"pbzip", sizes(pbzipScenario())},
+		{"fig12", sizes(fig12Scenario())},
+		{"fig13", sizes(fig13Scenario())},
+		{"fig14", []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
+	}
+	for _, g := range grids[:3] {
+		if len(g.points) == 0 {
+			t.Fatalf("%s.yaml sweeps no allocations", g.id)
+		}
 	}
 	const base = 42
 	seen := map[uint64]string{base: "base seed"}

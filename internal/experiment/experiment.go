@@ -50,6 +50,10 @@ func (o Options) mb(v int) int {
 	return s
 }
 
+// count scales a workload's count (pages, files) linearly, floored at
+// one: a zero would stand for the workload's paper-sized default.
+func (o Options) count(v int) int { return max(1, int(float64(v)*o.Scale)) }
+
 // pages converts scaled MiB to pages.
 func (o Options) pages(v int) int { return o.mb(v) << 20 / 4096 }
 
@@ -239,16 +243,14 @@ type Experiment struct {
 // secs formats a virtual duration as seconds.
 func secs(d sim.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()) }
 
-// mins formats a virtual duration as minutes.
-func mins(d sim.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()/60) }
-
 // runCfg describes one single-guest controlled-memory run (paper §5.1).
 type runCfg struct {
 	opts   Options
 	scheme scenario.Scheme
 	// seed, when nonzero, overrides opts.Seed for this run's machine.
-	// Fan-out jobs set it to sim.DeriveSeed(opts.Seed, id, scheme, size)
-	// so each cell is an independent, scheduling-order-free stream.
+	// A sweep's cells set it to sim.DeriveSeed(opts.Seed, scenario name,
+	// scheme, size), so each cell is an independent,
+	// scheduling-order-free stream.
 	seed     uint64
 	guestMB  int // believed memory (pre-scale)
 	actualMB int // cgroup allocation (pre-scale)

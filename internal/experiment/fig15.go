@@ -9,38 +9,6 @@ import (
 	"vswapsim/internal/workload"
 )
 
-// Fig13 reproduces the DaCapo Eclipse sweep: the JVM working set exceeding
-// the allocation is an LRU pathology; ballooning wins slightly while it
-// survives but kills Eclipse below 448 MB.
-func Fig13(o Options) *Report {
-	o = o.normalized()
-	schemes := []scenario.Scheme{scenario.Baseline, scenario.MapperOnly, scenario.VSwapper, scenario.BalloonBase}
-	sizes := []int{512, 448, 384, 320, 256}
-	if o.Quick {
-		sizes = []int{512, 384, 256}
-	}
-	iters := 6
-	if o.Quick {
-		iters = 3
-	}
-	cells := runSweep(o, "fig13", schemes, sizes, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
-		return workload.Eclipse(vm, workload.EclipseConfig{
-			HeapMB:      o.mb(128),
-			JVMAnonMB:   o.mb(230),
-			WorkspaceMB: o.mb(120),
-			Iterations:  iters,
-		})
-	})
-	rep := &Report{
-		ID:        "fig13",
-		Title:     "DaCapo Eclipse, 128MB Java heap, 512MB guest (Fig. 13)",
-		PaperNote: "balloon 1-4% faster while alive but kills Eclipse below 448MB; baseline 0.97-1.28x of vswapper; mapper within 1.00-1.08x",
-		cells:     cells,
-	}
-	rep.Tables = append(rep.Tables, sweepTable("runtime [sec]", cells, runtimeSecs))
-	return rep
-}
-
 // Fig15 reproduces the Mapper's tracking accuracy over time during the
 // Eclipse run: tracked pages should coincide with the guest page cache
 // excluding dirty pages.

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"strconv"
 
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/scenario"
@@ -13,12 +14,13 @@ import (
 // This file compiles a validated scenario.Scenario onto the experiment
 // machinery: runSingle for controlled-memory runs, dynamicGrid for
 // phased fleets and clusterPolicies for multi-host policy grids, the same
-// cells the hand-coded figures use. The scenario name keys every cell's
-// seed derivation, and the scenario's source digest keys its single-mode
-// and dynamic cells in the invocation's memo. The registry's fig3, fig9,
-// fig14 and fleetN entries are scenario files run through here, and fig4
-// and backendN render cells of fig14.yaml and backends.yaml (see
-// registry.go), so `vswapsim run scenarios/fig3.yaml` and
+// cells the hand-coded figures use. The scenario name keys the seed
+// derivation of every sweep, dynamic and cluster cell, and the scenario's
+// source digest keys its single-mode and dynamic cells in the
+// invocation's memo. The registry's fig3, fig5, fig9, fig12, fig13, fig14
+// and fleetN entries are scenario files run through here, and fig4, fig11
+// and backendN render cells of fig14.yaml, pbzip.yaml and backends.yaml
+// (see registry.go), so `vswapsim run scenarios/fig3.yaml` and
 // `vswapsim -run fig3` reach one definition, and a report that runs both
 // simulates their cells once.
 
@@ -39,7 +41,7 @@ func scenarioJob(o Options, w scenario.Workload, vm *hyper.VM, after func(int)) 
 	case scenario.KindSeqRead:
 		return workload.SeqRead(vm, workload.SeqReadConfig{
 			FileMB:         o.mb(w.FileMB),
-			Iterations:     scenarioIters(o, w),
+			Iterations:     w.Iters(o.Quick),
 			AfterIteration: after,
 		})
 	case scenario.KindAllocTouch:
@@ -49,18 +51,22 @@ func scenarioJob(o Options, w scenario.Workload, vm *hyper.VM, after func(int)) 
 			InputMB: o.mb(w.InputMB),
 			TableMB: o.mb(w.TableMB),
 		})
+	case scenario.KindPbzip2:
+		return workload.Pbzip2(vm, workload.Pbzip2Config{
+			InputMB:      o.mb(w.InputMB),
+			WorkingPages: o.count(workload.Pbzip2WorkingPages),
+		})
+	case scenario.KindKernbench:
+		return workload.Kernbench(vm, workload.KernbenchConfig{Files: o.count(w.FileCount(o.Quick))})
+	case scenario.KindEclipse:
+		return workload.Eclipse(vm, workload.EclipseConfig{
+			HeapMB:      o.mb(w.HeapMB),
+			JVMAnonMB:   o.mb(w.JVMAnonMB),
+			WorkspaceMB: o.mb(w.WorkspaceMB),
+			Iterations:  w.Iters(o.Quick),
+		})
 	}
 	panic("experiment: unreachable workload kind " + w.Kind) // validation rejects others
-}
-
-// scenarioIters resolves the iteration count under -quick. Zero means
-// "workload default" (one pass), matching the hand-coded figures that
-// omit Iterations.
-func scenarioIters(o Options, w scenario.Workload) int {
-	if o.Quick && w.QuickIterations > 0 {
-		return w.QuickIterations
-	}
-	return w.Iterations
 }
 
 // scenarioOpts folds a scenario's declarations into o the way every grid
@@ -75,11 +81,7 @@ func runScenario(sc *scenario.Scenario, o Options) *Report {
 	rep := &Report{ID: sc.Name, Title: sc.Title, PaperNote: sc.PaperNote}
 	switch sc.Mode {
 	case scenario.ModeDynamic:
-		counts := sc.Fleet.Counts
-		if o.Quick && len(sc.Fleet.QuickCounts) > 0 {
-			counts = sc.Fleet.QuickCounts
-		}
-		rep.cells = dynamicGrid(o, sc, counts)
+		rep.cells = dynamicGrid(o, sc, sc.Fleet.GuestCounts(o.Quick))
 		rep.Tables = append(rep.Tables,
 			pivot(sc.TableTitle, "guests", rep.cells, cell.guestsLabel, cell.schemeLabel, fleetRuntime))
 	case scenario.ModeCluster:
@@ -98,14 +100,20 @@ func runScenario(sc *scenario.Scenario, o Options) *Report {
 
 // ---- single mode ----
 
-// singleCells runs a single-mode scenario's grid: its schemes in order,
-// repeated per declared backend tier. Schemes run serially with the
-// invocation seed, exactly like the hand-coded single-guest figures. With
-// more than one declared backend (panels and timelines are rejected by
-// validation there) each tier runs on its own derived seed so the tiers'
+// singleCells runs a single-mode scenario's grid, tiers × schemes ×
+// allocations, scheme-major within each tier. A sweep (actual_mb as a
+// sequence) fans its cells out on the worker pool, each on a seed
+// derived from (Seed, scenario name, scheme, allocation), so a cell is
+// the same in any order. A fixed file runs its cells in order on the
+// invocation seed, like the hand-coded single-guest figures: fanned out,
+// its cells would each hold a machine beside other documents' cells at
+// once, which raises a serving daemon's peak memory and not its
+// throughput. With more
+// than one declared backend (validation rejects sweeps, panels and
+// timelines there) each tier runs on its own derived seed so the tiers'
 // streams stay independent; a single backend is o's tier (see withTier)
 // and keeps the invocation seed, so a scenario equals the -swapback CLI
-// form exactly.
+// form exactly. Every cell's memo entry keys on the scenario's source.
 func singleCells(sc *scenario.Scenario, o Options) []cell {
 	// Timeline injection stays live unless an explicit fault plan replaced
 	// the scenario's own (see ForScenario).
@@ -132,35 +140,47 @@ func singleCells(sc *scenario.Scenario, o Options) []cell {
 	if !multi {
 		kinds = []swapback.Kind{o.Swapback}
 	}
-	var cells []cell
-	for _, k := range kinds {
-		ko := o
-		ko.Swapback = k
-		if multi {
-			ko.Seed = sim.DeriveSeed(o.Seed, "swapback", k.String())
-		}
-		opts := ko.Key()
-		for _, ref := range sc.Schemes {
-			s := ref.Scheme
-			cells = append(cells, ko.shared(cellKey{def: sc.Digest, seed: ko.Seed, tier: k, scheme: s, opts: opts}, func() cell {
-				return singleCell(sc, ko, s, hostTweak, timelineFaults)
-			}))
-		}
+	sweep := sc.Fleet.Sweep != nil
+	sizes := sc.Fleet.Sizes(o.Quick)
+	fan := o
+	if !sweep {
+		fan.Parallel = 1
 	}
+	per := len(sc.Schemes) * len(sizes)
+	cells := make([]cell, len(kinds)*per)
+	fan.forEach(len(cells), func(i int) {
+		k, s, size := kinds[i/per], sc.Schemes[i%per/len(sizes)].Scheme, sizes[i%len(sizes)]
+		ko, seed := o, o.Seed
+		ko.Swapback = k
+		switch {
+		case multi:
+			ko.Seed = sim.DeriveSeed(o.Seed, "swapback", k.String())
+			seed = ko.Seed
+		case sweep:
+			seed = sim.DeriveSeed(o.Seed, sc.Name, s.String(), strconv.Itoa(size))
+		}
+		key := cellKey{def: sc.Digest, seed: seed, tier: k, scheme: s, point: size, opts: ko.Key()}
+		cells[i] = ko.shared(key, func() cell {
+			return singleCell(sc, ko, s, size, seed, hostTweak, timelineFaults)
+		})
+	})
 	return cells
 }
 
-// singleCell runs one scheme of a single-mode scenario. Its panels
-// reproduce the Fig. 9 shape: counter panels sample one shared Met.Diff
-// per iteration, the runtime panel reads the cell's iterations.
-func singleCell(sc *scenario.Scenario, o Options, s scenario.Scheme,
+// singleCell runs one scheme of a single-mode scenario at one
+// allocation. A fixed file's panels reproduce the Fig. 9 shape: counter
+// panels sample one shared Met.Diff per iteration, the runtime panel
+// reads the cell's iterations. A sweep's panels read the whole cell (see
+// renderSingle).
+func singleCell(sc *scenario.Scenario, o Options, s scenario.Scheme, size int, seed uint64,
 	hostTweak func(*hyper.MachineConfig), timelineFaults bool) cell {
+	sampled := len(sc.Panels) > 0 && sc.Fleet.Sweep == nil
 	panels := make([][]string, len(sc.Panels))
 	var notes []string
 	c := runSingle(runCfg{
-		opts: o, scheme: s,
+		opts: o, scheme: s, seed: seed,
 		guestMB:         sc.Fleet.MemoryMB,
-		actualMB:        sc.Fleet.ActualMB,
+		actualMB:        size,
 		hostMB:          sc.Fleet.HostMB,
 		vcpus:           sc.Fleet.VCPUs,
 		warmup:          sc.Fleet.Warmup,
@@ -168,14 +188,14 @@ func singleCell(sc *scenario.Scenario, o Options, s scenario.Scheme,
 		hostTweak:       hostTweak,
 	}, func(vm *hyper.VM, p *sim.Proc) *workload.Job {
 		var after func(int)
-		if len(sc.Panels) > 0 {
+		if sampled {
 			lastSnap := vm.M.Met.Snapshot()
 			after = func(int) {
 				d := vm.M.Met.Diff(lastSnap)
 				lastSnap = vm.M.Met.Snapshot()
 				for i, pn := range sc.Panels {
 					if pn.Counter != "" {
-						panels[i] = append(panels[i], fmt.Sprintf("%.1f", float64(d[pn.Counter])/pn.Per))
+						panels[i] = append(panels[i], perUnit(float64(d[pn.Counter]), pn))
 					}
 				}
 			}
@@ -187,19 +207,40 @@ func singleCell(sc *scenario.Scenario, o Options, s scenario.Scheme,
 		return job
 	})
 	for i, pn := range sc.Panels {
-		if pn.Counter == "" {
+		if sampled && pn.Counter == "" {
 			for _, it := range c.iters {
-				panels[i] = append(panels[i], secs(it))
+				panels[i] = append(panels[i], perUnit(it.Seconds(), pn))
 			}
 		}
 	}
-	c.panels, c.notes = panels, notes
+	c.size, c.panels, c.notes = size, panels, notes
 	return c
 }
 
+// perUnit formats a panel's sample v in the panel's unit.
+func perUnit(v float64, pn scenario.Panel) string { return fmt.Sprintf("%.1f", v/pn.Per) }
+
 // renderSingle renders a single-mode scenario's runtime table, its panels
-// and its cells' timeline notes, in run order.
+// and its cells' timeline notes, in run order. A sweep's table and each
+// of its panels is one pivot: a row per allocation, a column per scheme.
 func renderSingle(sc *scenario.Scenario, o Options, rep *Report) {
+	for _, c := range rep.cells {
+		rep.Notes = append(rep.Notes, c.notes...)
+	}
+	if sc.Fleet.Sweep != nil {
+		if sc.TableTitle != "" {
+			rep.Tables = append(rep.Tables, sweepTable(sc.TableTitle, rep.cells, runtimeSecs))
+		}
+		for _, pn := range sc.Panels {
+			rep.Tables = append(rep.Tables, sweepTable(pn.Title, rep.cells, func(c cell) string {
+				if pn.Counter != "" {
+					return perUnit(float64(c.met[pn.Counter]), pn)
+				}
+				return c.runtimeOrKilled(func(d sim.Duration) string { return perUnit(d.Seconds(), pn) })
+			}))
+		}
+		return
+	}
 	if sc.TableTitle != "" {
 		withPaper := false
 		for _, ref := range sc.Schemes {
@@ -226,7 +267,7 @@ func renderSingle(sc *scenario.Scenario, o Options, rep *Report) {
 		rep.Tables = append(rep.Tables, tab)
 	}
 	// Panels come with one tier only, so the cells are the schemes' columns.
-	iters := scenarioIters(o, sc.Workload)
+	iters := sc.Workload.Iters(o.Quick)
 	for i, pn := range sc.Panels {
 		tab := &Table{Title: pn.Title, Columns: []string{"iteration"}}
 		for _, ref := range sc.Schemes {
@@ -244,9 +285,6 @@ func renderSingle(sc *scenario.Scenario, o Options, rep *Report) {
 			tab.Add(row...)
 		}
 		rep.Tables = append(rep.Tables, tab)
-	}
-	for _, c := range rep.cells {
-		rep.Notes = append(rep.Notes, c.notes...)
 	}
 }
 

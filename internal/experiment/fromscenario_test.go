@@ -3,15 +3,19 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"vswapsim/internal/hyper"
 	"vswapsim/internal/scenario"
+	"vswapsim/internal/sim"
 	"vswapsim/internal/swapback"
+	"vswapsim/internal/workload"
 	"vswapsim/scenarios"
 )
 
@@ -122,6 +126,35 @@ func TestDeclaredTierEqualsFlags(t *testing.T) {
 	}
 }
 
+// TestRuntimePanelPer: a fixed file's runtime panel divides by its per,
+// as a counter panel does. fig9 with its runtime panel in minutes prints
+// fig9's seconds over 60, up to the rounding of both.
+func TestRuntimePanelPer(t *testing.T) {
+	text, err := scenarios.FS.ReadFile("fig9.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := strings.Replace(string(text), "    source: runtime\n", "    source: runtime\n    per: 60\n", 1)
+	sc, err := scenario.Parse([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mins := FromScenario(sc).Run(goldenOpts()).Tables[0]
+	secs := serialRun(t, "fig9").Report.Tables[0]
+	if len(mins.Rows) != len(secs.Rows) || len(secs.Rows) == 0 {
+		t.Fatalf("runtime panels have %d and %d rows", len(mins.Rows), len(secs.Rows))
+	}
+	for i, row := range secs.Rows {
+		for j := 1; j < len(row); j++ {
+			s, err1 := strconv.ParseFloat(row[j], 64)
+			m, err2 := strconv.ParseFloat(mins.Rows[i][j], 64)
+			if err1 != nil || err2 != nil || math.Abs(m-s/60) > 0.05+0.05/60+1e-9 {
+				t.Errorf("iteration %s, %s: %q min for %q s", row[0], secs.Columns[j], mins.Rows[i][j], row[j])
+			}
+		}
+	}
+}
+
 // TestSingleOutHoldsNoMachine pins what every grid keeps of each cell
 // until the report is built: the cell record, which holds coordinates and
 // measures only. A field that reaches a hyper.Machine or hyper.VM keeps
@@ -204,5 +237,42 @@ assertions:
 	}
 	if !failNote || !summary {
 		t.Fatalf("assertion failure not reported in notes: %v", rep.Notes)
+	}
+}
+
+// TestScaledCountsFloorAtOne: a count that scales below one unit runs one
+// unit. Truncated to zero it would read as the workload's paper-sized
+// default, so `files: 1` at -scale 0.125 would build 2800 units and
+// pbzip2 at a tiny scale would keep 5120 pages per thread.
+func TestScaledCountsFloorAtOne(t *testing.T) {
+	if got := (Options{Scale: 0.0001}).count(workload.Pbzip2WorkingPages); got != 1 {
+		t.Errorf("pbzip2 working pages at -scale 0.0001 = %d, want 1", got)
+	}
+	sc, err := scenario.Parse([]byte(`scenario: one-unit
+title: "one compilation unit"
+mode: single
+fleet:
+  memory_mb: 512
+  actual_mb: 512
+schemes: [baseline]
+workload:
+  kind: kernbench
+  files: 1
+  quick_files: 1
+table:
+  title: "runtime [sec]"
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, quick := range []bool{false, true} {
+		o := goldenOpts()
+		o.Quick = quick
+		c := FromScenario(sc).Run(o).cells[0]
+		// Units compile one after another on the guest's one VCPU, 420 ms
+		// each, so a second unit would double the runtime.
+		if c.runtime < 420*sim.Millisecond || c.runtime >= 840*sim.Millisecond {
+			t.Errorf("quick=%v: runtime %v, want one unit's compile", quick, c.runtime)
+		}
 	}
 }

@@ -205,19 +205,20 @@ func TestPbzipMemoKeysOnBackend(t *testing.T) {
 		}
 		exps = append(exps, e)
 	}
+	fig5 := exps[0].Run
 	hdd := memoOpts()
 	hdd.Parallel = 2 // fig5 and fig11 reach the memo at once
 	hdd = hdd.normalized()
 	ssd := hdd // shares hdd's invocation and memo
 	ssd.Swapback = swapback.SSD
 	hddRun := RunAll(exps, hdd, nil)[0]
-	afterHDD := Fig5(ssd).Fingerprint()
+	afterHDD := fig5(ssd).Fingerprint()
 	if n, want := len(hdd.memo.entries), 2*len(hddRun.Runs); n != want {
 		t.Fatalf("the invocation's memo holds %d cells, want %d (the hdd and the ssd sweep)", n, want)
 	}
 	fresh := memoOpts()
 	fresh.Swapback = swapback.SSD
-	freshFP := Fig5(fresh).Fingerprint()
+	freshFP := fig5(fresh).Fingerprint()
 	if freshFP == hddRun.Report.Fingerprint() {
 		t.Fatal("the ssd and hdd sweeps coincide; the test cannot tell them apart")
 	}

@@ -70,11 +70,12 @@ func TestRegistryIDsUnique(t *testing.T) {
 // TestViewsReadTheirFilesCells pins the registry entries that repeat a
 // scenario file's grid as views of that grid. The parallel golden pass is
 // one RunAll at the golden configuration over every registry entry and
-// every file. In it, fig4 prints fig14.yaml's 10-guest row, fleetN prints
-// fleet.yaml's tables and assertion notes, and backendN's runtimes are
-// backends.yaml's. Each view holds the very run records its file holds, as
-// do fig3, fig9 and fig14 beside their files and fig11 beside fig5, so
-// each shared cell was simulated once.
+// every file. In it, fig4 prints fig14.yaml's 10-guest row, fleetN and
+// fig5 print fleet.yaml's and pbzip.yaml's tables and notes, and
+// backendN's runtimes are backends.yaml's. Each view holds the very run
+// records its file holds, as do fig3, fig9, fig12, fig13 and fig14 beside
+// their files and fig11 beside pbzip.yaml, so each shared cell was
+// simulated once.
 func TestViewsReadTheirFilesCells(t *testing.T) {
 	docs, _, parallel := passes(t)
 	run := func(key string) goldenRun { return parallel.runs[docIndex(t, docs, key)] }
@@ -96,9 +97,11 @@ func TestViewsReadTheirFilesCells(t *testing.T) {
 		}
 	}
 
-	fleetN, fleet := run("fleetN").Report, run("scenarios/fleet.yaml").Report
-	if !reflect.DeepEqual(fleetN.Tables, fleet.Tables) || !reflect.DeepEqual(fleetN.Notes, fleet.Notes) {
-		t.Errorf("fleetN prints\n%s\nfleet.yaml prints\n%s", fleetN, fleet)
+	for _, pair := range [][2]string{{"fleetN", "scenarios/fleet.yaml"}, {"fig5", "scenarios/pbzip.yaml"}} {
+		view, file := run(pair[0]).Report, run(pair[1]).Report
+		if !reflect.DeepEqual(view.Tables, file.Tables) || !reflect.DeepEqual(view.Notes, file.Notes) {
+			t.Errorf("%s prints\n%s\n%s prints\n%s", pair[0], view, pair[1], file)
+		}
 	}
 
 	runtimes := map[string]string{}
@@ -118,7 +121,10 @@ func TestViewsReadTheirFilesCells(t *testing.T) {
 		{"backendN", "scenarios/backends.yaml"},
 		{"fig3", "scenarios/fig3.yaml"},
 		{"fig9", "scenarios/fig9.yaml"},
-		{"fig11", "fig5"},
+		{"fig5", "scenarios/pbzip.yaml"},
+		{"fig11", "scenarios/pbzip.yaml"},
+		{"fig12", "scenarios/fig12.yaml"},
+		{"fig13", "scenarios/fig13.yaml"},
 	} {
 		view, file := run(pair[0]).Runs, run(pair[1]).Runs
 		if len(view) == 0 {

@@ -112,3 +112,48 @@ func TestNewProcessRejectsIndexPastUint16(t *testing.T) {
 	}
 	mustPanicWith(t, "number 65536", func() { g.os.NewProcess("one-too-many") })
 }
+
+// TestWritebackLeavesReboundFrame: reclaim queues an anon page for
+// writeback and blocks in the disk write; meanwhile its process frees the
+// page and touches it again, which binds the same frame (the free list
+// hands back the frame freed last) to the same page. The completion must
+// see that the frame was reused, since a queued frame is on no list until
+// its write completes, and leave it resident with its new owner.
+func TestWritebackLeavesReboundFrame(t *testing.T) {
+	g := newGuest(t, 2048, nil)
+	os := g.os
+	g.run(t, func(th *Thread) {
+		pr := os.NewProcess("app")
+		pr.Reserve(1000)
+		for i := 0; i < 1000; i++ {
+			th.TouchAnon(pr, i, true)
+		}
+		for i := range os.pages {
+			os.pages[i].referenced = false
+		}
+		os.Go("reclaim", nil, func(rt *Thread) { os.shrinkLists(rt, 8) })
+		th.P.Sleep(g.plat.diskLat / 2) // the reclaimer is now inside DiskWrite
+		idx := -1
+		for i := range pr.slots {
+			if s := pr.slots[i]; s.resident() && os.pages[s.gfn].list == listNone {
+				idx = i
+				break
+			}
+		}
+		if idx < 0 {
+			t.Fatal("reclaim queued no anon page for writeback")
+		}
+		gfn := pr.slots[idx].gfn
+		th.FreeAnon(pr, idx)
+		th.TouchAnon(pr, idx, true)
+		if got := pr.slots[idx].gfn; got != gfn {
+			t.Fatalf("re-touch bound GFN %d, want the freed GFN %d", got, gfn)
+		}
+		th.P.Sleep(4 * g.plat.diskLat) // the write completes
+		s, pi := pr.slots[idx], os.pages[gfn]
+		if !s.resident() || s.gfn != gfn || pi.kind != kindAnon ||
+			(pi.list != listActiveAnon && pi.list != listInactiveAnon) {
+			t.Fatalf("after the write, page %d is %+v and its frame %+v: want it resident on an anon list", idx, s, pi)
+		}
+	})
+}

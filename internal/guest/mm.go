@@ -211,15 +211,19 @@ func (os *OS) writebackAndFree(t *Thread, bufs *ioBufs) int {
 		os.Plat.DiskWrite(t.P, gfns, run[0].block)
 		start = i
 	}
+	// A queued frame stays off every list until its write completes, so a
+	// frame found on a list was freed and reused meanwhile, even if by the
+	// very page it held: it belongs to its new owner.
 	freed := 0
 	for _, w := range items {
 		pi := &os.pages[w.gfn]
 		if w.anon {
 			// The page may have vanished while the write was in flight
-			// (OOM kill of its process): release the now-unused slot.
+			// (freed, or its process OOM-killed): release the now-unused
+			// slot.
 			pr := os.proc(w.proc)
-			if pi.kind != kindAnon || os.anonOwner[w.gfn] != w.proc || pi.block != w.idx ||
-				pr.slots[w.idx].gfn != w.gfn {
+			if pi.kind != kindAnon || pi.list != listNone || os.anonOwner[w.gfn] != w.proc ||
+				pi.block != w.idx || pr.slots[w.idx].gfn != w.gfn {
 				os.swap.release(w.slot)
 				continue
 			}
@@ -230,7 +234,7 @@ func (os *OS) writebackAndFree(t *Thread, bufs *ioBufs) int {
 			os.swap.setOwner(w.slot, w.proc, w.idx)
 			os.c.swapOuts.Inc()
 		} else {
-			if pi.kind != kindCache {
+			if pi.kind != kindCache || pi.list != listNone {
 				continue // dropped concurrently
 			}
 			os.cache.del(int64(pi.block))

@@ -26,7 +26,8 @@ func known[T comparable](t *testing.T, v T, parse func(string) (T, error)) {
 // the typed values: a declared mode, at least one scheme, every decoded
 // name a value of its vocabulary, and a workload kind the executor can
 // build (or, in cluster mode, a remediation list in place of a
-// workload).
+// workload), and a sweep with one backend, no assertions and no
+// timeline.
 func FuzzScenarioParse(f *testing.F) {
 	seeds := []string{
 		validSingle,
@@ -47,6 +48,10 @@ func FuzzScenarioParse(f *testing.F) {
 		"a: \"unterminated\nb: 'quote\n",
 		"fleet:\n  counts: [1, 2, 3,\n",
 		"scenario: x\nscenario: x\n",
+		validSweep,
+		"fleet:\n  memory_mb: 512\n  actual_mb: [512, 512]\n  quick_actual_mb: [0]\n",
+		"fleet:\n  actual_mb: 100\n  quick_actual_mb: [100]\n",
+		"workload:\n  kind: eclipse\n  heap_mb: 128\n  iterations: 0\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -108,9 +113,12 @@ func FuzzScenarioParse(f *testing.F) {
 			return
 		}
 		switch sc.Workload.Kind {
-		case KindSeqRead, KindAllocTouch, KindMetis:
+		case KindSeqRead, KindAllocTouch, KindMetis, KindPbzip2, KindKernbench, KindEclipse:
 		default:
 			t.Fatalf("accepted scenario has workload kind %q", sc.Workload.Kind)
+		}
+		if sc.Fleet.Sweep != nil && (len(sc.Backends) > 1 || len(sc.Assertions) > 0 || len(sc.Timeline) > 0) {
+			t.Fatal("accepted sweep declares a backend list, assertions or a timeline")
 		}
 	})
 }

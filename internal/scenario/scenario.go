@@ -72,6 +72,9 @@ const (
 	KindSeqRead    = "seqread"
 	KindAllocTouch = "alloctouch"
 	KindMetis      = "metis"
+	KindPbzip2     = "pbzip2"
+	KindKernbench  = "kernbench"
+	KindEclipse    = "eclipse"
 )
 
 // Timeline event kinds.
@@ -194,8 +197,14 @@ type SchemeRef struct {
 // -scale flag scales them exactly like the hand-coded figures.
 type Fleet struct {
 	// single mode
-	MemoryMB        int  // believed guest memory (required)
-	ActualMB        int  // cgroup allocation (required)
+	MemoryMB int // believed guest memory (required)
+	// ActualMB is the cgroup allocation (required). actual_mb may instead
+	// be a sequence, which makes the file a sweep (the §5.1 shape): every
+	// scheme runs at each allocation in Sweep, or in QuickSweep
+	// (quick_actual_mb) under -quick.
+	ActualMB        int
+	Sweep           []int
+	QuickSweep      []int
 	HostMB          int  // physical host memory (0 = 4x memory_mb)
 	VCPUs           int  // default 1 (single) / 2 (dynamic)
 	Warmup          bool // touch all free guest memory before measuring
@@ -208,26 +217,64 @@ type Fleet struct {
 	DiskMB      int   // per-guest disk image (0 = 20480)
 }
 
+// quickOr is the rule every quick_ key follows: under -quick, the value
+// a file declares there (has) replaces the full one.
+func quickOr[T any](quick, has bool, full, q T) T {
+	if quick && has {
+		return q
+	}
+	return full
+}
+
+// Sizes returns the cgroup allocations a single-mode file runs: a
+// sweep's, or the one fixed allocation.
+func (f Fleet) Sizes(quick bool) []int {
+	if f.Sweep == nil {
+		return []int{f.ActualMB}
+	}
+	return quickOr(quick, f.QuickSweep != nil, f.Sweep, f.QuickSweep)
+}
+
+// GuestCounts returns the guest counts a dynamic file runs.
+func (f Fleet) GuestCounts(quick bool) []int {
+	return quickOr(quick, f.QuickCounts != nil, f.Counts, f.QuickCounts)
+}
+
 // Workload parameterizes the per-guest workload.
 type Workload struct {
 	Kind string
 
-	// seqread
-	FileMB          int
+	// seqread and eclipse
 	Iterations      int
 	QuickIterations int // replaces Iterations under -quick
 
-	// alloctouch
-	SizeMB int
+	FileMB  int // seqread
+	SizeMB  int // alloctouch
+	InputMB int // metis and pbzip2
+	TableMB int // metis
+	// Files is kernbench's compilation units. It scales linearly, floored
+	// at one unit rather than at the 8 MB sizes have.
+	Files      int
+	QuickFiles int // replaces Files under -quick
 
-	// metis
-	InputMB int
-	TableMB int
+	HeapMB, JVMAnonMB, WorkspaceMB int // eclipse
 }
 
-// Panel is one per-iteration output table (the Fig. 9 shape): either the
-// workload's per-iteration runtimes (the runtime panel, no Counter) or a
-// counter delta per iteration.
+// Iters returns the iterations a seqread or eclipse workload runs (0 =
+// the workload's default).
+func (w Workload) Iters(quick bool) int {
+	return quickOr(quick, w.QuickIterations > 0, w.Iterations, w.QuickIterations)
+}
+
+// FileCount returns the compilation units a kernbench workload builds.
+func (w Workload) FileCount(quick bool) int {
+	return quickOr(quick, w.QuickFiles > 0, w.Files, w.QuickFiles)
+}
+
+// Panel is one output table of a single-mode file: the runtime (the
+// runtime panel, no Counter) or a counter delta, divided by Per. A fixed
+// file's panel has a row per iteration (the Fig. 9 shape), a sweep's a
+// row per allocation.
 type Panel struct {
 	Title   string
 	Counter string  // counter name of a counter panel; "" for the runtime panel
@@ -559,6 +606,18 @@ func (o *obj) intSeq(key string, required bool, max int) []int {
 	return out
 }
 
+// sizes reads an optional sequence of distinct positive integers.
+func (o *obj) sizes(key string, max int) []int {
+	l := o.intSeq(key, false, max)
+	for i, v := range l {
+		if slices.Contains(l[:i], v) {
+			o.d.fail(o.keyPos(key), "duplicate element %d of %q in %s", v, key, o.ctx)
+			return nil
+		}
+	}
+	return l
+}
+
 // faultPlan parses a fault spec string field into a Plan.
 func (o *obj) faultPlan(key string) (string, fault.Plan) {
 	n := o.get(key)
@@ -746,7 +805,12 @@ func (d *decoder) fleet(n *node, mode string) Fleet {
 		}
 	} else {
 		f.MemoryMB = o.reqInt("memory_mb", 1, maxMB)
-		f.ActualMB = o.reqInt("actual_mb", 1, maxMB)
+		if an := o.require("actual_mb"); an != nil && an.kind == seqNode {
+			f.Sweep = o.sizes("actual_mb", maxMB)
+			f.QuickSweep = o.sizes("quick_actual_mb", maxMB)
+		} else {
+			f.ActualMB = o.reqInt("actual_mb", 1, maxMB)
+		}
 		f.HostMB = o.intField("host_mb", 0, 0, maxMB)
 		f.VCPUs = o.intField("vcpus", 0, 0, 64)
 		f.Warmup = o.boolField("warmup")
@@ -925,10 +989,21 @@ func (d *decoder) workload(n *node, ctx, mode string) Workload {
 	case KindMetis:
 		w.InputMB = o.reqInt("input_mb", 1, maxMB)
 		w.TableMB = o.reqInt("table_mb", 1, maxMB)
+	case KindPbzip2:
+		w.InputMB = o.reqInt("input_mb", 1, maxMB)
+	case KindKernbench:
+		w.Files = o.reqInt("files", 1, 1<<20)
+		w.QuickFiles = o.intField("quick_files", 0, 1, 1<<20)
+	case KindEclipse:
+		w.HeapMB = o.reqInt("heap_mb", 1, maxMB)
+		w.JVMAnonMB = o.reqInt("jvm_anon_mb", 1, maxMB)
+		w.WorkspaceMB = o.reqInt("workspace_mb", 1, maxMB)
+		w.Iterations = o.intField("iterations", 0, 1, 1<<20)
+		w.QuickIterations = o.intField("quick_iterations", 0, 1, 1<<20)
 	default:
 		if d.err == nil {
-			d.fail(o.keyPos("kind"), "unknown workload kind %q in %s (valid: %s, %s, %s)",
-				w.Kind, ctx, KindSeqRead, KindAllocTouch, KindMetis)
+			d.fail(o.keyPos("kind"), "unknown workload kind %q in %s (valid: %s)", w.Kind, ctx,
+				strings.Join([]string{KindSeqRead, KindAllocTouch, KindMetis, KindPbzip2, KindKernbench, KindEclipse}, ", "))
 		}
 		return w
 	}
@@ -958,12 +1033,8 @@ func (d *decoder) panels(n *node, sc *Scenario) []Panel {
 		p.Title = o.reqStr("title")
 		switch source := o.reqStr("source"); source {
 		case "runtime":
-			o.get("counter") // mark known so the unknown-field hint stays stable
-			o.get("per")
-			if d.err == nil && it.kind == mapNode {
-				if cn, ok := it.vals["counter"]; ok {
-					d.fail(cn.pos, "panel source %q does not take a counter", source)
-				}
+			if cn := o.get("counter"); cn != nil && d.err == nil {
+				d.fail(cn.pos, "panel source %q does not take a counter", source)
 			}
 		case "counter":
 			p.Counter = o.reqStr("counter")
@@ -972,13 +1043,13 @@ func (d *decoder) panels(n *node, sc *Scenario) []Panel {
 					d.err = err
 				}
 			}
-			p.Per, _ = o.floatField("per", 1, 1e-9, 1e12)
 		default:
 			if d.err == nil {
 				d.fail(o.keyPos("source"), "panel source must be \"runtime\" or \"counter\", got %q", source)
 			}
 			return nil
 		}
+		p.Per, _ = o.floatField("per", 1, 1e-9, 1e12)
 		o.finish()
 		if d.err != nil {
 			return nil
@@ -1238,6 +1309,23 @@ func (d *decoder) crossChecks(root *node, sc *Scenario) {
 		}
 		return root.pos
 	}
+	if sc.Fleet.Sweep != nil {
+		// Neither an assertion, a paper value nor a timeline note can
+		// name an allocation of a sweep yet.
+		switch {
+		case len(sc.Backends) > 1:
+			d.fail(at("backend"), "a sweep (actual_mb as a sequence) runs one backend")
+		case len(sc.Assertions) > 0:
+			d.fail(at("assertions"), "assertions are not supported in a sweep (actual_mb as a sequence)")
+		case len(sc.Timeline) > 0:
+			d.fail(at("timeline"), "timeline events are not supported in a sweep (actual_mb as a sequence)")
+		case slices.ContainsFunc(sc.Schemes, func(r SchemeRef) bool { return r.Paper != "" }):
+			d.fail(at("schemes"), "paper reference values are not supported in a sweep (actual_mb as a sequence)")
+		}
+		if d.err != nil {
+			return
+		}
+	}
 	if len(sc.Backends) > 1 {
 		if sc.Mode != ModeSingle {
 			d.fail(at("backend"), "%s mode supports at most one backend", sc.Mode)
@@ -1278,7 +1366,7 @@ func (d *decoder) crossChecks(root *node, sc *Scenario) {
 			d.fail(at("scenario"), "single mode requires either a table title or panels")
 			return
 		}
-		if len(sc.Panels) > 0 {
+		if len(sc.Panels) > 0 && sc.Fleet.Sweep == nil {
 			if sc.Workload.Kind != KindSeqRead {
 				d.fail(at("panels"), "panels require the seqread workload (per-iteration sampling)")
 				return

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,6 +50,110 @@ func TestParseValidSingle(t *testing.T) {
 	if sc.TableTitle != "runtime [sec]" {
 		t.Fatalf("table title %q", sc.TableTitle)
 	}
+}
+
+// validSweep is a single-mode sweep: actual_mb as a sequence with a
+// quick list, a kernbench workload, and a runtime and a counter panel.
+const validSweep = `scenario: sweep
+title: "sweep"
+mode: single
+fleet:
+  memory_mb: 512
+  actual_mb: [512, 320, 192]
+  quick_actual_mb: [512, 192]
+  warmup: true
+schemes: [baseline, vswapper]
+workload:
+  kind: kernbench
+  files: 2800
+  quick_files: 600
+panels:
+  - title: "runtime [min]"
+    source: runtime
+    per: 60
+  - title: "remaps [1000s]"
+    source: counter
+    counter: vswap.preventer.remaps
+    per: 1000
+`
+
+// TestParseSweep: actual_mb as a sequence makes a sweep, quick_actual_mb
+// replaces it under -quick, and a sweep's panels take any workload kind,
+// the runtime panel with its per.
+func TestParseSweep(t *testing.T) {
+	sc, err := Parse([]byte(validSweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := sc.Fleet
+	if f.ActualMB != 0 || !slices.Equal(f.Sweep, []int{512, 320, 192}) || !slices.Equal(f.QuickSweep, []int{512, 192}) {
+		t.Fatalf("fleet %+v", f)
+	}
+	if got := f.Sizes(false); !slices.Equal(got, f.Sweep) {
+		t.Errorf("Sizes(false) = %v, want the sweep", got)
+	}
+	if got := f.Sizes(true); !slices.Equal(got, f.QuickSweep) {
+		t.Errorf("Sizes(true) = %v, want the quick sweep", got)
+	}
+	if w := sc.Workload; w != (Workload{Kind: KindKernbench, Files: 2800, QuickFiles: 600}) {
+		t.Errorf("workload %+v", w)
+	}
+	if full, q := sc.Workload.FileCount(false), sc.Workload.FileCount(true); full != 2800 || q != 600 {
+		t.Errorf("FileCount = %d, quick %d; want 2800, quick 600", full, q)
+	}
+	want := []Panel{{Title: "runtime [min]", Per: 60}, {Title: "remaps [1000s]", Counter: "vswap.preventer.remaps", Per: 1000}}
+	if !slices.Equal(sc.Panels, want) {
+		t.Errorf("panels %+v, want %+v", sc.Panels, want)
+	}
+
+	// Without a quick list a sweep runs its list under -quick too, and a
+	// fixed file runs its one allocation.
+	f.QuickSweep = nil
+	if got := f.Sizes(true); !slices.Equal(got, f.Sweep) {
+		t.Errorf("Sizes(true) without a quick list = %v, want the sweep", got)
+	}
+	fixed, err := Parse([]byte(validSingle))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fixed.Fleet.Sizes(true); !slices.Equal(got, []int{100}) || fixed.Fleet.Sweep != nil {
+		t.Errorf("fixed file runs %v (sweep %v), want [100]", got, fixed.Fleet.Sweep)
+	}
+}
+
+// TestParseWorkloadKinds: each workload kind decodes its fields.
+func TestParseWorkloadKinds(t *testing.T) {
+	for _, c := range []struct {
+		body string
+		want Workload
+	}{
+		{"  kind: seqread\n  file_mb: 200\n  iterations: 8\n  quick_iterations: 4\n",
+			Workload{Kind: KindSeqRead, FileMB: 200, Iterations: 8, QuickIterations: 4}},
+		{"  kind: alloctouch\n  size_mb: 200\n", Workload{Kind: KindAllocTouch, SizeMB: 200}},
+		{"  kind: metis\n  input_mb: 300\n  table_mb: 1024\n", Workload{Kind: KindMetis, InputMB: 300, TableMB: 1024}},
+		{"  kind: pbzip2\n  input_mb: 448\n", Workload{Kind: KindPbzip2, InputMB: 448}},
+		{"  kind: kernbench\n  files: 2800\n", Workload{Kind: KindKernbench, Files: 2800}},
+		{"  kind: eclipse\n  heap_mb: 128\n  jvm_anon_mb: 230\n  workspace_mb: 120\n  iterations: 6\n  quick_iterations: 3\n",
+			Workload{Kind: KindEclipse, HeapMB: 128, JVMAnonMB: 230, WorkspaceMB: 120, Iterations: 6, QuickIterations: 3}},
+	} {
+		doc := strings.Replace(validSingle, "  kind: seqread\n  file_mb: 200\n", c.body, 1)
+		sc, err := Parse([]byte(doc))
+		if err != nil {
+			t.Errorf("%s: %v", c.want.Kind, err)
+			continue
+		}
+		if sc.Workload != c.want {
+			t.Errorf("%s decodes to %+v, want %+v", c.want.Kind, sc.Workload, c.want)
+		}
+	}
+}
+
+// sweepDoc is a single-mode file whose fleet allocation lines, workload
+// body and trailing sections are given. With one allocation line, the
+// workload body starts at line 9 and the table at line 11.
+func sweepDoc(actual, workload, tail string) string {
+	return "scenario: x\ntitle: t\nmode: single\nfleet:\n  memory_mb: 512\n" + actual +
+		"schemes: [baseline]\nworkload:\n" + workload + "table:\n  title: t\n" + tail
 }
 
 // vocabulary lists a vocabulary as its owner defines it: the name of
@@ -164,6 +269,9 @@ assertions:
 	}
 	if sc.Fleet.VCPUs != 2 || sc.Fleet.StaggerSec != 10 || sc.Fleet.DiskMB != 20*1024 {
 		t.Fatalf("dynamic fleet defaults %+v", sc.Fleet)
+	}
+	if full, q := sc.Fleet.GuestCounts(false), sc.Fleet.GuestCounts(true); !slices.Equal(full, []int{1, 4}) || !slices.Equal(q, []int{1}) {
+		t.Errorf("GuestCounts = %v, quick %v; want [1 4], quick [1]", full, q)
 	}
 	if len(sc.Assertions) != 2 || sc.Assertions[0].Threshold() || !sc.Assertions[1].Threshold() {
 		t.Fatalf("assertions %+v", sc.Assertions)
@@ -370,7 +478,82 @@ func TestValidateMalformed(t *testing.T) {
 		{
 			"unknown workload kind",
 			"scenario: x\ntitle: t\nmode: single\nfleet:\n  memory_mb: 512\n  actual_mb: 100\nschemes: [baseline]\nworkload:\n  kind: cryptomine\n  file_mb: 200\ntable:\n  title: t\n",
-			9, `unknown workload kind "cryptomine"`,
+			9, `unknown workload kind "cryptomine" in workload (valid: seqread, alloctouch, metis, pbzip2, kernbench, eclipse)`,
+		},
+		{
+			"quick_actual_mb beside a scalar actual_mb",
+			sweepDoc("  actual_mb: 100\n  quick_actual_mb: [100]\n", "  kind: pbzip2\n  input_mb: 64\n", ""),
+			7, `unknown field "quick_actual_mb" in fleet`,
+		},
+		{
+			"duplicate sweep allocation",
+			sweepDoc("  actual_mb: [512, 256, 512]\n", "  kind: pbzip2\n  input_mb: 64\n", ""),
+			6, `duplicate element 512 of "actual_mb" in fleet`,
+		},
+		{
+			"sweep with a backend list",
+			strings.Replace(sweepDoc("  actual_mb: [512, 256]\n", "  kind: pbzip2\n  input_mb: 64\n", ""),
+				"mode: single\n", "mode: single\nbackend: [hdd, ssd]\n", 1),
+			4, "a sweep (actual_mb as a sequence) runs one backend",
+		},
+		{
+			"sweep with assertions",
+			sweepDoc("  actual_mb: [512, 256]\n", "  kind: pbzip2\n  input_mb: 64\n",
+				"assertions:\n  - counter: disk.ops\n    scheme: baseline\n    op: \"==\"\n    value: 0\n"),
+			13, "assertions are not supported in a sweep",
+		},
+		{
+			"sweep with a timeline",
+			sweepDoc("  actual_mb: [512, 256]\n", "  kind: pbzip2\n  input_mb: 64\n",
+				"timeline:\n  - at_sec: 1\n    event: balloon_set\n    target_mb: 0\n"),
+			13, "timeline events are not supported in a sweep",
+		},
+		{
+			"sweep with paper values",
+			strings.Replace(sweepDoc("  actual_mb: [512, 256]\n", "  kind: pbzip2\n  input_mb: 64\n", ""),
+				"schemes: [baseline]\n", "schemes:\n  - name: baseline\n    paper: \"1.0\"\n", 1),
+			7, "paper reference values are not supported in a sweep",
+		},
+		{
+			"pbzip2 without input_mb",
+			sweepDoc("  actual_mb: [512, 256]\n", "  kind: pbzip2\n", ""),
+			9, `missing required field "input_mb" in workload`,
+		},
+		{
+			"kernbench without files",
+			sweepDoc("  actual_mb: [512, 256]\n", "  kind: kernbench\n  quick_files: 10\n", ""),
+			9, `missing required field "files" in workload`,
+		},
+		{
+			"kernbench quick_files out of range",
+			sweepDoc("  actual_mb: [512, 256]\n", "  kind: kernbench\n  files: 100\n  quick_files: 0\n", ""),
+			11, `field "quick_files" in workload out of range: 0 not in [1, 1048576]`,
+		},
+		{
+			"eclipse without heap_mb",
+			sweepDoc("  actual_mb: [512, 256]\n", "  kind: eclipse\n  jvm_anon_mb: 230\n  workspace_mb: 120\n", ""),
+			9, `missing required field "heap_mb" in workload`,
+		},
+		{
+			"eclipse without jvm_anon_mb",
+			sweepDoc("  actual_mb: [512, 256]\n", "  kind: eclipse\n  heap_mb: 128\n  workspace_mb: 120\n", ""),
+			9, `missing required field "jvm_anon_mb" in workload`,
+		},
+		{
+			"eclipse without workspace_mb",
+			sweepDoc("  actual_mb: [512, 256]\n", "  kind: eclipse\n  heap_mb: 128\n  jvm_anon_mb: 230\n", ""),
+			9, `missing required field "workspace_mb" in workload`,
+		},
+		{
+			"eclipse iterations out of range",
+			sweepDoc("  actual_mb: [512, 256]\n", "  kind: eclipse\n  heap_mb: 128\n  jvm_anon_mb: 230\n  workspace_mb: 120\n  iterations: 0\n", ""),
+			13, `field "iterations" in workload out of range: 0 not in [1, 1048576]`,
+		},
+		{
+			"fixed file's panels still need seqread",
+			strings.Replace(sweepDoc("  actual_mb: 256\n", "  kind: pbzip2\n  input_mb: 64\n", ""),
+				"table:\n  title: t\n", "panels:\n  - title: p\n    source: runtime\n", 1),
+			11, "panels require the seqread workload",
 		},
 		{
 			"out-of-order timeline",

@@ -18,15 +18,18 @@ type MetisConfig struct {
 	InputMB int
 	// TableMB is the aggregate intermediate table size (~1 GB).
 	TableMB int
-	// Buckets is how many table regions fill concurrently.
-	Buckets int
-	// Threads matches the guest's VCPUs (paper: 2).
-	Threads int
 	// CPUPerBlock is map-phase parsing/hashing cost per input block.
 	CPUPerBlock sim.Duration
-	// CPUPerTablePage is reduce-phase cost per table page.
-	CPUPerTablePage sim.Duration
 }
+
+const (
+	// metisBuckets is how many table regions fill concurrently.
+	metisBuckets = 16
+	// metisThreads matches the guest's VCPUs (paper: 2).
+	metisThreads = 2
+	// metisCPUPerTablePage is reduce-phase cost per table page.
+	metisCPUPerTablePage = 40 * sim.Microsecond
+)
 
 func (c MetisConfig) withDefaults() MetisConfig {
 	if c.InputMB == 0 {
@@ -35,17 +38,8 @@ func (c MetisConfig) withDefaults() MetisConfig {
 	if c.TableMB == 0 {
 		c.TableMB = 1024
 	}
-	if c.Buckets == 0 {
-		c.Buckets = 16
-	}
-	if c.Threads == 0 {
-		c.Threads = 2
-	}
 	if c.CPUPerBlock == 0 {
 		c.CPUPerBlock = 280 * sim.Microsecond
-	}
-	if c.CPUPerTablePage == 0 {
-		c.CPUPerTablePage = 40 * sim.Microsecond
 	}
 	return c
 }
@@ -57,16 +51,16 @@ func Metis(vm *hyper.VM, cfg MetisConfig) *Job {
 	return launch(vm, "metis", pr, func(t *guest.Thread, j *Job) {
 		input := vm.OS.FS.Create("metis.in", int64(cfg.InputMB)<<20)
 		tablePages := cfg.TableMB << 20 / 4096
-		perBucket := tablePages / cfg.Buckets
-		table := pr.Reserve(cfg.Buckets * perBucket)
+		perBucket := tablePages / metisBuckets
+		table := pr.Reserve(metisBuckets * perBucket)
 
 		// bucket fill cursors: (page index within bucket, offset in page)
 		type cursor struct{ page, off int }
-		cursors := make([]cursor, cfg.Buckets)
+		cursors := make([]cursor, metisBuckets)
 		rng := vm.M.Env.Rand().Fork()
 
 		inputBlocks := int(input.SizeBytes() / 4096)
-		perThread := (inputBlocks + cfg.Threads - 1) / cfg.Threads
+		perThread := (inputBlocks + metisThreads - 1) / metisThreads
 		const recordBytes = 2048 // k/v pairs flushed in batches
 		// The paper's word-count emits ~1 GB of table data from 300 MB of
 		// input; derive the per-block record count so the configured table
@@ -76,8 +70,8 @@ func Metis(vm *hyper.VM, cfg MetisConfig) *Job {
 			recordsPerBlock = 1
 		}
 
-		mapDone := newBarrier(vm.M.Env, cfg.Threads)
-		for w := 0; w < cfg.Threads; w++ {
+		mapDone := newBarrier(vm.M.Env, metisThreads)
+		for w := 0; w < metisThreads; w++ {
 			w := w
 			vm.OS.Go(fmt.Sprintf("metis-map%d", w), pr, func(wt *guest.Thread) {
 				defer mapDone.arrive()
@@ -92,7 +86,7 @@ func Metis(vm *hyper.VM, cfg MetisConfig) *Job {
 					// Each input block emits several records appended to
 					// pseudo-random buckets; pages fill front-to-back.
 					for rcd := 0; rcd < recordsPerBlock; rcd++ {
-						bk := rng.Intn(cfg.Buckets)
+						bk := rng.Intn(metisBuckets)
 						cu := &cursors[bk]
 						if cu.page >= perBucket {
 							continue // bucket full
@@ -114,16 +108,16 @@ func Metis(vm *hyper.VM, cfg MetisConfig) *Job {
 		}
 
 		// Reduce: each thread scans half the buckets' filled pages.
-		redDone := newBarrier(vm.M.Env, cfg.Threads)
-		for w := 0; w < cfg.Threads; w++ {
+		redDone := newBarrier(vm.M.Env, metisThreads)
+		for w := 0; w < metisThreads; w++ {
 			w := w
 			vm.OS.Go(fmt.Sprintf("metis-red%d", w), pr, func(wt *guest.Thread) {
 				defer redDone.arrive()
-				for bk := w; bk < cfg.Buckets; bk += cfg.Threads {
+				for bk := w; bk < metisBuckets; bk += metisThreads {
 					filled := cursors[bk].page
 					for pg := 0; pg <= filled && pg < perBucket && !wt.ProcKilled(); pg++ {
 						wt.TouchAnon(pr, table+bk*perBucket+pg, false)
-						wt.Compute(cfg.CPUPerTablePage)
+						wt.Compute(metisCPUPerTablePage)
 					}
 				}
 			})

@@ -17,15 +17,25 @@ type Pbzip2Config struct {
 	InputMB int
 	// Threads is the compression thread count (paper: 8 on 1 VCPU).
 	Threads int
-	// ChunkKB is the work unit each thread claims (pbzip2 default 900 KB).
-	ChunkKB int
 	// CPUPerBlock is compression cost per 4 KiB input block.
 	CPUPerBlock sim.Duration
 	// WorkingPages is each thread's reusable buffer (sort arrays etc.).
 	WorkingPages int
-	// OutputRatio is output bytes per input byte (compressed size).
-	OutputRatio float64
 }
+
+const (
+	// Pbzip2WorkingPages is the paper-sized WorkingPages: bzip2 -9 block
+	// sorting plus queued chunks, ~20 MB per thread, giving the ~200 MB
+	// process footprint implied by the paper's observation that the guest
+	// kills pbzip2 below 240 MB (Fig. 5).
+	Pbzip2WorkingPages = 5120
+	// pbzip2ChunkKB is the work unit each thread claims (pbzip2's
+	// default).
+	pbzip2ChunkKB = 900
+	// pbzip2OutputRatio is output bytes per input byte (compressed size):
+	// source code compresses well.
+	pbzip2OutputRatio = 0.22
+)
 
 func (c Pbzip2Config) withDefaults() Pbzip2Config {
 	if c.InputMB == 0 {
@@ -34,20 +44,11 @@ func (c Pbzip2Config) withDefaults() Pbzip2Config {
 	if c.Threads == 0 {
 		c.Threads = 8
 	}
-	if c.ChunkKB == 0 {
-		c.ChunkKB = 900
-	}
 	if c.CPUPerBlock == 0 {
 		c.CPUPerBlock = 850 * sim.Microsecond // ~5 MB/s aggregate on 1 VCPU
 	}
 	if c.WorkingPages == 0 {
-		// bzip2 -9 block sorting plus queued chunks: ~20 MB per thread,
-		// giving the ~200 MB process footprint implied by the paper's
-		// observation that the guest kills pbzip2 below 240 MB (Fig. 5).
-		c.WorkingPages = 5120
-	}
-	if c.OutputRatio == 0 {
-		c.OutputRatio = 0.22 // source code compresses well
+		c.WorkingPages = Pbzip2WorkingPages
 	}
 	return c
 }
@@ -58,9 +59,9 @@ func Pbzip2(vm *hyper.VM, cfg Pbzip2Config) *Job {
 	pr := vm.OS.NewProcess("pbzip2")
 	return launch(vm, "pbzip2", pr, func(t *guest.Thread, j *Job) {
 		input := vm.OS.FS.Create("pbzip2.in", int64(cfg.InputMB)<<20)
-		output := vm.OS.FS.Create("pbzip2.out", int64(float64(cfg.InputMB)*cfg.OutputRatio*1.2)<<20)
+		output := vm.OS.FS.Create("pbzip2.out", int64(float64(cfg.InputMB)*pbzip2OutputRatio*1.2)<<20)
 
-		chunk := int64(cfg.ChunkKB) << 10
+		chunk := int64(pbzip2ChunkKB) << 10
 		nChunks := (input.SizeBytes() + chunk - 1) / chunk
 		next := int64(0) // work queue cursor (single assignment per chunk)
 		outCursor := int64(0)
@@ -96,7 +97,7 @@ func Pbzip2(vm *hyper.VM, cfg Pbzip2Config) *Job {
 						wt.Compute(cfg.CPUPerBlock)
 					}
 					// Write the compressed chunk.
-					outN := int64(float64(n) * cfg.OutputRatio)
+					outN := int64(float64(n) * pbzip2OutputRatio)
 					if outCursor+outN > output.SizeBytes() {
 						outN = output.SizeBytes() - outCursor
 					}

@@ -70,22 +70,19 @@ func SeqRead(vm *hyper.VM, cfg SeqReadConfig) *Job {
 type AllocTouchConfig struct {
 	// SizeMB of anonymous memory to allocate and access (paper: 200 MB).
 	SizeMB int
-	// SpanBytes: after the kernel zeroes each fresh page, the process
-	// writes its data in spans of this size (0 = whole-page stores only).
-	SpanBytes int
-	// CPUPerPage is computation per touched page.
-	CPUPerPage sim.Duration
 }
+
+const (
+	// allocTouchSpanBytes: after the kernel zeroes each fresh page, the
+	// process writes its data in a span of this size.
+	allocTouchSpanBytes = 1024
+	// allocTouchCPUPerPage is computation per touched page.
+	allocTouchCPUPerPage = 500 * sim.Nanosecond
+)
 
 func (c AllocTouchConfig) withDefaults() AllocTouchConfig {
 	if c.SizeMB == 0 {
 		c.SizeMB = 200
-	}
-	if c.SpanBytes == 0 {
-		c.SpanBytes = 1024
-	}
-	if c.CPUPerPage == 0 {
-		c.CPUPerPage = 500 * sim.Nanosecond
 	}
 	return c
 }
@@ -101,10 +98,10 @@ func AllocTouch(vm *hyper.VM, cfg AllocTouchConfig) *Job {
 			// First touch allocates + zeroes (REP); then the process
 			// fills part of the page with its own data.
 			t.TouchAnon(pr, i, true)
-			if cfg.SpanBytes > 0 && !t.ProcKilled() {
-				t.WriteAnonSpan(pr, i, 0, cfg.SpanBytes)
+			if !t.ProcKilled() {
+				t.WriteAnonSpan(pr, i, 0, allocTouchSpanBytes)
 			}
-			t.Compute(cfg.CPUPerPage)
+			t.Compute(allocTouchCPUPerPage)
 		}
 	})
 }
