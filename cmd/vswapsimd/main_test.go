@@ -226,7 +226,6 @@ func TestDaemonSIGTERMCleanExit(t *testing.T) {
 	var stdout syncBuffer
 	base, statePath, codeCh := startDaemon(t, nil, &stdout)
 	cl := serve.NewClient(base)
-	cl.PollInterval = 10 * time.Millisecond
 	st, err := cl.Run(context.Background(), serve.JobRequest{ID: "tab1", Quick: true})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +258,6 @@ func TestDaemonSIGTERMMidJobForcedDrain(t *testing.T) {
 	var stdout syncBuffer
 	base, statePath, codeCh := startDaemon(t, []string{"-draintimeout", "200ms", "-workers", "1"}, &stdout)
 	cl := serve.NewClient(base)
-	cl.PollInterval = 10 * time.Millisecond
 
 	// fig5 un-quick runs for seconds — plenty of time to interrupt.
 	sub, err := cl.Submit(context.Background(), serve.JobRequest{ID: "fig5"})

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -8,17 +9,17 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 )
 
 // Client is the thin HTTP client behind the CLIs' -server flag: submit a
-// job, poll to terminal, hand back the JobStatus. It retries 429s honoring
-// Retry-After — the admission-control contract from the other side.
+// job, wait on its event stream until it ends, hand back the JobStatus. It
+// retries 429s honoring Retry-After — the admission-control contract from
+// the other side.
 type Client struct {
 	BaseURL    string
 	HTTPClient *http.Client
-	// PollInterval spaces GET /jobs/{id} polls (default 100ms).
-	PollInterval time.Duration
 	// MaxSubmitRetries bounds 429 retries on submit (default 10).
 	MaxSubmitRetries int
 }
@@ -33,13 +34,6 @@ func (c *Client) httpClient() *http.Client {
 		return c.HTTPClient
 	}
 	return http.DefaultClient
-}
-
-func (c *Client) pollInterval() time.Duration {
-	if c.PollInterval > 0 {
-		return c.PollInterval
-	}
-	return 100 * time.Millisecond
 }
 
 // decodeStatus reads one JobStatus response body; non-2xx bodies decode
@@ -121,9 +115,15 @@ func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 	return decodeStatus(resp)
 }
 
-// Wait polls the job until it reaches a terminal state.
+// Wait follows the job's event stream until it ends, then reads the
+// job's status once. The server drops a subscriber that falls behind, so
+// a status that is not terminal yet means the stream ended early: Wait
+// subscribes again, and the server replays the job's history.
 func (c *Client) Wait(ctx context.Context, id string) (*JobStatus, error) {
 	for {
+		if err := c.follow(ctx, id); err != nil {
+			return nil, err
+		}
 		st, err := c.Job(ctx, id)
 		if err != nil {
 			return nil, err
@@ -131,12 +131,34 @@ func (c *Client) Wait(ctx context.Context, id string) (*JobStatus, error) {
 		if terminal(st.State) {
 			return st, nil
 		}
-		select {
-		case <-time.After(c.pollInterval()):
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	}
+}
+
+// follow reads GET /jobs/{id}/events until a terminal event or the end of
+// the stream. A stream that breaks off is not an error: Wait's status
+// read decides what it meant.
+func (c *Client) follow(ctx context.Context, id string) error {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet,
+		c.BaseURL+"/jobs/"+id+"/events", nil)
+	if err != nil {
+		return err
+	}
+	resp, err := c.httpClient().Do(hreq)
+	if err != nil {
+		return fmt.Errorf("serve client: follow events: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 300 {
+		_, err := decodeStatus(resp)
+		return err
+	}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if state, ok := strings.CutPrefix(sc.Text(), "event: "); ok && terminal(state) {
+			return nil
 		}
 	}
+	return nil
 }
 
 // Run submits a job and waits for its terminal status — the whole

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"crypto/rand"
 	"crypto/sha256"
+	"debug/elf"
+	"encoding/binary"
 	"encoding/hex"
 	"io"
 	"os"
-	"runtime"
+	"strings"
 	"sync"
+	"time"
 
 	"vswapsim/internal/experiment"
 )
@@ -63,29 +67,107 @@ var (
 	fingerprintVal  string
 )
 
-// CodeFingerprint identifies the code that computes results: the SHA-256
-// of the running executable, truncated for key brevity. Rebuilding the
-// binary therefore invalidates every cached entry — a version-mismatched
-// entry is simply never looked up, so it can never be served. When the
-// executable cannot be read (platform oddities), the Go toolchain version
-// is the (coarser) fallback.
+// CodeFingerprint identifies the code that computes results, so a
+// version-mismatched cache entry is never looked up and can never be
+// served. For a binary the go command wrote it is build:<content ID>, the
+// last part of the build ID in the executable's .note.go.buildid: the
+// first 120 bits of the SHA-256 of the linked file, taken with the ID's
+// own bytes zeroed. Reading it takes the ELF headers, not the whole file,
+// and it changes with every rebuild that emits different bytes; a binary
+// edited after the go command wrote it keeps its ID. An executable
+// without the note (non-ELF platforms, -ldflags=-buildid=) is hashed:
+// exe:<sha256[:32]>. One that cannot be read gets a fingerprint random
+// per process, so it shares no cache entries with another build.
 func CodeFingerprint() string {
 	fingerprintOnce.Do(func() {
-		fingerprintVal = "go:" + runtime.Version()
-		exe, err := os.Executable()
-		if err != nil {
-			return
+		if exe, err := os.Executable(); err == nil {
+			fingerprintVal = fingerprintFile(exe)
+		} else {
+			fingerprintVal = runFingerprint()
 		}
-		f, err := os.Open(exe)
-		if err != nil {
-			return
-		}
-		defer f.Close()
-		h := sha256.New()
-		if _, err := io.Copy(h, f); err != nil {
-			return
-		}
-		fingerprintVal = "exe:" + hex.EncodeToString(h.Sum(nil))[:32]
 	})
 	return fingerprintVal
+}
+
+// fingerprintFile is CodeFingerprint for the executable at path.
+func fingerprintFile(path string) string {
+	f, err := os.Open(path)
+	if err != nil {
+		return runFingerprint()
+	}
+	defer f.Close()
+	if id, ok := elfBuildID(f); ok {
+		return "build:" + id
+	}
+	if fp, err := hashFingerprint(f); err == nil {
+		return fp
+	}
+	return runFingerprint()
+}
+
+// hashFingerprint is the fingerprint of an executable without a Go build
+// ID: the first 32 hex digits of its SHA-256.
+func hashFingerprint(r io.Reader) (string, error) {
+	h := sha256.New()
+	if _, err := io.Copy(h, r); err != nil {
+		return "", err
+	}
+	return "exe:" + hex.EncodeToString(h.Sum(nil))[:32], nil
+}
+
+// runFingerprint is a fingerprint no other process shares: run:<hex of 16
+// random bytes>.
+func runFingerprint() string {
+	var b [16]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		// No entropy source: the clock and the pid still set this process apart.
+		binary.LittleEndian.PutUint64(b[:8], uint64(time.Now().UnixNano()))
+		binary.LittleEndian.PutUint64(b[8:], uint64(os.Getpid()))
+	}
+	return "run:" + hex.EncodeToString(b[:])
+}
+
+// elfBuildID returns the content ID from r's .note.go.buildid section,
+// reading only the ELF headers and that section.
+func elfBuildID(r io.ReaderAt) (string, bool) {
+	ef, err := elf.NewFile(r)
+	if err != nil {
+		return "", false
+	}
+	sec := ef.Section(".note.go.buildid")
+	if sec == nil {
+		return "", false
+	}
+	note, err := sec.Data()
+	if err != nil {
+		return "", false
+	}
+	return goBuildID(note, ef.ByteOrder)
+}
+
+// goBuildIDType is the ELF note type the Go linker gives its build ID.
+const goBuildIDType = 4
+
+// goBuildID parses one ELF note: a 12-byte header (name size, descriptor
+// size, type), the name and the descriptor, each padded to 4 bytes. For
+// the Go build ID note, named "Go" with type 4, the descriptor is
+// actionID/contentID[/actionID/contentID], and goBuildID returns its last
+// part, the link's content ID.
+func goBuildID(note []byte, order binary.ByteOrder) (string, bool) {
+	if len(note) < 12 {
+		return "", false
+	}
+	nameEnd := 12 + uint64(order.Uint32(note))
+	descStart := (nameEnd + 3) &^ 3
+	descEnd := descStart + uint64(order.Uint32(note[4:]))
+	if order.Uint32(note[8:]) != goBuildIDType || descEnd > uint64(len(note)) ||
+		strings.TrimRight(string(note[12:nameEnd]), "\x00") != "Go" {
+		return "", false
+	}
+	desc := string(note[descStart:descEnd])
+	i := strings.LastIndexByte(desc, '/')
+	if i < 0 || i == len(desc)-1 {
+		return "", false
+	}
+	return desc[i+1:], true
 }

@@ -1,8 +1,16 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -151,16 +159,102 @@ func TestKeyIsHex(t *testing.T) {
 	}
 }
 
-// TestCodeFingerprint: stable within a process, and either a real
-// executable hash or the toolchain fallback.
+// TestCodeFingerprint: stable within a process, and one of the three
+// forms: the Go build ID's content ID, the executable's hash, or a value
+// random per process. The toolchain version alone is never enough.
 func TestCodeFingerprint(t *testing.T) {
 	fp := CodeFingerprint()
 	if fp != CodeFingerprint() {
 		t.Fatal("CodeFingerprint is not stable")
 	}
-	exeForm := regexp.MustCompile(`^exe:[0-9a-f]{32}$`)
-	goForm := regexp.MustCompile(`^go:go[0-9.]+`)
-	if !exeForm.MatchString(fp) && !goForm.MatchString(fp) {
+	form := regexp.MustCompile(`^(build:[A-Za-z0-9_-]+|exe:[0-9a-f]{32}|run:[0-9a-f]{32})$`)
+	if !form.MatchString(fp) {
 		t.Fatalf("unexpected fingerprint form %q", fp)
+	}
+}
+
+// TestCodeFingerprintIsBuildID: on linux the test binary, which the go
+// command wrote, is fingerprinted by the content ID in its build ID.
+func TestCodeFingerprintIsBuildID(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the build ID note is read from ELF executables")
+	}
+	goCmd, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(goCmd, "tool", "buildid", exe).Output()
+	if err != nil {
+		t.Fatalf("go tool buildid: %v", err)
+	}
+	id := strings.TrimSpace(string(out))
+	want := "build:" + id[strings.LastIndexByte(id, '/')+1:]
+	if fp := CodeFingerprint(); fp != want {
+		t.Fatalf("CodeFingerprint() = %q, want %q (build ID %s)", fp, want, id)
+	}
+}
+
+// elfNote lays out one ELF note as the Go linker writes it: name and
+// descriptor each padded to 4 bytes.
+func elfNote(name string, typ uint32, desc string) []byte {
+	pad := func(b []byte) []byte {
+		for len(b)%4 != 0 {
+			b = append(b, 0)
+		}
+		return b
+	}
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(name)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(desc)))
+	b = binary.LittleEndian.AppendUint32(b, typ)
+	b = pad(append(b, name...))
+	return pad(append(b, desc...))
+}
+
+func TestGoBuildIDNote(t *testing.T) {
+	full := elfNote("Go\x00\x00", 4, "act1/cont1/act2/cont2")
+	for _, tc := range []struct {
+		name string
+		note []byte
+		want string // "" = no build ID
+	}{
+		{"four parts", full, "cont2"},
+		{"two parts", elfNote("Go\x00\x00", 4, "act/cont"), "cont"},
+		{"name without padding", elfNote("Go\x00", 4, "act/cont"), "cont"},
+		{"no slash", elfNote("Go\x00\x00", 4, "handset"), ""},
+		{"empty last part", elfNote("Go\x00\x00", 4, "act/"), ""},
+		{"other name", elfNote("GNU\x00", 4, "act/cont"), ""},
+		{"other type", elfNote("Go\x00\x00", 3, "act/cont"), ""},
+		{"truncated descriptor", full[:len(full)-8], ""},
+		{"truncated header", full[:8], ""},
+	} {
+		id, ok := goBuildID(tc.note, binary.LittleEndian)
+		if ok != (tc.want != "") || id != tc.want {
+			t.Errorf("%s: goBuildID = %q, %v; want %q", tc.name, id, ok, tc.want)
+		}
+	}
+}
+
+// TestFingerprintFallbacks: a file without a Go build ID note is hashed,
+// and a file that cannot be read gets a value no other process shares.
+func TestFingerprintFallbacks(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "plain")
+	data := []byte("#!/bin/sh\necho not a Go binary\n")
+	if err := os.WriteFile(path, data, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if fp, want := fingerprintFile(path), "exe:"+hex.EncodeToString(sum[:])[:32]; fp != want {
+		t.Fatalf("note-less file: %q, want %q", fp, want)
+	}
+	missing := filepath.Join(dir, "missing")
+	a, b := fingerprintFile(missing), fingerprintFile(missing)
+	run := regexp.MustCompile(`^run:[0-9a-f]{32}$`)
+	if !run.MatchString(a) || !run.MatchString(b) || a == b {
+		t.Fatalf("unreadable file: %q then %q, want two different run: values", a, b)
 	}
 }

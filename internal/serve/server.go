@@ -109,8 +109,10 @@ type Config struct {
 	// DiagDir, when non-empty, receives one replayable crash-diagnostics
 	// bundle per failed cell or crashed job.
 	DiagDir string
-	// Fingerprint overrides the code fingerprint in cache keys (default
-	// CodeFingerprint()). Tests use it to simulate version mismatches.
+	// Fingerprint names the code in cache keys (default CodeFingerprint(),
+	// the executable's Go build ID): servers share cache entries only when
+	// their fingerprints are equal. Tests use it to simulate version
+	// mismatches.
 	Fingerprint string
 	// Runner overrides job execution (default ExperimentRunner).
 	Runner Runner

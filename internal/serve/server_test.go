@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,12 +62,6 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Serve
 		s.Drain(ctx)
 	})
 	return s, ts
-}
-
-func testClient(ts *httptest.Server) *Client {
-	c := NewClient(ts.URL)
-	c.PollInterval = 5 * time.Millisecond
-	return c
 }
 
 // stubRunner returns a deterministic fake document derived from the
@@ -127,7 +123,7 @@ func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, []
 // its document is byte-identical to the cold run's.
 func TestWarmColdByteIdentityRegistry(t *testing.T) {
 	s, ts := newTestServer(t, nil) // real ExperimentRunner
-	c := testClient(ts)
+	c := NewClient(ts.URL)
 	req := JobRequest{ID: "tab1", Quick: true}
 
 	cold, err := c.Run(context.Background(), req)
@@ -173,7 +169,7 @@ func TestWarmColdByteIdentityRegistry(t *testing.T) {
 // scenario-YAML path.
 func TestWarmColdByteIdentityScenario(t *testing.T) {
 	_, ts := newTestServer(t, nil)
-	c := testClient(ts)
+	c := NewClient(ts.URL)
 	req := JobRequest{Scenario: tinyScenario, Seed: 7}
 
 	cold, err := c.Run(context.Background(), req)
@@ -205,7 +201,7 @@ func TestWarmColdByteIdentityScenario(t *testing.T) {
 // never served, and transparently recomputed to identical bytes.
 func TestCorruptEntryRecomputed(t *testing.T) {
 	s, ts := newTestServer(t, nil)
-	c := testClient(ts)
+	c := NewClient(ts.URL)
 	req := JobRequest{ID: "tab1", Quick: true}
 
 	cold, err := c.Run(context.Background(), req)
@@ -284,7 +280,7 @@ func TestQueueFullRejects429(t *testing.T) {
 		}
 	}()
 	defer close(g.started)
-	c := testClient(ts)
+	c := NewClient(ts.URL)
 	st, err := c.Run(context.Background(), JobRequest{ID: "fig5"})
 	if err != nil {
 		t.Fatalf("retrying submit failed: %v", err)
@@ -355,7 +351,7 @@ func TestPanicIsolation(t *testing.T) {
 		}
 		c.Workers = 1
 	})
-	c := testClient(ts)
+	c := NewClient(ts.URL)
 	st, err := c.Run(context.Background(), JobRequest{ID: "tab1"})
 	if err != nil {
 		t.Fatal(err)
@@ -477,7 +473,7 @@ func TestDrainPersistsAndRestartRecovers(t *testing.T) {
 	s2.Start()
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	c2 := testClient(ts2)
+	c2 := NewClient(ts2.URL)
 	for _, id := range ids {
 		st, err := c2.Wait(context.Background(), id)
 		if err != nil {
@@ -598,6 +594,70 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
+// TestWaitFollowsEvents: a job that ends while Run waits on it costs one
+// GET /jobs/{id}, read after its event stream ends. A stream that ends
+// before the job does (the server drops slow subscribers) is followed
+// again, after one status read that finds the job still running.
+func TestWaitFollowsEvents(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		drop      int32 // event streams the front ends at once
+		wantReads int32
+	}{
+		{"one stream", 0, 1},
+		{"dropped stream", 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newGate()
+			s, _ := newTestServer(t, func(c *Config) {
+				c.Workers = 1
+				c.Runner = g.runner
+			})
+			h := s.Handler()
+			var reads, streams atomic.Int32
+			waiting := make(chan struct{})
+			var once sync.Once
+			front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.Method != http.MethodGet:
+				case strings.HasSuffix(r.URL.Path, "/events"):
+					if streams.Add(1) <= tc.drop {
+						w.WriteHeader(http.StatusOK)
+						return
+					}
+					once.Do(func() { close(waiting) })
+				default:
+					reads.Add(1)
+					defer once.Do(func() { close(waiting) }) // once the reply is rendered
+				}
+				h.ServeHTTP(w, r)
+			}))
+			defer front.Close()
+			// The job ends only once Run has started waiting on it.
+			go func() {
+				select {
+				case <-waiting:
+				case <-time.After(5 * time.Second):
+				}
+				close(g.release)
+			}()
+			st, err := NewClient(front.URL).Run(context.Background(), JobRequest{ID: "tab1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != StateDone || len(st.Document) == 0 {
+				t.Fatalf("state %s, document %q", st.State, st.Document)
+			}
+			if got := reads.Load(); got != tc.wantReads {
+				t.Fatalf("Wait read the job's status %d times, want %d", got, tc.wantReads)
+			}
+			if got := streams.Load(); got != tc.drop+1 {
+				t.Fatalf("Wait followed %d event streams, want %d", got, tc.drop+1)
+			}
+		})
+	}
+}
+
 func TestJobNotFound(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) { c.Runner = stubRunner })
 	for _, path := range []string{"/jobs/j-404", "/jobs/j-404/events"} {
@@ -641,7 +701,7 @@ func TestHealthz(t *testing.T) {
 // zero-valued ones) and the live gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) { c.Runner = stubRunner })
-	c := testClient(ts)
+	c := NewClient(ts.URL)
 	if _, err := c.Run(context.Background(), JobRequest{ID: "tab1"}); err != nil {
 		t.Fatal(err)
 	}
