@@ -33,13 +33,14 @@
 // tables: tables and notes plus one run record per simulated machine
 // (counters, latency histograms, per-phase time accounting, and — with
 // -tracering — the trace tail). The JSON bytes are bit-identical between
-// serial (-parallel 1) and parallel runs.
+// serial (-parallel 1) and parallel runs, and between local and -server
+// runs.
 //
 // With -server URL the experiments are submitted to a vswapsimd daemon
 // instead of executing locally: repeated runs are served from the
 // daemon's content-addressed result cache (byte-identical to a cold run),
-// the text renders exactly as a local run's would, and the exit code
-// mirrors the local semantics via each job's exit hint.
+// the text and the -json document print exactly as a local run's would,
+// and the exit code mirrors the local semantics via each job's exit hint.
 //
 // Run hardening: -maxevents and -celltimeout arm a per-cell watchdog that
 // kills runaway or livelocked cells; each kill (or panic) degrades to a
@@ -54,6 +55,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -65,6 +67,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -310,9 +313,9 @@ type job struct {
 }
 
 // execute runs the jobs — locally, or as vswapsimd jobs with -server —
-// and reports them through one path: each experiment's text report
-// (rendered from its JSON form, so a served run prints what a local run
-// prints) with a trailer line and its failed cells, as each completes.
+// and reports them through one path: each experiment's Report (decoded
+// from the daemon's document on a served run, so it prints what a local
+// run prints) with a trailer line and its failed cells, as each completes.
 // With -json the text goes to -o or nowhere, and stdout carries the
 // document. The exit code is the worst over all experiments.
 func execute(c cliConfig, jobs []job, stdout, stderr io.Writer) int {
@@ -350,8 +353,8 @@ func execute(c cliConfig, jobs []job, stdout, stderr io.Writer) int {
 			fmt.Fprintf(w, "swap backend: %s (policy %s)\n\n", o.Swapback, o.SwapPolicy)
 		}
 	}
-	show := func(rep *experiment.JSONReport, trailer string) {
-		fmt.Fprint(w, rep.Render())
+	show := func(rep *experiment.Report, trailer string) {
+		fmt.Fprint(w, rep.String())
 		fmt.Fprintln(w, trailer)
 		if len(rep.Failures) > 0 {
 			printFailures(w, rep.Failures)
@@ -381,7 +384,7 @@ func execute(c cliConfig, jobs []job, stdout, stderr io.Writer) int {
 // runLocal executes the jobs on the in-process executor, streaming each
 // result to show in input order, writing -csv tables and -diagdir
 // bundles as results arrive, and the JSON document at the end.
-func runLocal(o experiment.Options, c cliConfig, jobs []job, show func(*experiment.JSONReport, string), stdout, stderr io.Writer) int {
+func runLocal(o experiment.Options, c cliConfig, jobs []job, show func(*experiment.Report, string), stdout, stderr io.Writer) int {
 	if c.cpuProfile != "" {
 		f, err := os.Create(c.cpuProfile)
 		if err != nil {
@@ -407,27 +410,26 @@ func runLocal(o experiment.Options, c cliConfig, jobs []job, show func(*experime
 		exps[i] = j.exp
 	}
 	code := exitOK
-	var reps []*experiment.JSONReport
+	var reps []*experiment.Report
 	experiment.RunAll(exps, o, func(r experiment.RunResult) {
-		j := jobs[len(reps)]
-		rep := experiment.BuildJSON(r.Report, r.Runs, r.Failures)
+		j, rep := jobs[len(reps)], r.Report
 		reps = append(reps, rep)
 		show(rep, fmt.Sprintf("(%s generated in %v, -parallel %d)",
 			rep.ID, r.Elapsed.Round(time.Millisecond), o.Parallel))
-		if len(r.Failures) > 0 || r.Report.AssertionFailures > 0 {
+		if len(rep.Failures) > 0 || rep.AssertionFailures > 0 {
 			code = exitFailures
 		}
 		if c.csvDir != "" {
-			for i, tab := range r.Report.Tables {
+			for i, tab := range rep.Tables {
 				name := filepath.Join(c.csvDir, fmt.Sprintf("%s_%d.csv", rep.ID, i))
 				if err := os.WriteFile(name, []byte(tab.CSV()), 0o644); err != nil {
 					fmt.Fprintln(stderr, err)
 				}
 			}
 		}
-		if c.diagDir != "" && len(r.Failures) > 0 {
+		if c.diagDir != "" && len(rep.Failures) > 0 {
 			replay := experiment.ReplayCommand(rep.ID, j.scenario, o)
-			paths, err := experiment.WriteDiagBundles(c.diagDir, "vswapsim", rep.ID, replay, o, r.Failures)
+			paths, err := experiment.WriteDiagBundles(c.diagDir, "vswapsim", rep.ID, replay, o, rep.Failures)
 			if err != nil {
 				fmt.Fprintln(stderr, err)
 			} else {
@@ -435,13 +437,11 @@ func runLocal(o experiment.Options, c cliConfig, jobs []job, show func(*experime
 			}
 		}
 	})
-	if o.Ctx.Err() != nil {
+	doc := experiment.BuildJSONDocument(o, reps)
+	if doc.Incomplete {
 		code = exitIncomplete
 	}
-
 	if c.jsonOut {
-		doc := experiment.BuildJSONDocument(o, reps)
-		doc.Incomplete = code == exitIncomplete
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
@@ -467,10 +467,12 @@ func runLocal(o experiment.Options, c cliConfig, jobs []job, show func(*experime
 
 // runRemote is the thin -server client: one daemon job per experiment,
 // in order, each rendered through show from the returned document. With
-// -json the daemon's document is printed verbatim (cache hits are
-// byte-identical to cold runs by the daemon's contract). The exit code is
-// the worst job exit hint.
-func runRemote(ctx context.Context, c cliConfig, jobs []job, show func(*experiment.JSONReport, string), stdout, stderr io.Writer) int {
+// -json the daemon's document is printed indented as a local run prints
+// it, so the bytes equal a local run's (cache hits are byte-identical to
+// cold runs by the daemon's contract). A document that does not decode,
+// or holds a null experiment, is rejected. The exit code is the worst job
+// exit hint.
+func runRemote(ctx context.Context, c cliConfig, jobs []job, show func(*experiment.Report, string), stdout, stderr io.Writer) int {
 	client := serve.NewClient(c.server)
 	code := exitOK
 	for _, j := range jobs {
@@ -495,14 +497,20 @@ func runRemote(ctx context.Context, c cliConfig, jobs []job, show func(*experime
 		if len(st.Document) == 0 {
 			continue
 		}
-		if c.jsonOut {
-			stdout.Write(st.Document)
-			io.WriteString(stdout, "\n")
-		}
 		var doc experiment.JSONDocument
-		if err := json.Unmarshal(st.Document, &doc); err != nil {
+		err = json.Unmarshal(st.Document, &doc)
+		if err == nil && slices.Contains(doc.Experiments, nil) {
+			err = errors.New("null experiment entry")
+		}
+		if err != nil {
 			fmt.Fprintf(stderr, "vswapsim: bad document from server: %v\n", err)
 			return exitFailures
+		}
+		if c.jsonOut {
+			var buf bytes.Buffer
+			json.Indent(&buf, st.Document, "", "  ") // it decoded, so it indents
+			buf.WriteByte('\n')
+			stdout.Write(buf.Bytes())
 		}
 		cache := "miss"
 		if st.Cached {

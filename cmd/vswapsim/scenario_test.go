@@ -86,8 +86,8 @@ func TestREADMEDocumentsEveryFlag(t *testing.T) {
 // scenario file and the file reach one definition: the entry runs the
 // embedded scenarios/<id>.yaml, so `vswapsim run scenarios/<id>.yaml
 // -json` must write the very bytes `vswapsim -run <id> -json` writes,
-// through the real CLI path (document header included — same -parallel,
-// so headers agree too). fig12 and fig13 are sweeps.
+// through the real CLI path, document header included. fig12 and fig13
+// are sweeps.
 func TestScenarioCLIEquivalence(t *testing.T) {
 	common := []string{"-json", "-quick", "-scale", "0.125", "-seed", "42", "-parallel", "1"}
 	for _, id := range []string{"fig3", "fig12", "fig13"} {
@@ -106,6 +106,28 @@ func TestScenarioCLIEquivalence(t *testing.T) {
 					yamlOut.Len(), id, idOut.Len())
 			}
 		})
+	}
+}
+
+// TestJSONSameAtAnyParallelism: a -json document holds nothing that
+// depends on the worker count, so -parallel 1 and -parallel 4 print the
+// same bytes, for one sweep and for a report of several experiments.
+func TestJSONSameAtAnyParallelism(t *testing.T) {
+	for _, args := range [][]string{
+		{"-run", "fig5", "-quick", "-scale", "0.125", "-json"},
+		{"report", "-only", "fig3,tab2", "-quick", "-scale", "0.125", "-json"},
+	} {
+		var docs [2]bytes.Buffer
+		for i, parallel := range []string{"1", "4"} {
+			var stderr bytes.Buffer
+			a := append(append([]string(nil), args...), "-parallel", parallel)
+			if code := run(a, &docs[i], &stderr); code != exitOK {
+				t.Fatalf("run(%v) = %d, stderr %s", a, code, stderr.String())
+			}
+		}
+		if !bytes.Equal(docs[0].Bytes(), docs[1].Bytes()) {
+			t.Fatalf("%v: -parallel 1 and -parallel 4 print different documents", args)
+		}
 	}
 }
 

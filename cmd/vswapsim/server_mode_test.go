@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -251,10 +252,10 @@ table:
 	}
 }
 
-// TestServerModeScenarioFaultsMatchLocal: a scenario's top-level faults:
-// and audit_every: reach the daemon's document exactly as they reach a
-// local run's, so the two documents are equal once the execution-hint
-// parallel field is dropped.
+// TestServerModeScenarioFaultsMatchLocal: a served -json run prints the
+// bytes a local run prints, on a cache miss and on a hit, for a registry
+// id and for a scenario whose top-level faults: and audit_every: reach
+// the daemon's document exactly as they reach a local run's.
 func TestServerModeScenarioFaultsMatchLocal(t *testing.T) {
 	url := startServeBackend(t)
 	path := filepath.Join(t.TempDir(), "faulty.yaml")
@@ -277,25 +278,76 @@ table:
 	if err := os.WriteFile(path, []byte(yaml), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	docOf := func(extra ...string) map[string]any {
-		t.Helper()
-		var stdout, stderr bytes.Buffer
-		args := append([]string{"run", path, "-json", "-parallel", "1"}, extra...)
-		if code := run(args, &stdout, &stderr); code != exitOK {
-			t.Fatalf("run(%v) = %d, stderr %s", args, code, stderr.String())
+	for _, target := range [][]string{
+		{"-run", "fig3", "-quick", "-scale", "0.125"},
+		{"run", path},
+	} {
+		docOf := func(extra ...string) []byte {
+			t.Helper()
+			var stdout, stderr bytes.Buffer
+			args := append(append(append([]string(nil), target...), "-json"), extra...)
+			if code := run(args, &stdout, &stderr); code != exitOK {
+				t.Fatalf("run(%v) = %d, stderr %s", args, code, stderr.String())
+			}
+			return stdout.Bytes()
 		}
-		var doc map[string]any
-		if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
-			t.Fatalf("run(%v): bad JSON: %v", args, err)
+		local := docOf()
+		for _, pass := range []string{"miss", "hit"} {
+			if served := docOf("-server", url); !bytes.Equal(local, served) {
+				t.Fatalf("%v: the document served on a cache %s differs from the local one:\nlocal\n%s\nserved\n%s",
+					target, pass, local, served)
+			}
 		}
-		delete(doc, "parallel")
-		return doc
+		if target[0] == "run" && !bytes.Contains(local, []byte(`"faults": "disk-lat:0.05:2ms"`)) {
+			t.Fatalf("local document header lacks the scenario's fault plan:\n%s", local)
+		}
 	}
-	local, served := docOf(), docOf("-server", url)
-	if local["faults"] != "disk-lat:0.05:2ms" {
-		t.Fatalf("local document header lacks the scenario's fault plan: %v", local["faults"])
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(local, served) {
-		t.Fatalf("daemon document differs from the local one:\nlocal  faults=%v\nserved faults=%v", local["faults"], served["faults"])
+	defer resp.Body.Close()
+	metrics, _ := io.ReadAll(resp.Body)
+	for _, want := range []string{"serve_cache_misses 2\n", "serve_cache_hits 2\n"} {
+		if !bytes.Contains(metrics, []byte(want)) {
+			t.Fatalf("the daemon's metrics lack %q: every target must miss once and hit once\n%s", want, metrics)
+		}
+	}
+}
+
+// TestServerModeMalformedDocuments: a served document is outside input.
+// A row longer than its table's columns still renders, and a null entry
+// in experiments is a bad document (exit 1), with and without -json.
+func TestServerModeMalformedDocuments(t *testing.T) {
+	for _, c := range []struct {
+		name, doc string
+		args      []string
+		code      int
+		stdout    string // a line the text output must hold
+	}{
+		{"long row", `{"experiments":[{"id":"x","title":"t","tables":[{"columns":["a"],"rows":[["x","y"]]}]}]}`,
+			nil, exitOK, "x  y\n"},
+		{"long row json", `{"experiments":[{"id":"x","title":"t","tables":[{"columns":["a"],"rows":[["x","y"]]}]}]}`,
+			[]string{"-json"}, exitOK, `"x",`},
+		{"null entry", `{"experiments":[null]}`, nil, exitFailures, ""},
+		{"null entry json", `{"experiments":[null]}`, []string{"-json"}, exitFailures, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				json.NewEncoder(w).Encode(serve.JobStatus{JobID: "j-1", State: serve.StateDone, Document: json.RawMessage(c.doc)})
+			}))
+			defer ts.Close()
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-run", "tab1", "-server", ts.URL}, c.args...)
+			if code := run(args, &stdout, &stderr); code != c.code {
+				t.Fatalf("run(%v) = %d, want %d; stderr %s", args, code, c.code, stderr.String())
+			}
+			if c.code == exitOK && !strings.Contains(stdout.String(), c.stdout) {
+				t.Fatalf("output lacks %q:\n%s", c.stdout, stdout.String())
+			}
+			if c.code != exitOK && !strings.Contains(stderr.String(), "bad document from server") {
+				t.Fatalf("stderr does not reject the document: %s", stderr.String())
+			}
+		})
 	}
 }

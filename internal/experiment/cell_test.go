@@ -73,7 +73,7 @@ func TestHandCodedTablesShowFailedRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := RunAll([]Experiment{e}, starvedOpts(), nil)[0]
-			if len(r.Failures) == 0 {
+			if len(r.Report.Failures) == 0 {
 				t.Fatal("the budget killed no run")
 			}
 			failed := 0
@@ -93,8 +93,8 @@ func TestHandCodedTablesShowFailedRuns(t *testing.T) {
 					}
 				}
 			}
-			if want := len(r.Failures) * c.perRun; failed != want {
-				t.Errorf("%d cells read failed, want %d (%d failed runs)\n%s", failed, want, len(r.Failures), r.Report)
+			if want := len(r.Report.Failures) * c.perRun; failed != want {
+				t.Errorf("%d cells read failed, want %d (%d failed runs)\n%s", failed, want, len(r.Report.Failures), r.Report)
 			}
 		})
 	}
@@ -241,10 +241,10 @@ workload:
 			}
 			o := Options{Seed: 42, Scale: 0.0625, Quick: true, Parallel: 1}
 			r := RunAll([]Experiment{FromScenario(sc)}, o, nil)[0]
-			if len(r.Failures) == 0 || len(r.Runs) != 0 {
-				t.Fatalf("%d failed cells and %d run records, want every cell failed", len(r.Failures), len(r.Runs))
+			if len(r.Report.Failures) == 0 || len(r.Report.Runs) != 0 {
+				t.Fatalf("%d failed cells and %d run records, want every cell failed", len(r.Report.Failures), len(r.Report.Runs))
 			}
-			for _, f := range r.Failures {
+			for _, f := range r.Report.Failures {
 				if !strings.Contains(f.Message, c.want) {
 					t.Errorf("%s: failure %q does not name the scaled sizes (want %q)", f.Label, f.Message, c.want)
 				}

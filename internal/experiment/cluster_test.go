@@ -69,10 +69,10 @@ func TestFailuresCarryAuditTail(t *testing.T) {
 			o := starvedOpts()
 			o.AuditEvery = 512
 			r := RunAll([]Experiment{FromScenario(embeddedScenario(name)())}, o, nil)[0]
-			if len(r.Failures) == 0 {
+			if len(r.Report.Failures) == 0 {
 				t.Fatal("the budget killed no cell")
 			}
-			for _, f := range r.Failures {
+			for _, f := range r.Report.Failures {
 				if len(f.AuditTail) == 0 {
 					t.Errorf("failure %s (%s) has no audit tail", f.Label, f.Kind)
 				}

@@ -69,16 +69,12 @@ func (o Options) forEach(n int, job func(i int)) {
 	wg.Wait()
 }
 
-// RunResult couples an experiment's report with its wall-clock cost, the
-// per-machine run records of its report's cells, and the failure records
-// of any cells that were killed, panicked, or were canceled (all in
-// deterministic order; see Report.takeRecords).
+// RunResult couples an experiment's finished report with its wall-clock
+// cost.
 type RunResult struct {
 	Experiment Experiment
 	Report     *Report
 	Elapsed    time.Duration
-	Runs       []RunRecord
-	Failures   []FailureRecord
 }
 
 // runExperimentShielded runs one experiment, converting a panic that
@@ -126,11 +122,8 @@ func RunAll(exps []Experiment, o Options, emit func(RunResult)) []RunResult {
 	o.forEach(len(exps), func(i int) {
 		start := time.Now()
 		rep := runExperimentShielded(exps[i], o)
-		runs, fails := rep.takeRecords()
-		r := RunResult{
-			Experiment: exps[i], Report: rep, Elapsed: time.Since(start),
-			Runs: runs, Failures: fails,
-		}
+		rep.finish()
+		r := RunResult{Experiment: exps[i], Report: rep, Elapsed: time.Since(start)}
 		mu.Lock()
 		defer mu.Unlock()
 		out[i] = r

@@ -73,11 +73,12 @@ func (o Options) guestDiskBlocks(diskMB, memMB int) int64 {
 	return int64(disk) << 20 / 4096
 }
 
-// Table is a formatted result table.
+// Table is a formatted result table, and the form a document carries it
+// in.
 type Table struct {
-	Title   string
-	Columns []string
-	Rows    [][]string
+	Title   string     `json:"title,omitempty"`
+	Columns []string   `json:"columns"`
+	Rows    [][]string `json:"rows"`
 }
 
 // Add appends a row.
@@ -85,17 +86,21 @@ func (t *Table) Add(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// String renders the table with aligned columns.
+// String renders the table with aligned columns. A row may hold more
+// cells than the table has columns (a served document is outside input),
+// so the widths cover the widest row.
 func (t *Table) String() string {
-	widths := make([]int, len(t.Columns))
+	n := len(t.Columns)
+	for _, r := range t.Rows {
+		n = max(n, len(r))
+	}
+	widths := make([]int, n)
 	for i, c := range t.Columns {
 		widths[i] = len(c)
 	}
 	for _, r := range t.Rows {
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], len(c))
 		}
 	}
 	var b strings.Builder
@@ -151,21 +156,29 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Report is one experiment's output.
+// Report is one experiment's output, and its entry in a document: the
+// identity, tables and notes the text report prints, the fingerprint over
+// them, one RunRecord per simulated machine, and the FailureRecords of the
+// cells that were killed, panicked, or were canceled. RunAll fills the
+// last three when the experiment finishes (see finish).
 type Report struct {
-	ID        string
-	Title     string
-	PaperNote string
-	Tables    []*Table
-	Notes     []string
+	ID          string      `json:"id"`
+	Title       string      `json:"title"`
+	PaperNote   string      `json:"paper_note,omitempty"`
+	Fingerprint string      `json:"fingerprint"`
+	Tables      []*Table    `json:"tables"`
+	Notes       []string    `json:"notes,omitempty"`
+	Runs        []RunRecord `json:"runs,omitempty"`
+	// Failures is omitted on a healthy run, so its document is
+	// byte-identical to pre-hardening output.
+	Failures []FailureRecord `json:"failures,omitempty"`
 	// AssertionFailures counts scenario assertions that did not hold (the
 	// details are also in Notes as "ASSERTION FAILED" lines, so they are
 	// fingerprinted); the CLI maps a nonzero count to exit code 1. Always
 	// zero for hand-coded experiments.
-	AssertionFailures int
-	// cells are the cells the tables read, in table order. RunAll takes
-	// the document's run and failure records from them, then releases
-	// them (see takeRecords).
+	AssertionFailures int `json:"-"`
+	// cells are the cells the tables read, in table order, until finish
+	// takes their records and releases them.
 	cells []cell
 }
 
@@ -175,21 +188,42 @@ func (r *Report) keep(c cell) cell {
 	return c
 }
 
-// takeRecords returns the run and failure records of the report's cells,
-// in cell order, stably sorted by label, and releases the cells: a
-// finished document holds its tables and records, not its cells' counter
-// maps, while it is serialized and served.
-func (r *Report) takeRecords() (runs []RunRecord, fails []FailureRecord) {
+// finish completes a report whose tables and notes are written. It takes
+// the run and failure records of the report's cells, in cell order,
+// stably sorted by label, and releases the cells: a finished document
+// holds its tables and records, not its cells' counter maps, while it is
+// serialized and served. Then it sets the fingerprint, a SHA-256 over the
+// report's identity and every table rendered as CSV (where all the metric
+// counters the report surfaces end up), plus its notes; the determinism
+// golden tests compare fingerprints across runs and against testdata/.
+// Neither records nor fingerprint depend on which worker ran a cell or
+// when, so documents are bit-identical between serial and parallel runs.
+func (r *Report) finish() {
 	for _, c := range r.cells {
-		runs = append(runs, c.runs...)
+		r.Runs = append(r.Runs, c.runs...)
 		if c.failed() {
-			fails = append(fails, *c.failure)
+			r.Failures = append(r.Failures, *c.failure)
 		}
 	}
 	r.cells = nil
-	slices.SortStableFunc(runs, func(a, b RunRecord) int { return strings.Compare(a.Label, b.Label) })
-	slices.SortStableFunc(fails, func(a, b FailureRecord) int { return strings.Compare(a.Label, b.Label) })
-	return runs, fails
+	slices.SortStableFunc(r.Runs, func(a, b RunRecord) int { return strings.Compare(a.Label, b.Label) })
+	slices.SortStableFunc(r.Failures, func(a, b FailureRecord) int { return strings.Compare(a.Label, b.Label) })
+
+	h := sha256.New()
+	field := func(s string) {
+		h.Write([]byte(s))
+		h.Write([]byte{0})
+	}
+	field(r.ID)
+	field(r.Title)
+	for _, t := range r.Tables {
+		field(t.Title)
+		field(t.CSV())
+	}
+	for _, n := range r.Notes {
+		field(n)
+	}
+	r.Fingerprint = hex.EncodeToString(h.Sum(nil))
 }
 
 // String renders the full report.
@@ -208,28 +242,6 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
-}
-
-// Fingerprint returns a stable SHA-256 over the report's identity and
-// every table rendered as CSV (where all the metric counters the report
-// surfaces end up), plus its notes. The determinism golden tests compare
-// fingerprints across runs and against testdata/.
-func (r *Report) Fingerprint() string {
-	h := sha256.New()
-	field := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
-	}
-	field(r.ID)
-	field(r.Title)
-	for _, t := range r.Tables {
-		field(t.Title)
-		field(t.CSV())
-	}
-	for _, n := range r.Notes {
-		field(n)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Experiment couples an id with its runner.

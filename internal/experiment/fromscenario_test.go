@@ -45,7 +45,7 @@ func TestScenarioGoldens(t *testing.T) {
 			t.Errorf("%s: %d assertion failures at golden config:\n  %s",
 				d.key, rep.AssertionFailures, strings.Join(rep.Notes, "\n  "))
 		}
-		got[d.sc.Name] = rep.Fingerprint()
+		got[d.sc.Name] = rep.Fingerprint
 	}
 
 	if *update {
@@ -108,8 +108,7 @@ func TestDeclaredTierEqualsFlags(t *testing.T) {
 		return sc
 	}
 	report := func(sc *scenario.Scenario, o Options) []byte {
-		r := RunAll([]Experiment{FromScenario(sc)}, o, nil)[0]
-		data, err := json.Marshal(BuildJSON(r.Report, r.Runs, r.Failures))
+		data, err := json.Marshal(RunAll([]Experiment{FromScenario(sc)}, o, nil)[0].Report)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,7 +57,7 @@ type goldenRun struct {
 }
 
 func newGoldenRun(r RunResult) (goldenRun, error) {
-	data, err := json.MarshalIndent(BuildJSON(r.Report, r.Runs, r.Failures), "", "  ")
+	data, err := json.MarshalIndent(r.Report, "", "  ")
 	return goldenRun{RunResult: r, json: data}, err
 }
 
@@ -178,8 +178,8 @@ func checkPassesAgree(t *testing.T, key string) {
 	t.Helper()
 	s, p := passRuns(t, key)
 	for _, r := range []goldenRun{s, p} {
-		if len(r.Failures) != 0 {
-			t.Fatalf("%s: unexpected failures: %+v", key, r.Failures)
+		if len(r.Report.Failures) != 0 {
+			t.Fatalf("%s: unexpected failures: %+v", key, r.Report.Failures)
 		}
 	}
 	if !bytes.Equal(s.json, p.json) {
@@ -206,7 +206,7 @@ func docIndex(t *testing.T, docs []goldenDoc, key string) int {
 func TestGoldenFingerprints(t *testing.T) {
 	got := map[string]string{}
 	for _, e := range Registry {
-		got[e.ID] = serialRun(t, e.ID).Report.Fingerprint()
+		got[e.ID] = serialRun(t, e.ID).Report.Fingerprint
 	}
 
 	if *update {
@@ -260,6 +260,12 @@ func TestPaperNotesCarryNoPrefix(t *testing.T) {
 	}
 }
 
+// fingerprint finishes r, as RunAll does, and returns its fingerprint.
+func fingerprint(r *Report) string {
+	r.finish()
+	return r.Fingerprint
+}
+
 // TestFingerprintSensitivity guards the fingerprint itself: it must be
 // stable across calls and change when any cell, title or note changes.
 func TestFingerprintSensitivity(t *testing.T) {
@@ -268,8 +274,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 		tab.Add("1", "2")
 		return &Report{ID: "x", Title: "T", Tables: []*Table{tab}, Notes: []string{"n"}}
 	}
-	base := mk().Fingerprint()
-	if base != mk().Fingerprint() {
+	base := fingerprint(mk())
+	if base != fingerprint(mk()) {
 		t.Fatal("fingerprint not stable")
 	}
 	cell := mk()
@@ -279,7 +285,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	title := mk()
 	title.Tables[0].Title = "u"
 	for name, r := range map[string]*Report{"cell": cell, "note": note, "table title": title} {
-		if r.Fingerprint() == base {
+		if fingerprint(r) == base {
 			t.Fatalf("changing a %s did not change the fingerprint", name)
 		}
 	}

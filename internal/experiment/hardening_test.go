@@ -100,8 +100,7 @@ func runFixture(t *testing.T, parallel int) RunResult {
 // fixtureDoc serializes a fixture result the way the CLIs do.
 func fixtureDoc(t *testing.T, r RunResult, o Options) []byte {
 	t.Helper()
-	doc := BuildJSONDocument(o, []*JSONReport{BuildJSON(r.Report, r.Runs, r.Failures)})
-	doc.Parallel = 0 // the only field that legitimately differs
+	doc := BuildJSONDocument(o, []*Report{r.Report})
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -115,23 +114,23 @@ func fixtureDoc(t *testing.T, r RunResult, o Options) []byte {
 // sanitized stack, while both healthy siblings complete normally.
 func TestHardeningFixtureKindsAndDiagnostics(t *testing.T) {
 	r := runFixture(t, 1)
-	if len(r.Runs) != 2 {
-		t.Fatalf("healthy runs = %d, want 2", len(r.Runs))
+	if len(r.Report.Runs) != 2 {
+		t.Fatalf("healthy runs = %d, want 2", len(r.Report.Runs))
 	}
-	if len(r.Failures) != 2 {
-		t.Fatalf("failures = %d, want 2: %+v", len(r.Failures), r.Failures)
+	if len(r.Report.Failures) != 2 {
+		t.Fatalf("failures = %d, want 2: %+v", len(r.Report.Failures), r.Report.Failures)
 	}
 	byKind := map[string]FailureRecord{}
-	for _, f := range r.Failures {
+	for _, f := range r.Report.Failures {
 		byKind[f.Kind] = f
 	}
 	wd, ok := byKind[FailWatchdogEvents]
 	if !ok {
-		t.Fatalf("no %s record among %+v", FailWatchdogEvents, r.Failures)
+		t.Fatalf("no %s record among %+v", FailWatchdogEvents, r.Report.Failures)
 	}
 	pan, ok := byKind[FailPanic]
 	if !ok {
-		t.Fatalf("no %s record among %+v", FailPanic, r.Failures)
+		t.Fatalf("no %s record among %+v", FailPanic, r.Report.Failures)
 	}
 
 	// Watchdog kill: deterministic position, one past the budget.
@@ -177,8 +176,8 @@ func TestFailedRunsReleaseTheirMachines(t *testing.T) {
 	runFixture(t, 1) // build lazily initialised state first
 	goroutines, heap := runtime.NumGoroutine(), liveHeap()
 	for i := 0; i < 5; i++ {
-		if r := runFixture(t, 1); len(r.Failures) != 2 {
-			t.Fatalf("run %d: %d failures, want 2", i, len(r.Failures))
+		if r := runFixture(t, 1); len(r.Report.Failures) != 2 {
+			t.Fatalf("run %d: %d failures, want 2", i, len(r.Report.Failures))
 		}
 	}
 	// A process goroutine ends just after its last handshake; give the
@@ -224,16 +223,16 @@ func TestHardeningDiagBundlesReplay(t *testing.T) {
 	r := runFixture(t, 4)
 	dir := t.TempDir()
 	o := fixtureOpts(4)
-	paths, err := WriteDiagBundles(dir, "vswapsim", "hardfix", ReplayCommand("hardfix", "", o), o, r.Failures)
+	paths, err := WriteDiagBundles(dir, "vswapsim", "hardfix", ReplayCommand("hardfix", "", o), o, r.Report.Failures)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != len(r.Failures) {
-		t.Fatalf("wrote %d bundles for %d failures", len(paths), len(r.Failures))
+	if len(paths) != len(r.Report.Failures) {
+		t.Fatalf("wrote %d bundles for %d failures", len(paths), len(r.Report.Failures))
 	}
 	replayed := runFixture(t, 1) // the replay reference
 	recByLabel := map[string][]byte{}
-	for _, f := range replayed.Failures {
+	for _, f := range replayed.Report.Failures {
 		data, err := json.Marshal(f)
 		if err != nil {
 			t.Fatal(err)
@@ -278,13 +277,13 @@ func TestCanceledRunSkipsCells(t *testing.T) {
 	o := fixtureOpts(4)
 	o.Ctx, o.CancelRun = ctx, cancel
 	r := RunAll([]Experiment{hardeningFixture()}, o, nil)[0]
-	if len(r.Runs) != 0 {
-		t.Fatalf("canceled run still produced %d run records", len(r.Runs))
+	if len(r.Report.Runs) != 0 {
+		t.Fatalf("canceled run still produced %d run records", len(r.Report.Runs))
 	}
-	if len(r.Failures) != 4 {
-		t.Fatalf("failures = %d, want all 4 cells", len(r.Failures))
+	if len(r.Report.Failures) != 4 {
+		t.Fatalf("failures = %d, want all 4 cells", len(r.Report.Failures))
 	}
-	for _, f := range r.Failures {
+	for _, f := range r.Report.Failures {
 		if f.Kind != FailCanceled {
 			t.Fatalf("record %q has kind %q, want %q", f.Label, f.Kind, FailCanceled)
 		}
@@ -318,14 +317,14 @@ func TestExperimentLevelPanicShield(t *testing.T) {
 		Run: func(Options) *Report { panic("table assembly exploded") },
 	}
 	rs := RunAll([]Experiment{boom, hardeningFixture()}, fixtureOpts(2), nil)
-	if len(rs[0].Failures) != 1 || rs[0].Failures[0].Kind != FailPanic {
-		t.Fatalf("experiment panic not captured: %+v", rs[0].Failures)
+	if len(rs[0].Report.Failures) != 1 || rs[0].Report.Failures[0].Kind != FailPanic {
+		t.Fatalf("experiment panic not captured: %+v", rs[0].Report.Failures)
 	}
 	if !strings.Contains(strings.Join(rs[0].Report.Notes, " "), "experiment aborted") {
 		t.Fatalf("report notes do not flag the abort: %v", rs[0].Report.Notes)
 	}
 	// The sibling experiment still ran to completion.
-	if len(rs[1].Runs) != 2 || len(rs[1].Failures) != 2 {
-		t.Fatalf("sibling experiment perturbed: %d runs, %d failures", len(rs[1].Runs), len(rs[1].Failures))
+	if len(rs[1].Report.Runs) != 2 || len(rs[1].Report.Failures) != 2 {
+		t.Fatalf("sibling experiment perturbed: %d runs, %d failures", len(rs[1].Report.Runs), len(rs[1].Report.Failures))
 	}
 }

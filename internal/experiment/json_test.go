@@ -16,8 +16,7 @@ func jsonBytes(t *testing.T, id string, o Options) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := RunAll([]Experiment{e}, o, nil)[0]
-	doc := BuildJSONDocument(o, []*JSONReport{BuildJSON(r.Report, r.Runs, r.Failures)})
+	doc := BuildJSONDocument(o, []*Report{RunAll([]Experiment{e}, o, nil)[0].Report})
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +118,7 @@ func TestJSONSerialParallelEquivalence(t *testing.T) {
 // TestRunRecordsDeterministicOrder checks the collection layer directly:
 // records added in any order sort to the same sequence.
 func TestRunRecordsDeterministicOrder(t *testing.T) {
-	recs := serialRun(t, "fig10").Runs
+	recs := serialRun(t, "fig10").Report.Runs
 	if len(recs) < 2 {
 		t.Fatalf("want multiple run records, got %d", len(recs))
 	}

@@ -212,14 +212,14 @@ func TestPbzipMemoKeysOnBackend(t *testing.T) {
 	ssd := hdd // shares hdd's invocation and memo
 	ssd.Swapback = swapback.SSD
 	hddRun := RunAll(exps, hdd, nil)[0]
-	afterHDD := fig5(ssd).Fingerprint()
-	if n, want := len(hdd.memo.entries), 2*len(hddRun.Runs); n != want {
+	afterHDD := fingerprint(fig5(ssd))
+	if n, want := len(hdd.memo.entries), 2*len(hddRun.Report.Runs); n != want {
 		t.Fatalf("the invocation's memo holds %d cells, want %d (the hdd and the ssd sweep)", n, want)
 	}
 	fresh := memoOpts()
 	fresh.Swapback = swapback.SSD
-	freshFP := fig5(fresh).Fingerprint()
-	if freshFP == hddRun.Report.Fingerprint() {
+	freshFP := fingerprint(fig5(fresh))
+	if freshFP == hddRun.Report.Fingerprint {
 		t.Fatal("the ssd and hdd sweeps coincide; the test cannot tell them apart")
 	}
 	if afterHDD != freshFP {
@@ -238,7 +238,7 @@ func TestPbzipMemoKeysOnTraceRing(t *testing.T) {
 	RunAll([]Experiment{e}, o, nil)
 	traced := o
 	traced.TraceRing = 64
-	runs := RunAll([]Experiment{e}, traced, nil)[0].Runs
+	runs := RunAll([]Experiment{e}, traced, nil)[0].Report.Runs
 	if len(runs) == 0 {
 		t.Fatal("no run records")
 	}

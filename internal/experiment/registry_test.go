@@ -126,7 +126,7 @@ func TestViewsReadTheirFilesCells(t *testing.T) {
 		{"fig12", "scenarios/fig12.yaml"},
 		{"fig13", "scenarios/fig13.yaml"},
 	} {
-		view, file := run(pair[0]).Runs, run(pair[1]).Runs
+		view, file := run(pair[0]).Report.Runs, run(pair[1]).Report.Runs
 		if len(view) == 0 {
 			t.Errorf("%s has no run records", pair[0])
 		}
@@ -138,7 +138,7 @@ func TestViewsReadTheirFilesCells(t *testing.T) {
 		}
 	}
 
-	var doc JSONReport
+	var doc Report
 	if err := json.Unmarshal(run("fig4").json, &doc); err != nil {
 		t.Fatal(err)
 	}

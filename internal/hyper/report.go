@@ -52,10 +52,11 @@ type RunReport struct {
 	Trace      []TraceEventReport                   `json:"trace,omitempty"`
 }
 
-// ReportFromSet builds a RunReport from a bare metric set with no backing
-// machine — the cluster layer reports its fleet-level counters and the
-// fleet unit-latency histogram this way, alongside the per-host machine
-// reports. Only the total-time phase is meaningful.
+// ReportFromSet builds a RunReport from a metric set: its non-zero
+// counters, its non-empty histograms and the total-time phase. The
+// cluster layer reports its fleet-level counters and the fleet
+// unit-latency histogram this way, alongside the per-host machine
+// reports, which Machine.Report builds on it.
 func ReportFromSet(seed uint64, met *metrics.Set, now sim.Time) *RunReport {
 	counters := make(map[string]int64)
 	for k, v := range met.Snapshot() {
@@ -77,34 +78,16 @@ func ReportFromSet(seed uint64, met *metrics.Set, now sim.Time) *RunReport {
 	}
 }
 
-// Report captures the machine's current observability state. Call it after
-// Run has drained (end-of-run totals); calling it mid-run snapshots
+// Report captures the machine's current observability state: its metric
+// set's report plus the per-phase accounting and the trace tail. Call it
+// after Run has drained (end-of-run totals); calling it mid-run snapshots
 // whatever has accumulated so far.
 func (m *Machine) Report() *RunReport {
-	counters := make(map[string]int64)
-	for k, v := range m.Met.Snapshot() {
-		if v != 0 {
-			counters[k] = v
-		}
-	}
-	hists := make(map[string]metrics.HistogramSnapshot)
-	for _, h := range m.Met.Histograms() {
-		if h.Count() > 0 {
-			hists[h.Name()] = h.Snapshot()
-		}
-	}
-	r := &RunReport{
-		Seed:       m.seed,
-		Counters:   counters,
-		Histograms: hists,
-		Phases: PhaseReport{
-			GuestRunNS:    m.Met.Get(metrics.TimeGuestRun),
-			HostFaultNS:   m.Met.Get(metrics.TimeHostFault),
-			DiskWaitNS:    m.Met.Get(metrics.TimeDiskWait),
-			ReclaimScanNS: m.Met.Get(metrics.TimeReclaimScan),
-			TotalNS:       int64(m.Env.Now()),
-		},
-	}
+	r := ReportFromSet(m.seed, m.Met, m.Env.Now())
+	r.Phases.GuestRunNS = m.Met.Get(metrics.TimeGuestRun)
+	r.Phases.HostFaultNS = m.Met.Get(metrics.TimeHostFault)
+	r.Phases.DiskWaitNS = m.Met.Get(metrics.TimeDiskWait)
+	r.Phases.ReclaimScanNS = m.Met.Get(metrics.TimeReclaimScan)
 	if m.trace != nil {
 		events := m.trace.Events()
 		if len(events) > traceTail {

@@ -18,22 +18,15 @@ import (
 // retries 429s honoring Retry-After — the admission-control contract from
 // the other side.
 type Client struct {
-	BaseURL    string
-	HTTPClient *http.Client
-	// MaxSubmitRetries bounds 429 retries on submit (default 10).
-	MaxSubmitRetries int
+	BaseURL string
 }
+
+// maxSubmitRetries bounds the 429 retries of one submit.
+const maxSubmitRetries = 10
 
 // NewClient returns a Client for the daemon at baseURL.
 func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: baseURL}
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
 }
 
 // decodeStatus reads one JobStatus response body; non-2xx bodies decode
@@ -58,16 +51,12 @@ func decodeStatus(resp *http.Response) (*JobStatus, error) {
 }
 
 // Submit posts one job. On 429 it waits out the server's Retry-After hint
-// (bounded by MaxSubmitRetries) before retrying; every other non-2xx is a
-// terminal error.
+// (at most maxSubmitRetries times) before retrying; every other non-2xx
+// is a terminal error.
 func (c *Client) Submit(ctx context.Context, req JobRequest) (*JobStatus, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
-	}
-	retries := c.MaxSubmitRetries
-	if retries <= 0 {
-		retries = 10
 	}
 	for attempt := 0; ; attempt++ {
 		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
@@ -76,11 +65,11 @@ func (c *Client) Submit(ctx context.Context, req JobRequest) (*JobStatus, error)
 			return nil, err
 		}
 		hreq.Header.Set("Content-Type", "application/json")
-		resp, err := c.httpClient().Do(hreq)
+		resp, err := http.DefaultClient.Do(hreq)
 		if err != nil {
 			return nil, fmt.Errorf("serve client: submit: %w", err)
 		}
-		if resp.StatusCode == http.StatusTooManyRequests && attempt < retries {
+		if resp.StatusCode == http.StatusTooManyRequests && attempt < maxSubmitRetries {
 			wait := time.Second
 			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
 				wait = time.Duration(secs) * time.Second
@@ -107,7 +96,7 @@ func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.httpClient().Do(hreq)
+	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		return nil, fmt.Errorf("serve client: get job: %w", err)
 	}
@@ -143,7 +132,7 @@ func (c *Client) follow(ctx context.Context, id string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.httpClient().Do(hreq)
+	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		return fmt.Errorf("serve client: follow events: %w", err)
 	}

@@ -160,11 +160,10 @@ type Event struct {
 }
 
 // Outcome summarizes what one executed job produced beyond its document
-// bytes: the counts the exit hint derives from, the failure records for
-// diag bundles, and — for a panic that escaped the executor's shields —
-// the daemon-level FailureRecord.
+// bytes: what the exit hint derives from, the failure records of its
+// failed cells (for diag bundles), and — for a panic that escaped the
+// executor's shields — the daemon-level FailureRecord.
 type Outcome struct {
-	Failures          int
 	AssertionFailures int
 	Incomplete        bool
 	Records           []experiment.FailureRecord

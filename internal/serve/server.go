@@ -58,10 +58,9 @@ func ExperimentRunner(ctx context.Context, req JobRequest, e experiment.Experime
 		return nil, Outcome{}, fmt.Errorf("marshal document: %w", err)
 	}
 	return data, Outcome{
-		Failures:          len(res.Failures),
 		AssertionFailures: res.Report.AssertionFailures,
 		Incomplete:        doc.Incomplete,
-		Records:           res.Failures,
+		Records:           res.Report.Failures,
 	}, nil
 }
 
@@ -75,6 +74,12 @@ const (
 	DefaultHeartbeat    = 5 * time.Second
 	DefaultWriteTimeout = 10 * time.Second
 )
+
+// maxFinishedJobs bounds how many finished jobs the server remembers:
+// past it, the oldest finished job is forgotten, and its id answers 404
+// like an unknown one. Queued, running and incomplete jobs are never
+// forgotten.
+const maxFinishedJobs = 1024
 
 // Config parameterizes a Server. Zero values take the documented
 // defaults.
@@ -187,9 +192,13 @@ type Server struct {
 	cCacheWrite                          *metrics.Counter
 	hWall                                *metrics.Histogram
 
-	mu       sync.Mutex
-	cond     *sync.Cond // broadcast when running drops
-	jobs     map[string]*job
+	mu   sync.Mutex
+	cond *sync.Cond // broadcast when running drops
+	jobs map[string]*job
+	// finished lists the ids of the finished jobs in jobs, oldest first;
+	// forgetOldLocked bounds it at maxFinishedJobs. Incomplete jobs stay
+	// out of it, because Drain persists them.
+	finished []string
 	nextSeq  uint64
 	running  int
 	draining bool
@@ -383,7 +392,7 @@ func (s *Server) finishJob(j *job, payload []byte, out Outcome, err error) {
 	// cancellation) are not all deterministic, and a cache must never
 	// launder one run's bad luck into everyone's answer.
 	cacheable := err == nil && payload != nil &&
-		!out.Incomplete && out.Failures == 0 && out.AssertionFailures == 0
+		!out.Incomplete && len(out.Records) == 0 && out.AssertionFailures == 0
 	cached := false
 	if cacheable {
 		if werr := s.cache.Put(j.key, payload); werr == nil {
@@ -417,10 +426,23 @@ func (s *Server) finishJob(j *job, payload []byte, out Outcome, err error) {
 			s.cCompleted.Inc()
 		}
 		s.appendEvent(j, StateDone, fmt.Sprintf("failures=%d assertion_failures=%d incomplete=%v",
-			out.Failures, out.AssertionFailures, out.Incomplete))
+			len(out.Records), out.AssertionFailures, out.Incomplete))
 	}
 	s.closeSubsLocked(j)
+	if !out.Incomplete {
+		s.forgetOldLocked(j)
+	}
 	s.cond.Broadcast()
+}
+
+// forgetOldLocked records that j finished and forgets the oldest
+// finished job once more than maxFinishedJobs are kept. Callers hold mu.
+func (s *Server) forgetOldLocked(j *job) {
+	s.finished = append(s.finished, j.id)
+	if len(s.finished) > maxFinishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 }
 
 // writeDiagBundles persists one replayable crash-diagnostics bundle per
@@ -592,7 +614,7 @@ func (s *Server) statusLocked(j *job) *JobStatus {
 		st.FinishedAtMS = j.finishedAt.UnixMilli()
 	}
 	if terminal(j.state) {
-		st.Failures = j.outcome.Failures
+		st.Failures = len(j.outcome.Records)
 		st.AssertionFailures = j.outcome.AssertionFailures
 		st.Incomplete = j.outcome.Incomplete
 		st.Error = j.errMsg
@@ -610,7 +632,7 @@ func exitHint(j *job) int {
 	switch {
 	case j.outcome.Incomplete:
 		return 3
-	case j.state == StateFailed || j.outcome.Failures > 0 || j.outcome.AssertionFailures > 0:
+	case j.state == StateFailed || len(j.outcome.Records) > 0 || j.outcome.AssertionFailures > 0:
 		return 1
 	}
 	return 0
@@ -702,6 +724,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.cCompleted.Inc()
 		s.appendEvent(j, StateDone, "served from cache")
 		s.closeSubsLocked(j)
+		s.forgetOldLocked(j)
 		st := s.statusLocked(j)
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, st)

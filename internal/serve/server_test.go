@@ -160,8 +160,8 @@ func TestWarmColdByteIdentityRegistry(t *testing.T) {
 	if err := json.Unmarshal(warm.Document, &doc); err != nil {
 		t.Fatalf("cached document does not parse: %v", err)
 	}
-	if doc.Parallel != 0 {
-		t.Fatalf("job document encodes parallelism %d; cached results must not", doc.Parallel)
+	if bytes.Contains(warm.Document, []byte(`"parallel"`)) {
+		t.Fatalf("job document encodes parallelism; cached results must not:\n%s", warm.Document)
 	}
 }
 
@@ -670,6 +670,128 @@ func TestJobNotFound(t *testing.T) {
 			t.Fatalf("%s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
+}
+
+// jobCode returns the HTTP status of GET path.
+func jobCode(t *testing.T, ts *httptest.Server, path string) int {
+	t.Helper()
+	resp, err := http.Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// submitHit posts a request that must be a cache hit and returns its id.
+func submitHit(t *testing.T, ts *httptest.Server, body string) string {
+	t.Helper()
+	resp, data := postJob(t, ts, body)
+	var st JobStatus
+	if err := json.Unmarshal(data, &st); err != nil || resp.StatusCode != http.StatusOK || !st.Cached {
+		t.Fatalf("submit %s: status %d cached=%v err=%v (%s)", body, resp.StatusCode, st.Cached, err, data)
+	}
+	return st.JobID
+}
+
+// TestFinishedJobsForgotten: past maxFinishedJobs the oldest finished job
+// is forgotten, and its id answers 404 like an unknown one, so a daemon's
+// memory does not grow with the jobs it serves.
+func TestFinishedJobsForgotten(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) { c.Runner = stubRunner })
+	miss, err := NewClient(ts.URL).Run(context.Background(), JobRequest{ID: "tab1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extra = 3
+	ids := []string{miss.JobID}
+	for i := 0; i < maxFinishedJobs+extra; i++ {
+		ids = append(ids, submitHit(t, ts, `{"id":"tab1"}`))
+	}
+	// The miss and the first extra hits are the oldest past the bound.
+	for _, id := range ids[:extra+1] {
+		for _, path := range []string{"/jobs/" + id, "/jobs/" + id + "/events"} {
+			if code := jobCode(t, ts, path); code != http.StatusNotFound {
+				t.Fatalf("%s of a forgotten job: status %d, want 404", path, code)
+			}
+		}
+	}
+	if code := jobCode(t, ts, "/jobs/"+ids[extra+1]); code != http.StatusOK {
+		t.Fatalf("the oldest kept job answers %d, want 200", code)
+	}
+	last, err := NewClient(ts.URL).Job(context.Background(), ids[len(ids)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(last.Document, miss.Document) {
+		t.Fatalf("the last hit's document %s, want %s", last.Document, miss.Document)
+	}
+	var health struct{ Jobs int }
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Jobs > maxFinishedJobs {
+		t.Fatalf("healthz reports %d jobs, want at most %d", health.Jobs, maxFinishedJobs)
+	}
+}
+
+// TestUnfinishedJobsNeverForgotten: however many jobs finish after them,
+// queued and running jobs stay, and so does an incomplete one, which
+// Drain persists.
+func TestUnfinishedJobsNeverForgotten(t *testing.T) {
+	g := newGate()
+	runner := func(ctx context.Context, req JobRequest, e experiment.Experiment, o experiment.Options) ([]byte, Outcome, error) {
+		switch e.ID {
+		case "tab1":
+			return stubRunner(ctx, req, e, o)
+		case "fig4":
+			return []byte(`{"stub":"partial","incomplete":true}`), Outcome{Incomplete: true}, nil
+		}
+		return g.runner(ctx, req, e, o)
+	}
+	_, ts := newTestServer(t, func(c *Config) { c.Runner = runner })
+	c := NewClient(ts.URL)
+	var ids []string
+	for _, id := range []string{"tab1", "fig4"} {
+		st, err := c.Run(context.Background(), JobRequest{ID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.JobID)
+	}
+	// fig5 and fig9 hold both workers; fig3 waits in the queue.
+	for _, id := range []string{"fig5", "fig9", "fig3"} {
+		resp, body := postJob(t, ts, fmt.Sprintf(`{"id":%q}`, id))
+		var st JobStatus
+		if err := json.Unmarshal(body, &st); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s: status %d (%s)", id, resp.StatusCode, body)
+		}
+		ids = append(ids, st.JobID)
+		if id != "fig3" {
+			g.waitStarted(t)
+		}
+	}
+	for i := 0; i < maxFinishedJobs; i++ {
+		submitHit(t, ts, `{"id":"tab1"}`)
+	}
+	if code := jobCode(t, ts, "/jobs/"+ids[0]); code != http.StatusNotFound {
+		t.Fatalf("the finished tab1 job answers %d, want 404", code)
+	}
+	for i, want := range []string{StateDone, StateRunning, StateRunning, StateQueued} {
+		st, err := c.Job(context.Background(), ids[i+1])
+		if err != nil {
+			t.Fatalf("job %s: %v", ids[i+1], err)
+		}
+		if st.State != want || (i == 0) != st.Incomplete {
+			t.Fatalf("job %s: state %s incomplete=%v", ids[i+1], st.State, st.Incomplete)
+		}
+	}
+	close(g.release)
 }
 
 // TestHealthz: liveness with the load picture.
